@@ -189,11 +189,9 @@ def cmd_exp(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     try:
-        gm = exp_replica(spec, h)
+        gm = exp_replica(spec, h)  # verified at construction
     except (ValueError, SpecError) as exc:
         raise CliError(str(exc))
-    if not verify_automorphism(spec, gm):
-        raise CliError("internal error: exponential failed verification")
     payload = {
         "images": {name: poly_str(gm.images[name]) for name in spec.vars},
         "inverse_images": {
@@ -261,7 +259,10 @@ def cmd_apply(args) -> int:
         cd = canonical_dict(aut.canonical)
         for entry, (sigma, t) in zip(cd["elements"], aut.canonical.elements):
             if args.element in (entry["id"], entry["signature"]):
-                gm = group_element_map(spec, sigma, t)
+                try:
+                    gm = group_element_map(spec, sigma, t)  # verified at construction
+                except ValueError as exc:
+                    raise CliError(f"element {args.element!r} failed verification: {exc}")
                 break
         if gm is None:
             raise CliError(f"unknown element identifier {args.element!r}")
@@ -280,10 +281,10 @@ def cmd_apply(args) -> int:
                 raise CliError(f"--map is missing an image for {name}")
             images[name] = _parse_in_spec(spec, mapping[name])
         gm = GeneratorMap(spec, images, validate=False)
+        if not verify_automorphism(spec, gm):
+            raise CliError("the supplied map is not a verified automorphism")
     else:
         raise CliError("one of --element or --map is required")
-    if not verify_automorphism(spec, gm):
-        raise CliError("the supplied map is not a verified automorphism")
     result = gm.apply_to(f)
     if args.json:
         emit_json({"result": poly_str(result)})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Union
 
 
@@ -337,10 +337,18 @@ def _integer_nth_root(x: int, n: int) -> Optional[int]:
     if neg and n % 2 == 0:
         return None
     ax = abs(x)
-    r = round(ax ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == ax:
-            return -cand if neg else cand
+    if n == 2:
+        r = isqrt(ax)
+    else:
+        # integer Newton iteration from above; ends at floor(ax^(1/n))
+        r = 1 << -(-ax.bit_length() // n)
+        while True:
+            nxt = ((n - 1) * r + ax // r ** (n - 1)) // n
+            if nxt >= r:
+                break
+            r = nxt
+    if r**n == ax:
+        return -r if neg else r
     return None
 
 

@@ -141,19 +141,9 @@ class GeneratorMap:
     def __post_init__(self):
         if not self.validate:
             return
-        ctx = self.context()
-        defining = self.spec.defining_polynomial().embed(ctx)
-        if not ideal_member(substitute(defining, self.images), self.spec):
-            raise ValueError("map does not preserve the defining ideal")
-        if self.inverse_images is not None:
-            for name in self.spec.vars:
-                v = MultiPoly.variable(ctx, name)
-                fwd = substitute(self.images[name], self.inverse_images)
-                bwd = substitute(self.inverse_images[name], self.images)
-                if not ideal_member(fwd - v, self.spec) or not ideal_member(
-                    bwd - v, self.spec
-                ):
-                    raise ValueError("supplied inverse is not a two-sided inverse")
+        defect = automorphism_defect(self.spec, self.images, self.inverse_images)
+        if defect is not None:
+            raise ValueError(defect)
 
     def context(self) -> tuple:
         for g in self.images.values():
@@ -161,12 +151,7 @@ class GeneratorMap:
         return self.spec.vars
 
     def apply_to(self, f: MultiPoly) -> MultiPoly:
-        ctx = self.context()
-        images = dict(self.images)
-        for name in f.vars:
-            if f.depends_on(name) and name not in images:
-                raise ValueError(f"map has no image for variable {name!r}")
-        return normal_form(substitute(f, images), self.spec)
+        return substitute(f, self.images, lambda g: normal_form(g, self.spec))
 
     def compose(self, other: "GeneratorMap") -> "GeneratorMap":
         """self after other (as ring maps: v -> self(other(v)))."""
@@ -185,6 +170,39 @@ class GeneratorMap:
             if self.images[name] != MultiPoly.variable(ctx, name):
                 return False
         return True
+
+
+def automorphism_defect(
+    spec: VarietySpec, images: dict, inverse_images: Optional[dict]
+) -> Optional[str]:
+    """Why a generator map is not an automorphism of the quotient, or None.
+
+    The map must send the defining polynomial into its ideal and, when
+    inverse images are given, both compositions must fix every generator
+    modulo the ideal.  With a unit-weight variable every substitution is
+    reduced to normal form as it is built (normal form is a ring map onto
+    the quotient, so this decides the same membership as full expansion);
+    otherwise membership is decided by division by the relation.
+    """
+    reduce = None
+    if spec.x_role is not None:
+        reduce = lambda g: normal_form(g, spec)  # noqa: E731
+
+    def in_ideal(f: MultiPoly) -> bool:
+        # a reduced substitution is a normal form, which is unique
+        return f.is_zero() if reduce is not None else ideal_member(f, spec)
+
+    image = substitute(spec.defining_polynomial(), images, reduce)
+    if not in_ideal(image):
+        return "map does not preserve the defining ideal"
+    if inverse_images is not None:
+        for name in spec.vars:
+            v = MultiPoly.variable(image.vars, name)
+            fwd = substitute(images[name], inverse_images, reduce) - v
+            bwd = substitute(inverse_images[name], images, reduce) - v
+            if not in_ideal(fwd) or not in_ideal(bwd):
+                return "supplied inverse is not a two-sided inverse"
+    return None
 
 
 def identity_map(spec: VarietySpec, extra: tuple = ()) -> GeneratorMap:

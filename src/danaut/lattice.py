@@ -156,7 +156,8 @@ def smith_normal_form(A: IntMat) -> tuple:
                 break
             row_add(s, viol, 1)
         s += 1
-    assert _snf_postconditions(A, U, M, V)
+    if not _snf_postconditions(A, U, M, V):
+        raise AssertionError("Smith normal form failed its postconditions")
     return U, M, V
 
 

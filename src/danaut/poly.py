@@ -9,9 +9,11 @@ coefficients are never stored), so equal polynomials compare equal.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from operator import add
+from typing import Callable, Iterable, Optional
 
 from .cyclotomic import CycElem, canonical_scalar, s_add, s_is_zero, s_mul, s_pow
+from .fmt import scalar_str
 
 
 class MultiPoly:
@@ -41,6 +43,18 @@ class MultiPoly:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, vars: tuple, terms: dict) -> "MultiPoly":
+        """Wrap terms that are canonical by construction, skipping validation.
+
+        For results of ring operations on validated operands: exponent
+        tuples of the context's length, canonical nonzero coefficients.
+        """
+        f = object.__new__(cls)
+        f.vars = vars
+        f.terms = terms
+        return f
 
     @staticmethod
     def zero(vars: tuple) -> "MultiPoly":
@@ -103,6 +117,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
+    def _is_rational(self) -> bool:
+        return all(type(c) is Fraction for c in self.terms.values())
+
     # -- ring operations --------------------------------------------------
 
     def _check_ctx(self, other: "MultiPoly") -> None:
@@ -119,13 +136,18 @@ class MultiPoly:
         self._check_ctx(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = s_add(out.get(exps, Fraction(0)), c)
-        return MultiPoly(self.vars, out)
+            if exps in out:
+                c = s_add(out[exps], c)
+                if s_is_zero(c):
+                    del out[exps]
+                    continue
+            out[exps] = c
+        return MultiPoly._trusted(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
@@ -139,18 +161,31 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
-            if s_is_zero(canonical_scalar(other)):
+            other = canonical_scalar(other)
+            if s_is_zero(other):
                 return MultiPoly.zero(self.vars)
-            return MultiPoly(
+            # a product of nonzero field elements is nonzero and canonical
+            return MultiPoly._trusted(
                 self.vars, {e: s_mul(c, other) for e, c in self.terms.items()}
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ctx(other)
         out: dict = {}
+        if self._is_rational() and other._is_rational():
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    if e in out:
+                        out[e] += c1 * c2
+                    else:
+                        out[e] = c1 * c2
+            return MultiPoly._trusted(
+                self.vars, {e: c for e, c in out.items() if c}
+            )
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 prod = s_mul(c1, c2)
                 if e in out:
                     out[e] = s_add(out[e], prod)
@@ -208,11 +243,18 @@ class MultiPoly:
         return f"MultiPoly({poly_str(self)!r})"
 
 
-def substitute(f: MultiPoly, images: dict) -> MultiPoly:
+def substitute(
+    f: MultiPoly, images: dict, reduce: Optional[Callable] = None
+) -> MultiPoly:
     """Replace each variable of f by its image polynomial, expanded.
 
     Every variable that actually occurs in f must have an image; all images
     must share one variable context, which becomes the result context.
+
+    reduce, when given, must be a ring map such as reduction to normal form
+    modulo an ideal.  It is applied to each image power as that power is
+    built, and once to the final sum, so no power is ever expanded in full;
+    the result equals reduce(substitute(f, images)).
     """
     ctx = None
     for g in images.values():
@@ -225,20 +267,23 @@ def substitute(f: MultiPoly, images: dict) -> MultiPoly:
     for name in f.vars:
         if f.depends_on(name) and name not in images:
             raise ValueError(f"no image supplied for occurring variable {name!r}")
+    powers: dict = {}  # name -> [image, image^2, ...]
+
+    def power(name: str, e: int) -> MultiPoly:
+        seq = powers.setdefault(name, [images[name]])
+        while len(seq) < e:
+            p = seq[-1] * images[name]
+            seq.append(p if reduce is None else reduce(p))
+        return seq[e - 1]
+
     result = MultiPoly.zero(ctx)
-    power_cache: dict = {}
     for exps, c in f.terms.items():
         term = MultiPoly.const(ctx, c)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = f.vars[i]
-            key = (name, e)
-            if key not in power_cache:
-                power_cache[key] = images[name] ** e
-            term = term * power_cache[key]
+        for name, e in zip(f.vars, exps):
+            if e:
+                term = term * power(name, e)
         result = result + term
-    return result
+    return result if reduce is None else reduce(result)
 
 
 def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPoly:
@@ -251,24 +296,21 @@ def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPo
     if f.vars != replacement.vars:
         raise ValueError("rule and polynomial contexts differ")
     lead = tuple(lead)
+    support = [(i, b) for i, b in enumerate(lead) if b]
     current = f
     while True:
-        reducible = {
-            e: c
-            for e, c in current.terms.items()
-            if all(a >= b for a, b in zip(e, lead))
-        }
-        if not reducible:
+        rest, quotient = {}, {}
+        for e, c in current.terms.items():
+            if all(e[i] >= b for i, b in support):
+                quotient[tuple(a - b for a, b in zip(e, lead))] = c
+            else:
+                rest[e] = c
+        if not quotient:
             return current
-        rest = MultiPoly(
-            current.vars,
-            {e: c for e, c in current.terms.items() if e not in reducible},
-        )
-        acc = rest
-        for e, c in reducible.items():
-            quotient = tuple(a - b for a, b in zip(e, lead))
-            acc = acc + MultiPoly(current.vars, {quotient: c}) * replacement
-        current = acc
+        # both parts keep the canonical coefficients of a validated polynomial
+        current = MultiPoly._trusted(f.vars, rest) + MultiPoly._trusted(
+            f.vars, quotient
+        ) * replacement
 
 
 # -- univariate helpers ----------------------------------------------------
@@ -501,23 +543,6 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
     return result
 
 
-def _scalar_str(c) -> str:
-    if isinstance(c, CycElem):
-        rp = c.as_root_power()
-        if rp is not None:
-            r, a = rp
-            root = f"zeta{c.order}^{a}" if a != 1 else f"zeta{c.order}"
-            if r == 1:
-                return root
-            if r == -1:
-                return f"-{root}"
-            return f"{r}*{root}"
-        return "(" + " + ".join(
-            f"{co}*zeta{c.order}^{j}" for j, co in enumerate(c.coords) if co
-        ) + ")"
-    return str(c)
-
-
 def poly_str(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"
@@ -531,9 +556,9 @@ def poly_str(f: MultiPoly) -> str:
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
         if not mono:
-            text = _scalar_str(c)
+            text = scalar_str(c)
         elif isinstance(c, CycElem):
-            text = f"{_scalar_str(c)}*{mono}"
+            text = f"{scalar_str(c)}*{mono}"
         elif c == 1:
             text = mono
         elif c == -1:

@@ -10,7 +10,7 @@ permutation symmetries, and the intersection of all derivation kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -58,6 +58,9 @@ class VarietySpec:
     regime_note: str = ""
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
+    # reduction rules by variable context, filled by _reduction_rule; kept
+    # on the spec so they live exactly as long as it does
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def vars(self) -> tuple:
@@ -236,6 +239,34 @@ def normalize(spec: VarietySpec) -> VarietySpec:
     )
 
 
+def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
+    """(lead exponents, replacement) rewriting the relation's lead monomial in ctx.
+
+    With a unit-weight variable the lead is that variable times the weight
+    monomial and the replacement is P; otherwise the lead is z^d.
+    """
+    rule = spec._rules.get(ctx)
+    if rule is not None:
+        return rule
+    for name in spec.vars:
+        if name not in ctx:
+            raise ValueError(f"polynomial context is missing variable {name!r}")
+    lead = [0] * len(ctx)
+    P = spec.P().embed(ctx)
+    if spec.x_role is not None:
+        for i, k in enumerate(spec.weights):
+            lead[ctx.index(f"y{i+1}")] = k
+        if spec.x_present:
+            lead[ctx.index("x")] = 1
+        replacement = P
+    else:
+        lead[ctx.index("z")] = spec.d
+        z = MultiPoly.variable(ctx, "z")
+        replacement = spec.weight_monomial().embed(ctx) - (P - z**spec.d)
+    rule = spec._rules[ctx] = (tuple(lead), replacement)
+    return rule
+
+
 def normal_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     """Unique representative modulo the defining relation.
 
@@ -243,34 +274,15 @@ def normal_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     weight monomial) by the corresponding multiple of P; requires a regime
     carrying a unit-weight variable so the rule terminates on its degree.
     """
-    x_role = spec.x_role
-    if x_role is None:
+    if spec.x_role is None:
         raise SpecError("normal form needs a regime with a unit-weight variable")
-    ctx = f.vars
-    for name in spec.vars:
-        if name not in ctx:
-            raise ValueError(f"polynomial context is missing variable {name!r}")
-    lead = [0] * len(ctx)
-    for i, k in enumerate(spec.weights):
-        lead[ctx.index(f"y{i+1}")] = k
-    if spec.x_present:
-        lead[ctx.index("x")] = 1
-    return reduce_by_rule(f, tuple(lead), spec.P().embed(ctx))
+    return reduce_by_rule(f, *_reduction_rule(spec, f.vars))
 
 
 def ideal_member(f: MultiPoly, spec: VarietySpec) -> bool:
     """Whether f lies in the principal ideal of the defining polynomial."""
-    if spec.x_role is not None:
-        return normal_form(f, spec).is_zero()
-    # no unit variable: divide by the relation using its z^d lead term
-    ctx = f.vars
-    lead = [0] * len(ctx)
-    lead[ctx.index("z")] = spec.d
-    z = MultiPoly.variable(ctx, "z")
-    replacement = spec.weight_monomial().embed(ctx) - (
-        spec.P().embed(ctx) - z**spec.d
-    )
-    return reduce_by_rule(f, tuple(lead), replacement).is_zero()
+    # with no unit variable the rule divides by the relation's z^d lead term
+    return reduce_by_rule(f, *_reduction_rule(spec, f.vars)).is_zero()
 
 
 # -- irreducibility -----------------------------------------------------------
@@ -414,7 +426,10 @@ def proper_quasitorus(spec: VarietySpec) -> QuasitorusData:
     sub = DiagSubgroup.from_defining_characters(n, chars)
     g = gcd(*spec.weights) if spec.m > 1 else spec.weights[0]
     typ = DiagGroupType(spec.m - 1, (g,) if g > 1 else ())
-    assert sub.group_type() == typ
+    if sub.group_type() != typ:
+        raise AssertionError(
+            f"weight-monomial stabilizer has type {sub.group_type()}, expected {typ}"
+        )
     which = "H" if typ.invariant_factors else "T"
     return QuasitorusData(
         which="H",

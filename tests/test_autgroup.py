@@ -103,6 +103,21 @@ def test_element_maps_verify(e4):
         assert verify_automorphism(e4, group_element_map(e4, s, t))
 
 
+def test_big_coefficients_keep_the_element_list():
+    # the swap branch needs t^3 = c: exact for a cube c of 61 digits
+    big = variety([2, 2], True, f"z^2 + y1^3 + {(10**20 + 1) ** 3}*y2^3 + 1")
+    G = canonical_group(big)
+    assert G.order == 36 and len(G.elements) == 36
+    for s, t in G.elements:
+        assert verify_automorphism(big, group_element_map(big, s, t))
+    # a square c has no rational cube root, so no list; the note says why
+    square = variety([2, 2], True, f"z^2 + y1^3 + {(10**20 + 1) ** 2}*y2^3 + 1")
+    G = canonical_group(square)
+    assert G.order == 36 and G.elements is None
+    notes = [b.solutions.coset_note for b in G.branches]
+    assert any("no exact 3-th root" in n for n in notes), notes
+
+
 def test_element_application(e4):
     G = canonical_group(e4)
     target = None

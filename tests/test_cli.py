@@ -275,3 +275,71 @@ def test_genus_subcommand(tmp_path):
     )
     code, out, _ = run_cli("genus", str(f))
     assert code == 0 and out.strip() == "1"
+
+
+def test_each_map_verified_exactly_once(monkeypatch, capsys):
+    from danaut import autgroup, cli, derivations
+
+    real = derivations.automorphism_defect
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(derivations, "automorphism_defect", counting)
+    monkeypatch.setattr(autgroup, "automorphism_defect", counting)
+    e4 = fixture_path("s7_e4.json")
+    scaling = json.dumps({"x": "-x", "y1": "y2", "y2": "y1", "z": "-z"})
+    for argv in (
+        ["exp", e4, "h*y1 + 1", "--json"],
+        ["apply", e4, "x*z", "--element", "e0"],
+        ["apply", e4, "x*z", "--map", scaling],
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert len(calls) == 1, argv
+
+
+def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):
+    from danaut import autgroup, cli, derivations
+
+    real_images = autgroup._element_images
+
+    def wrong_x(spec, sigma, scalars):
+        images = real_images(spec, sigma, scalars)
+        images["x"] = images["x"] + 1
+        return images
+
+    e4 = fixture_path("s7_e4.json")
+    for target, attr, fake, argv in (
+        (autgroup, "_element_images", wrong_x, ["apply", e4, "z", "--element", "e0"]),
+        # Taylor sums without the 1/k! factors give a wrong x image
+        (derivations, "factorial", lambda k: 1, ["exp", e4, "h"]),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, attr, fake)
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "preserve the defining ideal" in err
+
+
+def test_huge_coefficient_has_no_float_overflow(tmp_path):
+    f = tmp_path / "big.json"
+    f.write_text(
+        json.dumps(
+            {
+                "weights": [2, 2],
+                "x_present": True,
+                "P": [
+                    {"y_exponents": [0, 0], "z_exponent": 3, "coeff": "1"},
+                    {"y_exponents": [1, 0], "z_exponent": 0, "coeff": "1"},
+                    {"y_exponents": [0, 1], "z_exponent": 0, "coeff": str(10**400)},
+                ],
+            }
+        )
+    )
+    code, out, err = run_cli("analyze", str(f))
+    assert code == 0 and "Traceback" not in err, err
+    assert "regime: Danielewski" in out

@@ -107,3 +107,18 @@ def test_all_roots_verify():
                 assert w**n == c
             else:
                 assert Fraction(w) ** n == c
+
+
+def test_exact_roots_of_huge_rationals():
+    rng = random.Random(400)
+    for n in range(1, 8):
+        for digits in (1, 17, 41, 400):
+            b = rng.randint(1, 10**digits)
+            q = Fraction(b, b + 1)
+            assert rational_nth_root(q**n, n) == q
+            if n % 2:
+                assert rational_nth_root(-(q**n), n) == -q
+            if n > 1 and b > 1:
+                assert rational_nth_root(Fraction(b**n + 1, (b + 1) ** n), n) is None
+    assert rational_nth_root(Fraction(10**400), 2) == 10**200
+    assert rational_nth_root(Fraction(10**400 + 1), 1) == 10**400 + 1

@@ -1,21 +1,27 @@
 """Derivations, exponentials, gradings, and the nilpotency filtration."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from danaut import (
     Derivation,
     MultiPoly,
     SpecError,
     apply_derivation,
+    canonical_group,
     canonical_lnd,
     exp_replica,
+    group_element_map,
     gr_leading_form,
     homogeneous_decompose,
     nilpotency_index,
     normal_form,
     parse_poly,
+    substitute,
     tilde_degree,
     verify_automorphism,
 )
@@ -227,3 +233,65 @@ def test_filtration_preserved_by_exponentials(e4):
         psi = exp_replica(e4, h)
         f = random_quotient_element(rng, e4)
         assert tilde_degree(psi.apply_to(f), e4) == tilde_degree(f, e4)
+
+
+# -- reduction while substituting ----------------------------------------------
+
+_coeffs = st.integers(-2, 2).map(Fraction)
+
+
+@st.composite
+def _danielewski_map(draw):
+    """A random Danielewski presentation, a map of one of three kinds, a poly."""
+    m = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.integers(2, 3), min_size=m, max_size=m))
+    d = draw(st.integers(2, 4))
+    ys = [f"y{i+1}" for i in range(m)]
+    lower = [
+        f"({draw(_coeffs)})*{draw(st.sampled_from(ys + ['1']))}*z^{i}"
+        for i in range(d - 1)
+    ]
+    spec = variety(weights, True, " + ".join([f"z^{d}"] + lower))
+    kind = draw(st.sampled_from(["exp", "element", "random"]))
+
+    def poly(ctx, max_exp):
+        terms = draw(
+            st.dictionaries(
+                st.tuples(*(st.integers(0, max_exp) for _ in ctx)), _coeffs, max_size=4
+            )
+        )
+        return MultiPoly(ctx, terms)
+
+    if kind == "exp":
+        ctx = spec.vars + ("t",)
+        kernel = MultiPoly(
+            ctx,
+            {
+                tuple(0 if n in ("x", "z") else draw(st.integers(0, 1)) for n in ctx): c
+                for c in draw(st.lists(_coeffs, max_size=2))
+            },
+        )
+        images = exp_replica(spec, kernel).images
+    elif kind == "element":
+        ctx = spec.vars
+        G = canonical_group(spec)
+        assume(G.elements)
+        sigma, scalars = draw(st.sampled_from(G.elements))
+        images = group_element_map(spec, sigma, scalars).images
+    else:
+        ctx = spec.vars
+        images = {name: poly(ctx, 1) for name in ctx}
+    return spec, images, poly(ctx, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_danielewski_map())
+def test_reduced_substitution_matches_full_expansion(case):
+    spec, images, g = case
+
+    def nf(f):
+        return normal_form(f, spec)
+
+    defining = spec.defining_polynomial().embed(g.vars)
+    for f in (g, defining):
+        assert substitute(f, images, nf) == nf(substitute(f, images))

@@ -1,11 +1,15 @@
 """Smith normal form, kernels, torus systems, diagonalizable-group quotients."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import danaut
 from danaut import (
     DiagGroupType,
     DiagSubgroup,
@@ -229,3 +233,25 @@ def test_quotient_symmetry():
     assert q1.reported == q2.reported
     assert q1.lattice_exact == q2.lattice_exact
     assert q1.intersection == q2.intersection
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import danaut.lattice as L\n"
+        "L._snf_postconditions = lambda *args: False\n"
+        "L.smith_normal_form([[2, 0], [0, 3]])\n",
+        "import danaut.lattice as L\n"
+        "from danaut import make_variety, parse_poly, proper_quasitorus\n"
+        "L.DiagSubgroup.group_type = lambda self: None\n"
+        "proper_quasitorus(make_variety((2, 3), False, parse_poly('z^2+1', ('y1', 'y2', 'z'))))\n",
+    ],
+)
+def test_internal_checks_survive_optimize_flag(script):
+    src = os.path.dirname(os.path.dirname(danaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr

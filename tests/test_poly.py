@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danaut import (
     MultiPoly,
@@ -18,6 +20,7 @@ from danaut import (
     poly_str,
     substitute,
     univar_gcd,
+    zeta,
 )
 from conftest import random_poly, variety
 
@@ -210,3 +213,55 @@ def test_derivative():
     f = P("z^3 + y1*z + 1")
     assert derivative(f, "z") == P("3z^2 + y1")
     assert derivative(f, "y2").is_zero()
+
+
+# -- the rational multiplication kernel ----------------------------------------
+
+_POLY_VARS = ("y1", "y2", "z")
+_SYMS = sympy.symbols("y1 y2 z")
+
+
+def _to_sympy(p):
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(_SYMS, exps)))
+            for exps, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+_small_terms = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in _POLY_VARS)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_terms, _small_terms, _small_terms)
+def test_rational_kernel_against_sympy(tf, tg, th):
+    f, g, h = (MultiPoly(_POLY_VARS, t) for t in (tf, tg, th))
+    # (f+g)*(f-g) - (f*f - g*g) exercises sums and products that cancel to zero
+    for result, expected in (
+        (f * g, _to_sympy(f) * _to_sympy(g)),
+        (f + g * h, _to_sympy(f) + _to_sympy(g) * _to_sympy(h)),
+        ((f + g) * (f - g) - (f * f - g * g), sympy.Integer(0)),
+        (f * (g - g), sympy.Integer(0)),
+    ):
+        assert sympy.expand(_to_sympy(result) - expected) == 0
+        assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+        assert result == MultiPoly(_POLY_VARS, dict(result.terms))
+    assert f * g == g * f
+    assert (f - f).terms == {}
+
+
+def test_cyclotomic_products_stay_canonical():
+    w = zeta(3)
+    y = MultiPoly.variable(_POLY_VARS, "y1")
+    # zeta3 * zeta3^2 = 1 demotes to a rational coefficient
+    prod = (y * w) * (y * (w * w))
+    assert prod.terms == {(2, 0, 0): Fraction(1)}
+    assert type(prod.terms[(2, 0, 0)]) is Fraction
+    assert (y * w) * y - y * (y * w) == 0
