@@ -75,7 +75,6 @@ from .autgroup import (
     aut_structure,
     canonical_group,
     compose_elements,
-    enumerate_finite_part,
     finite_part_from_elements,
     group_element_map,
     identity_element,

@@ -16,10 +16,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
-from .cyclotomic import CycElem, canonical_scalar, s_inv, s_mul, s_pow, zeta
+from .cyclotomic import (
+    CycElem,
+    _zeta_power_coords,
+    canonical_scalar,
+    s_inv,
+    s_mul,
+    s_pow,
+    zeta,
+)
 from .derivations import GeneratorMap, automorphism_defect
 from .lattice import (
     DiagGroupType,
@@ -342,21 +350,6 @@ def _split_note(elements, m: int) -> str:
 # -- finite part tables ---------------------------------------------------------
 
 
-def _scalar_key(x, order: int):
-    if isinstance(x, CycElem):
-        return x.lift(order).coords
-    return CycElem.from_rational(x).lift(order).coords
-
-
-def _common_order(elements) -> int:
-    L = 1
-    for _, t in elements:
-        for x in t:
-            if isinstance(x, CycElem):
-                L = L * x.order // gcd(L, x.order)
-    return L
-
-
 @dataclass
 class FinitePart:
     elements: list  # (sigma, scalars)
@@ -366,77 +359,140 @@ class FinitePart:
     splits_note: str
     table: dict  # (i, j) -> k composition indices
 
-    def element_signature(self, idx: int) -> str:
-        from .fmt import scalar_str
-
-        sigma, t = self.elements[idx]
-        return f"({_sigma_str(sigma)}; " + ", ".join(scalar_str(x) for x in t) + ")"
-
 
 def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) -> FinitePart:
-    """Close a finite element list under composition and analyze it."""
-    L = _common_order(elements)
-    keyed = {}
-    for g in list(elements) + [identity_element(m)]:
-        keyed[_element_key(g, L)] = g
-    # closure
-    changed = True
-    while changed:
-        changed = False
-        current = list(keyed.values())
-        if len(current) > bound:
-            raise SpecError(f"finite part exceeds table bound {bound}")
-        for a in current:
-            for b in current:
-                c = compose_elements(a, b, m)
-                k = _element_key(c, L)
-                if k not in keyed:
-                    keyed[k] = c
-                    changed = True
-    elems = list(keyed.values())
-    elems.sort(key=lambda g: (g[0], [_scalar_key(x, L) for x in g[1]]))
-    index = {_element_key(g, L): i for i, g in enumerate(elems)}
+    """Close a finite element list under composition and analyze it.
+
+    Every scalar is r * zeta_L^a with r > 0 rational, where L is the lcm of
+    2 and the cyclotomic orders met.  An element is encoded once as
+    (sigma, ids of the r's, exponents mod L), so composition works on
+    integer tuples.  The closure is a breadth-first search from the
+    identity that right-multiplies by each input element it has not yet
+    reached; row i of the table then follows the search tree, since
+    g_i * (g_k * gen) = (g_i * g_k) * gen.
+    """
+    L0 = 1
+    for _, t in elements:
+        for x in t:
+            if isinstance(x, CycElem):
+                L0 = lcm(L0, x.order)
+    L = lcm(L0, 2)
+    rats, rat_ids, products, codes = [], {}, {}, {}
+
+    def intern(r) -> int:
+        if r not in rat_ids:
+            rat_ids[r] = len(rats)
+            rats.append(r)
+        return rat_ids[r]
+
+    def rmul(a: int, b: int) -> int:
+        if (a, b) not in products:
+            products[(a, b)] = intern(rats[a] * rats[b])
+        return products[(a, b)]
+
+    def encode_scalar(x) -> tuple:
+        key = (x.order, x.coords) if isinstance(x, CycElem) else x
+        if key not in codes:
+            if isinstance(x, CycElem):
+                rp = x.as_root_power()
+                if rp is None:
+                    raise SpecError(f"scalar {x!r} is not a rational times a root of unity")
+                r, a = rp[0], rp[1] * (L // x.order)
+            else:
+                r, a = Fraction(x), 0
+            if r == 0:
+                raise SpecError("a zero scalar is not a group element")
+            if r < 0:
+                r, a = -r, a + L // 2
+            codes[key] = (intern(r), a % L)
+        return codes[key]
+
+    def encode(g) -> tuple:
+        return (tuple(g[0]) + (m,), *zip(*(encode_scalar(x) for x in g[1])))
+
+    def compose(g, h) -> tuple:
+        """compose_elements on encodings; sigma fixes index m (the z scalar)."""
+        sig, r, e = g
+        sigh, rh, eh = h
+        return (
+            tuple(sig[j] for j in sigh),
+            tuple(rmul(rh[i], r[j]) for i, j in enumerate(sigh)),
+            tuple((eh[i] + e[j]) % L for i, j in enumerate(sigh)),
+        )
+
+    found = [encode(identity_element(m))]
+    index = {found[0]: 0}
+    tree = [None]  # (k, gi): found[j] is found[k] * gens[gi]
+    right = [[]]  # right[k][gi]: index of found[k] * gens[gi]
+    gens = []
+
+    def visit(k: int, gi: int) -> None:
+        y = compose(found[k], gens[gi])
+        if y not in index:
+            if len(found) >= bound:
+                raise SpecError(f"finite part exceeds table bound {bound}")
+            index[y] = len(found)
+            found.append(y)
+            tree.append((k, gi))
+            right.append([])
+        right[k].append(index[y])
+
+    done = 0  # found[:done] have their products with every generator
+    for g in elements:
+        x = encode(g)
+        if x not in index:
+            gens.append(x)
+            for k in range(done):
+                visit(k, len(gens) - 1)
+            while done < len(found):
+                for gi in range(len(gens)):
+                    visit(done, gi)
+                done += 1
+
+    decoded = {}  # (r id, a) -> (scalar, its coordinates at order L0)
+    for _, r, e in found:
+        for rid, a in zip(r, e):
+            if (rid, a) not in decoded:
+                w = zeta(L // gcd(a, L), a // gcd(a, L))
+                x = CycElem(w.order, tuple(rats[rid] * c for c in w.coords))
+                if L == L0 or a % 2 == 0:
+                    coords = _zeta_power_coords(L0, a * L0 // L)
+                else:  # L = 2*L0 with L0 odd: zeta_L^a = -zeta_L0^((a+L0)/2)
+                    coords = tuple(-c for c in _zeta_power_coords(L0, (a + L0) // 2))
+                decoded[(rid, a)] = (canonical_scalar(x), [rats[rid] * c for c in coords])
+    n = len(found)
+    # elements sorted by sigma, then by the coordinates of their scalars
+    order = sorted(
+        range(n),
+        key=lambda k: (found[k][0], [decoded[c][1] for c in zip(*found[k][1:])]),
+    )
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
+    elems = [
+        (found[k][0][:m], tuple(decoded[c][0] for c in zip(*found[k][1:]))) for k in order
+    ]
     table = {}
-    abelian = True
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            k = index[_element_key(compose_elements(a, b, m), L)]
-            table[(i, j)] = k
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if table[(i, j)] != table[(j, i)]:
-                abelian = False
-                break
-        if not abelian:
-            break
-    invariants = _abelian_invariants(table, len(elems), m, elems) if abelian else ()
+    for i in range(n):
+        row = [i]
+        for j in range(1, n):
+            k, gi = tree[j]
+            row.append(right[row[k]][gi])
+        for j, k in enumerate(row):
+            table[(pos[i], pos[j])] = pos[k]
+    abelian = all(table[(i, j)] == table[(j, i)] for i in range(n) for j in range(i))
     return FinitePart(
         elements=elems,
-        order=len(elems),
+        order=n,
         abelian=abelian,
-        invariant_factors=invariants,
+        invariant_factors=_abelian_invariants(table, n, pos[0]) if abelian else (),
         splits_note=_split_note(elems, m),
         table=table,
     )
 
 
-def _element_key(g, L: int):
-    sig, t = g
-    return (sig, tuple(_scalar_key(x, L) for x in t))
-
-
-def _abelian_invariants(table, n: int, m: int, elems) -> tuple:
+def _abelian_invariants(table, n: int, ident_idx: int) -> tuple:
     """Invariant factors of an abelian table via element-order counts."""
-    ident_idx = None
-    ident = identity_element(m)
-    L = _common_order(elems)
-    target = _element_key(ident, L)
-    for i, g in enumerate(elems):
-        if _element_key(g, L) == target:
-            ident_idx = i
-            break
-    if ident_idx is None:
-        raise AssertionError("identity missing from the table")
 
     def power(i: int, e: int) -> int:
         result = ident_idx
@@ -528,10 +584,6 @@ def leaf_canonical(summary: str, order) -> dict:
     return {"leaf": "canonical-group", "summary": summary, "order": order}
 
 
-def leaf_family() -> dict:
-    return {"leaf": "family", "relation": "a^2-b^2=1"}
-
-
 def node(op: str, args: list) -> dict:
     return {"op": op, "args": args}
 
@@ -550,8 +602,6 @@ def pretty_structure(expr: dict) -> str:
             if expr["order"] is not None:
                 return f"G[{expr['order']}]"
             return "G"
-        if kind == "family":
-            return "{(a,b): a^2-b^2=1}"
         raise ValueError(f"unknown leaf {kind}")
     ops = {"semidirect": " |x ", "direct": " x ", "quotient": " / "}
     sep = ops[expr["op"]]
@@ -601,15 +651,15 @@ def aut_structure(spec: VarietySpec, enum_order_bound: int = 360) -> AutReport:
             "structure theorems)"
         )
     if spec.regime == REGIME_ALL_GE2:
-        return _aut_all_ge2(spec, enum_order_bound)
+        return _aut_all_ge2(spec)
     if spec.regime == REGIME_ONE_UNIT:
-        return _aut_one_unit(spec, enum_order_bound)
+        return _aut_one_unit(spec)
     if spec.regime == REGIME_DANIELEWSKI:
         return _aut_danielewski(spec, enum_order_bound)
     raise SpecError(f"unsupported regime: {spec.regime_note}")
 
 
-def _aut_all_ge2(spec: VarietySpec, bound: int) -> AutReport:
+def _aut_all_ge2(spec: VarietySpec) -> AutReport:
     warnings = []
     H = proper_quasitorus(spec)
     S = symmetric_group(spec)
@@ -642,8 +692,6 @@ def _aut_all_ge2(spec: VarietySpec, bound: int) -> AutReport:
         tree = diag_leaf
     else:
         tree = node("semidirect", [leaf_sym(S), diag_leaf])
-    if special_family:
-        tree = node("direct", [tree, leaf_family()]) if False else tree
     verdicts = compute_verdicts(spec, None, aq, special_family)
     finite_part = _suspension_finite_part(spec, H, aq, quot)
     return AutReport(
@@ -703,7 +751,7 @@ def _suspension_finite_part(spec, H, aq, quot) -> Optional[FinitePart]:
         return None
 
 
-def _aut_one_unit(spec: VarietySpec, bound: int) -> AutReport:
+def _aut_one_unit(spec: VarietySpec) -> AutReport:
     warnings = []
     H = proper_quasitorus(spec)
     S = symmetric_group(spec)
@@ -822,13 +870,3 @@ def _derive_monomial_inverse(spec: VarietySpec, gm: GeneratorMap) -> Optional[di
         else:
             inverse[name] = MultiPoly.variable(ctx, name)
     return inverse
-
-
-def enumerate_finite_part(report: AutReport, bound: int = MAX_TABLE_ORDER) -> FinitePart:
-    """The finite non-torus part of the report's structure, as a full table."""
-    fp = report.finite_part
-    if fp is None:
-        raise SpecError("no finite part available (infinite or oversized)")
-    if fp.order > bound:
-        raise SpecError(f"finite part of order {fp.order} exceeds bound {bound}")
-    return fp

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .autgroup import aut_structure, group_element_map, verify_automorphism
 from .derivations import exp_replica, gr_leading_form, tilde_degree
-from .poly import MultiPoly, parse_poly, poly_str
+from .poly import MultiPoly, from_univar, parse_poly, poly_str
 from .report import build_report, degenerate_report
 from .varieties import (
     REGIME_UNSUPPORTED,
@@ -27,7 +27,6 @@ from .varieties import (
     make_variety,
     normalize,
 )
-from .poly import from_univar
 
 
 class CliError(Exception):
@@ -385,46 +384,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full invariant and structure report")
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("exp", help="exponential automorphism of a kernel element")
     common(p)
     p.add_argument("h", help="kernel polynomial (y variables and free symbols)")
-    p.set_defaults(func=cmd_exp)
 
     p = sub.add_parser("apply", help="apply an automorphism to a polynomial")
     common(p)
     p.add_argument("poly", help="polynomial in the presentation variables")
     p.add_argument("--element", help="element id or signature from a report")
     p.add_argument("--map", help="inline JSON map of generator images")
-    p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("degree", help="filtration degree of a polynomial")
     common(p)
     p.add_argument("poly")
-    p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("gr", help="leading form in the associated graded ring")
     common(p)
     p.add_argument("poly")
-    p.set_defaults(func=cmd_gr)
 
     p = sub.add_parser("irreducible", help="irreducibility of the presentation")
     common(p)
-    p.set_defaults(func=cmd_irreducible)
 
     p = sub.add_parser("genus", help="genus of a curve presentation")
     common(p)
-    p.set_defaults(func=cmd_genus)
 
     return parser
 
 
+_parser = None  # built on the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so rebinding a cmd_* global takes effect
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

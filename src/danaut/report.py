@@ -102,18 +102,6 @@ def canonical_dict(G) -> Optional[dict]:
     }
 
 
-def finite_part_dict(fp) -> Optional[dict]:
-    if fp is None:
-        return None
-    return {
-        "order": fp.order,
-        "abelian": fp.abelian,
-        "abelian_invariants": list(fp.invariant_factors),
-        "splits_note": fp.splits_note,
-        "elements": [fp.element_signature(i) for i in range(fp.order)],
-    }
-
-
 def _exp_family_images(spec: VarietySpec) -> Optional[dict]:
     if spec.x_role is None:
         return None

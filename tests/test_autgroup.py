@@ -1,11 +1,16 @@
 """Canonical groups, structure assembly, verdicts, and soundness checks."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danaut import (
+    CycElem,
     DiagGroupType,
     GeneratorMap,
     SpecError,
@@ -13,6 +18,7 @@ from danaut import (
     canonical_group,
     compose_elements,
     exp_replica,
+    finite_part_from_elements,
     group_element_map,
     identity_element,
     invert_element,
@@ -21,7 +27,9 @@ from danaut import (
     parse_poly,
     stabilizer_permutations,
     verify_automorphism,
+    zeta,
 )
+from danaut.cyclotomic import canonical_scalar
 from danaut.report import sample_generator_maps
 from conftest import random_kernel_poly, variety
 
@@ -150,11 +158,166 @@ def test_finite_part_splitting_case():
 
 
 def test_finite_part_cyclic_z12():
-    Y = variety([4, 2], False, "z^6+1")
-    rep = aut_structure(Y)
-    fp = rep.finite_part
-    assert fp.order == 12
-    assert fp.abelian and fp.invariant_factors == (12,)
+    for weights, P, order in (([4, 2], "z^6+1", 12), ([2, 3], "z^60+1", 60)):
+        fp = aut_structure(variety(weights, False, P)).finite_part
+        assert fp.order == order
+        assert fp.abelian and fp.invariant_factors == (order,)
+
+
+def test_finite_part_bound_and_bad_scalars():
+    m = 2
+    z12 = ((0, 1), (canonical_scalar(zeta(12)), Fraction(1), Fraction(1)))
+    assert finite_part_from_elements([z12], m).order == 12
+    with pytest.raises(SpecError, match="bound 5"):
+        finite_part_from_elements([z12], m, bound=5)
+    # 1 + 2*zeta_4 is not a rational times a root of unity
+    bad = ((0, 1), (CycElem(4, (1, 2)), Fraction(1), Fraction(1)))
+    with pytest.raises(SpecError, match="root of unity"):
+        finite_part_from_elements([bad], m)
+
+
+# -- differential check of the finite-part closure against brute force ----------
+
+_BOUND = 24
+
+
+def _scalar_value(x):
+    """(r > 0, turn fraction of the root of unity), independent of the order used."""
+    if isinstance(x, CycElem):
+        r, a = x.as_root_power()
+        turn = Fraction(a, x.order)
+    else:
+        r, turn = Fraction(x), Fraction(0)
+    if r < 0:
+        r, turn = -r, turn + Fraction(1, 2)
+    return r, turn % 1
+
+
+def _value(g):
+    return g[0], tuple(_scalar_value(x) for x in g[1])
+
+
+def _brute_force(gens, m):
+    """All-pairs closure over compose_elements, each pair composed once.
+
+    Returns (elements, product table by index), or None past _BOUND elements.
+    """
+    elems = [identity_element(m)]
+    index = {_value(elems[0]): 0}
+    for g in gens:
+        if _value(g) not in index:
+            index[_value(g)] = len(elems)
+            elems.append(g)
+    table = {}
+    while len(table) < len(elems) ** 2:
+        for i in range(len(elems)):
+            for j in range(len(elems)):
+                if (i, j) in table:
+                    continue
+                c = compose_elements(elems[i], elems[j], m)
+                k = index.get(_value(c))
+                if k is None:
+                    if len(elems) == _BOUND:
+                        return None
+                    k = index[_value(c)] = len(elems)
+                    elems.append(c)
+                table[(i, j)] = k
+    return elems, table
+
+
+def _brute_invariants(table, n, ident):
+    """The divisor chain whose solution counts of g^k = e match the table's."""
+
+    def power(i, k):
+        result = ident
+        for _ in range(k):
+            result = table[(result, i)]
+        return result
+
+    def chains(rest, low):
+        if rest == 1:
+            yield ()
+        for d in range(low, rest + 1):
+            if rest % d == 0:
+                for tail in chains(rest // d, d):
+                    if all(t % d == 0 for t in tail):
+                        yield (d,) + tail
+
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    counts = [sum(power(i, k) == ident for i in range(n)) for k in divisors]
+    for chain in chains(n, 2):
+        expected = []
+        for k in divisors:
+            c = 1
+            for d in chain:
+                c *= gcd(k, d)
+            expected.append(c)
+        if expected == counts:
+            return chain
+    raise AssertionError("no abelian group matches the order counts")
+
+
+@st.composite
+def _generators(draw):
+    m = draw(st.integers(1, 3))
+    N = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+
+    def root():
+        if not draw(st.booleans()):
+            return Fraction(1)
+        sign = draw(st.sampled_from([1, -1]))
+        return canonical_scalar(zeta(N, draw(st.integers(0, N - 1))) * sign)
+
+    # r and 1/r swapped by sigma: its square is a root-of-unity scaling, and
+    # the group stays finite when the other generators are pure scalings
+    paired = m >= 2 and draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(0 if paired else 1, 1 if paired else 2))):
+        sigma = tuple(range(m)) if paired else tuple(draw(st.permutations(range(m))))
+        gens.append((sigma, tuple(root() for _ in range(m + 1))))
+    if paired:
+        r = draw(st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(-5, 3)]))
+        t = [root() for _ in range(m + 1)]
+        t[0] = canonical_scalar(t[0] * r)
+        t[1] = canonical_scalar(t[1] * (1 / r))
+        gens.append(((1, 0) + tuple(range(2, m)), tuple(t)))
+    return m, gens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_generators())
+def test_finite_part_matches_brute_force_closure(case):
+    m, gens = case
+    ref = _brute_force(gens, m)
+    if ref is None:
+        with pytest.raises(SpecError):
+            finite_part_from_elements(gens, m, bound=_BOUND)
+        return
+    elems, ref_table = ref
+    fp = finite_part_from_elements(gens, m, bound=_BOUND)
+    n = len(elems)
+    assert fp.order == n == len(fp.elements)
+    ref_index = {_value(g): i for i, g in enumerate(elems)}
+    to_ref = [ref_index[_value(g)] for g in fp.elements]
+    assert sorted(to_ref) == list(range(n))  # the same elements, by value
+    # the table is the composition law, read through the element matching
+    for (i, j), k in fp.table.items():
+        assert ref_table[(to_ref[i], to_ref[j])] == to_ref[k]
+    assert len(fp.table) == n * n
+    rows = [[fp.table[(i, j)] for j in range(n)] for i in range(n)]
+    assert all(sorted(row) == list(range(n)) for row in rows)  # Latin square
+    assert all(sorted(col) == list(range(n)) for col in zip(*rows))
+    ident = to_ref.index(0)
+    assert rows[ident] == list(range(n))
+    for i, j, k in itertools.islice(itertools.product(range(n), repeat=3), 0, None, 7):
+        assert rows[rows[i][j]][k] == rows[i][rows[j][k]]
+    abelian = all(ref_table[(i, j)] == ref_table[(j, i)] for i in range(n) for j in range(n))
+    assert fp.abelian == abelian
+    assert fp.invariant_factors == (_brute_invariants(ref_table, n, 0) if abelian else ())
+    one = (Fraction(1), Fraction(0))
+    pure = {g[0] for g in elems if all(v == one for v in _value(g)[1])}
+    splits = pure == {g[0] for g in elems}
+    assert fp.splits_note.startswith("splits") == splits
 
 
 def test_aut_structure_s5_family():

@@ -343,3 +343,37 @@ def test_huge_coefficient_has_no_float_overflow(tmp_path):
     code, out, err = run_cli("analyze", str(f))
     assert code == 0 and "Traceback" not in err, err
     assert "regime: Danielewski" in out
+
+
+def test_in_process_calls_share_one_parser(monkeypatch, capsys):
+    from danaut import cli
+
+    real = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    e4 = fixture_path("s7_e4.json")
+    codes = []
+    # --json and --element of earlier calls must not leak into later ones
+    for argv in (
+        ["analyze", e4, "--json"],
+        ["analyze", "--no-such-option", e4],
+        ["exp", e4, "h*y1 + 1"],
+        ["apply", e4, "y1-y2", "--element", "e0", "--json"],
+        ["analyze", e4],
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh_code, fresh_out, _ = run_cli(*argv)
+        assert (code, out) == (fresh_code, fresh_out), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 0]
+    assert len(builds) == 1
