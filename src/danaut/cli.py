@@ -91,6 +91,11 @@ def load_spec_file(path: str) -> tuple:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise CliError("options must be an object")
+    if not isinstance(options.get("normalize", True), bool):
+        raise CliError("options.normalize must be a boolean")
+    bound = options.get("enum_order_bound", 360)
+    if type(bound) is not int or bound < 1:  # bool is an int subclass
+        raise CliError("options.enum_order_bound must be a positive integer")
     try:
         spec = make_variety(weights, x_present, P)
     except SpecError as exc:
@@ -274,6 +279,11 @@ def cmd_apply(args) -> int:
             raise CliError("--map must be a JSON object of generator images")
         from .derivations import GeneratorMap
 
+        for name, text in mapping.items():
+            if name not in spec.vars:
+                raise CliError(f"--map gives an image for unknown generator {name!r}")
+            if not isinstance(text, str):
+                raise CliError(f"--map image of {name} must be a polynomial string")
         images = {}
         for name in spec.vars:
             if name not in mapping:
@@ -355,6 +365,12 @@ def cmd_genus(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="danaut",
@@ -367,11 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="presentation JSON file")
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument(
-            "--pretty", action="store_true", help="human output (default)"
-        )
-        p.add_argument(
             "--max-enum-order",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="N",
             help="enumeration bound for cyclotomic orders (default 360)",

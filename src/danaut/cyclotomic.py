@@ -216,8 +216,9 @@ class CycElem:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the last squaring would go unused
+                base = base * base
         return result
 
     def __eq__(self, other):

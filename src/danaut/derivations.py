@@ -100,12 +100,11 @@ def canonical_lnd(spec: VarietySpec) -> Derivation:
         raise SpecError(
             "no canonical derivation: the regime is rigid or outside scope"
         )
-    x_role = spec.x_role
-    images = {
-        x_role: derivative(spec.P(), "z"),
-        "z": spec.kernel_monomial(),
-    }
-    return Derivation(spec, images)
+    der = spec._memo.get("canonical_lnd")
+    if der is None:
+        images = {spec.x_role: derivative(spec.P(), "z"), "z": spec.kernel_monomial()}
+        der = spec._memo["canonical_lnd"] = Derivation(spec, images)
+    return der
 
 
 def nilpotency_index(
@@ -230,35 +229,33 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
     der = canonical_lnd(spec)
     cap = spec.d + sum(spec.weights) + 8
     h = h.embed(ctx)
-
-    def taylor(hh: MultiPoly) -> dict:
-        images = {}
-        for name in ctx:
-            if name in extra:
-                images[name] = MultiPoly.variable(ctx, name)
-                continue
-            total = MultiPoly.variable(ctx, name)
-            term = MultiPoly.variable(ctx, name)
-            k = 0
-            hpow = MultiPoly.const(ctx, 1)
-            while True:
-                term = apply_derivation(der, term, reduce=True)
-                if term.is_zero():
-                    break
-                k += 1
-                if k > cap:
-                    raise AssertionError(
-                        "Taylor sum exceeded the nilpotency cap; derivation not "
-                        "locally nilpotent?"
-                    )
-                hpow = hpow * hh
-                total = total + hpow.embed(ctx) * term.embed(ctx) * Fraction(
-                    1, factorial(k)
+    images, inverse = {}, {}
+    for name in ctx:
+        v = MultiPoly.variable(ctx, name)
+        if name in extra:
+            images[name] = inverse[name] = v
+            continue
+        # exp(+-hD)(v) = sum_k (+-h)^k D^k(v)/k!, from one series D^k(v)
+        fwd, bwd = v, v
+        term, hpow = v, MultiPoly.const(ctx, 1)
+        k = 0
+        while True:
+            term = apply_derivation(der, term, reduce=True)
+            if term.is_zero():
+                break
+            k += 1
+            if k > cap:
+                raise AssertionError(
+                    "Taylor sum exceeded the nilpotency cap; derivation not "
+                    "locally nilpotent?"
                 )
-            images[name] = normal_form(total, spec)
-        return images
-
-    return GeneratorMap(spec, taylor(h), taylor(-h))
+            hpow = hpow * h
+            summand = hpow * term * Fraction(1, factorial(k))
+            fwd = fwd + summand
+            bwd = bwd - summand if k % 2 else bwd + summand
+        images[name] = normal_form(fwd, spec)
+        inverse[name] = normal_form(bwd, spec)
+    return GeneratorMap(spec, images, inverse)
 
 
 def homogeneous_decompose(

@@ -9,6 +9,7 @@ coefficients are never stored), so equal polynomials compare equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Callable, Iterable, Optional
 
@@ -173,15 +174,20 @@ class MultiPoly:
         self._check_ctx(other)
         out: dict = {}
         if self._is_rational() and other._is_rational():
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+            # integer numerators over each operand's common denominator, so
+            # the inner loop multiplies and adds ints; one Fraction per term
+            n1, d1 = _over_common_denominator(self.terms)
+            n2, d2 = _over_common_denominator(other.terms)
+            for e1, a in n1.items():
+                for e2, b in n2.items():
                     e = tuple(map(add, e1, e2))
                     if e in out:
-                        out[e] += c1 * c2
+                        out[e] += a * b
                     else:
-                        out[e] = c1 * c2
+                        out[e] = a * b
+            d = d1 * d2
             return MultiPoly._trusted(
-                self.vars, {e: c for e, c in out.items() if c}
+                self.vars, {e: Fraction(n, d) for e, n in out.items() if n}
             )
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -203,8 +209,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the last squaring would go unused
+                base = base * base
         return result
 
     # -- context plumbing --------------------------------------------------
@@ -243,6 +250,12 @@ class MultiPoly:
         return f"MultiPoly({poly_str(self)!r})"
 
 
+def _over_common_denominator(terms: dict) -> tuple:
+    """({exponents: integer numerator}, d) with terms = numerators / d, rationals only."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
 def substitute(
     f: MultiPoly, images: dict, reduce: Optional[Callable] = None
 ) -> MultiPoly:
@@ -255,6 +268,11 @@ def substitute(
     modulo an ideal.  It is applied to each image power as that power is
     built, and once to the final sum, so no power is ever expanded in full;
     the result equals reduce(substitute(f, images)).
+
+    Single-term images (c * monomial) fold into each term's exponents and
+    coefficient.  The terms of f are then grouped by the exponents of the
+    remaining variables, and each group's coefficient polynomial is
+    multiplied once by its product of image powers.
     """
     ctx = None
     for g in images.values():
@@ -264,25 +282,62 @@ def substitute(
             raise ValueError("substitution images have mismatched contexts")
     if ctx is None:
         ctx = f.vars
-    for name in f.vars:
-        if f.depends_on(name) and name not in images:
+    # folded: (index in f.vars, nonzero image exponents, scalar); rest: indices
+    folded, rest = [], []
+    for i, name in enumerate(f.vars):
+        if not f.depends_on(name):
+            continue
+        if name not in images:
             raise ValueError(f"no image supplied for occurring variable {name!r}")
-    powers: dict = {}  # name -> [image, image^2, ...]
+        g = images[name]
+        if len(g.terms) == 1:
+            ((e, c),) = g.terms.items()
+            folded.append((i, [(j, a) for j, a in enumerate(e) if a], c))
+        else:
+            rest.append(i)
 
-    def power(name: str, e: int) -> MultiPoly:
-        seq = powers.setdefault(name, [images[name]])
+    # rest exponents -> {folded exponents: coefficient}
+    groups: dict = {}
+    scalar_powers: dict = {}  # (index, k) -> scalar^k
+    for exps, c in f.terms.items():
+        new = [0] * len(ctx)
+        for i, support, s in folded:
+            k = exps[i]
+            if k:
+                for j, a in support:
+                    new[j] += k * a
+                if s != 1:
+                    sk = scalar_powers.get((i, k))
+                    if sk is None:
+                        sk = scalar_powers[i, k] = s_pow(s, k)
+                    c = s_mul(c, sk)
+        key = tuple(new)
+        group = groups.setdefault(tuple(exps[i] for i in rest), {})
+        group[key] = s_add(group[key], c) if key in group else c
+
+    powers: dict = {}  # index -> [image, image^2, ...]
+
+    def power(i: int, e: int) -> MultiPoly:
+        g = images[f.vars[i]]
+        seq = powers.setdefault(i, [g])
         while len(seq) < e:
-            p = seq[-1] * images[name]
+            p = seq[-1] * g
             seq.append(p if reduce is None else reduce(p))
         return seq[e - 1]
 
-    result = MultiPoly.zero(ctx)
-    for exps, c in f.terms.items():
-        term = MultiPoly.const(ctx, c)
-        for name, e in zip(f.vars, exps):
-            if e:
-                term = term * power(name, e)
-        result = result + term
+    out: dict = {}
+    for rest_exps, group in groups.items():
+        term = MultiPoly._trusted(
+            ctx, {e: c for e, c in group.items() if not s_is_zero(c)}
+        )
+        for i, k in zip(rest, rest_exps):
+            if k:
+                term = term * power(i, k)
+        for e, c in term.terms.items():
+            out[e] = s_add(out[e], c) if e in out else c
+    result = MultiPoly._trusted(
+        ctx, {e: c for e, c in out.items() if not s_is_zero(c)}
+    )
     return result if reduce is None else reduce(result)
 
 
@@ -464,6 +519,8 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("unexpected end of polynomial expression")
         tok = tokens[pos]
         pos += 1
         return tok

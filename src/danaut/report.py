@@ -20,7 +20,6 @@ from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_ONE_UNIT,
     VarietySpec,
-    genus_formula,
     irreducibility,
     ml_invariant,
     rigidity,
@@ -257,20 +256,15 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
     inv["reducibility_witness"] = (
         {"l": irr.l, "Q": poly_str(irr.Q)} if irr.reducible else None
     )
-    inv["genus"] = None
     if spec.regime == REGIME_ALL_GE2:
         rig = rigidity(spec)
         inv["rigid"] = rig.rigid
         inv["rigidity_reason"] = rig.reason
-        if spec.m == 1 and not irr.reducible:
-            from .poly import from_univar, derivative, univar_gcd
-
-            P = from_univar(("z",), "z", spec.P_univar_coeffs())
-            if univar_gcd(P, derivative(P, "z"), "z").total_degree() == 0:
-                inv["genus"] = genus_formula(spec.weights[0], spec.d)
+        inv["genus"] = rig.genus
     else:
         inv["rigid"] = False
         inv["rigidity_reason"] = "the canonical derivation is a nonzero locally nilpotent derivation"
+        inv["genus"] = None
 
     groups: dict = {}
     for key in ("H", "T", "D", "Dbar", "Dhat"):

@@ -58,9 +58,10 @@ class VarietySpec:
     regime_note: str = ""
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
-    # reduction rules by variable context, filled by _reduction_rule; kept
-    # on the spec so they live exactly as long as it does
-    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # P, the canonical derivation and the reduction rule of each variable
+    # context, built on first use; kept on the spec so they live exactly as
+    # long as it does
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def vars(self) -> tuple:
@@ -92,11 +93,14 @@ class VarietySpec:
         return MultiPoly.monomial(self.vars, powers, 1)
 
     def P(self) -> MultiPoly:
-        z = MultiPoly.variable(self.vars, "z")
-        result = z**self.d
-        for i, si in enumerate(self.s):
-            if not si.is_zero():
-                result = result + si.embed(self.vars) * z**i
+        result = self._memo.get("P")
+        if result is None:
+            z = MultiPoly.variable(self.vars, "z")
+            result = z**self.d
+            for i, si in enumerate(self.s):
+                if not si.is_zero():
+                    result = result + si.embed(self.vars) * z**i
+            self._memo["P"] = result
         return result
 
     def P_univar_coeffs(self) -> list:
@@ -245,7 +249,7 @@ def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
     With a unit-weight variable the lead is that variable times the weight
     monomial and the replacement is P; otherwise the lead is z^d.
     """
-    rule = spec._rules.get(ctx)
+    rule = spec._memo.get(ctx)
     if rule is not None:
         return rule
     for name in spec.vars:
@@ -263,7 +267,7 @@ def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
         lead[ctx.index("z")] = spec.d
         z = MultiPoly.variable(ctx, "z")
         replacement = spec.weight_monomial().embed(ctx) - (P - z**spec.d)
-    rule = spec._rules[ctx] = (tuple(lead), replacement)
+    rule = spec._memo[ctx] = (tuple(lead), replacement)
     return rule
 
 
@@ -339,6 +343,7 @@ def reconstruct_reducible_product(spec: VarietySpec, l: int, Q: MultiPoly) -> Mu
 class Rigidity:
     rigid: bool
     reason: str
+    genus: Optional[int] = None  # of a smooth irreducible curve y1^k = P(z)
 
 
 def rigidity(spec: VarietySpec) -> Rigidity:
@@ -358,10 +363,10 @@ def rigidity(spec: VarietySpec) -> Rigidity:
     if not _is_squarefree(P):
         return Rigidity(True, "singular curve: P has a multiple root")
     k = spec.weights[0]
-    if (k, spec.d) == (2, 2):
-        return Rigidity(True, "smooth curve isomorphic to the punctured line")
     g = genus_formula(k, spec.d)
-    return Rigidity(True, f"curve of positive genus {g}")
+    if (k, spec.d) == (2, 2):
+        return Rigidity(True, "smooth curve isomorphic to the punctured line", g)
+    return Rigidity(True, f"curve of positive genus {g}", g)
 
 
 def _is_squarefree(P: MultiPoly) -> bool:

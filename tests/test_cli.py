@@ -377,3 +377,69 @@ def test_in_process_calls_share_one_parser(monkeypatch, capsys):
         codes.append(code)
     assert codes == [0, 2, 0, 0, 0]
     assert len(builds) == 1
+
+
+def _main_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    from danaut import cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_malformed_cli_input_exits_one_with_one_line(capsys):
+    e2, e4 = fixture_path("s7_e2.json"), fixture_path("s7_e4.json")
+    ident = {"x": "x", "y1": "y1", "y2": "y2", "z": "z"}
+    for argv, message in (
+        (["exp", e2, "((y1"], "unexpected end"),
+        (["exp", e2, "y1^"], "unexpected end"),
+        (["degree", e4, "x*(z+"], "unexpected end"),
+        (["apply", e4, "z", "--map", json.dumps({**ident, "x": 1})], "string"),
+        (["apply", e4, "z", "--map", json.dumps({**ident, "w": "w"})], "'w'"),
+    ):
+        code, out, err = _main_in_process(argv, capsys)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err, err
+
+
+def test_options_are_validated(tmp_path, capsys):
+    with open(fixture_path("s7_e4.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    for options in (
+        {"normalize": "no"},
+        {"normalize": 1},
+        {"enum_order_bound": "abc"},
+        {"enum_order_bound": 0},
+        {"enum_order_bound": True},
+    ):
+        f = tmp_path / "opts.json"
+        f.write_text(json.dumps({**spec, "options": options}))
+        code, _, err = _main_in_process(["analyze", str(f)], capsys)
+        assert code == 1 and err.startswith("error: options."), (options, err)
+    f.write_text(json.dumps({**spec, "options": {"normalize": False, "enum_order_bound": 12}}))
+    assert _main_in_process(["analyze", str(f)], capsys)[0] == 0
+    for bad in ("0", "-5", "abc"):
+        code, _, err = _main_in_process(
+            ["analyze", fixture_path("s7_e4.json"), "--max-enum-order", bad], capsys
+        )
+        assert code == 2 and "--max-enum-order" in err, bad
+    assert _main_in_process(
+        ["analyze", fixture_path("s7_e4.json"), "--max-enum-order", "4"], capsys
+    )[0] == 0
+
+
+def test_map_goldens_stable(capsys):
+    """exp and apply --element outputs, byte for byte (see golden/maps/calls.json)."""
+    root = GOLDEN.parent.parent
+    calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
+    assert len(calls) == 6
+    for name, argv in calls.items():
+        argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
+        code, out, err = _main_in_process(argv, capsys)
+        assert code == 0, err
+        assert out == (GOLDEN / "maps" / name).read_text(), name

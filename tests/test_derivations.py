@@ -295,3 +295,41 @@ def test_reduced_substitution_matches_full_expansion(case):
     defining = spec.defining_polynomial().embed(g.vars)
     for f in (g, defining):
         assert substitute(f, images, nf) == nf(substitute(f, images))
+
+
+# -- one Taylor series for exp(+-hD) -------------------------------------------
+
+
+@st.composite
+def _spec_and_kernel(draw):
+    """A Danielewski or one-unit presentation and a kernel element with a symbol t."""
+    d = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+        ys = [f"y{i+1}" for i in range(len(weights))]
+        lower = [
+            f"({draw(_coeffs)})*{draw(st.sampled_from(ys + ['1']))}*z^{i}"
+            for i in range(d - 1)
+        ]
+        spec = variety(weights, True, " + ".join([f"z^{d}"] + lower))
+    else:
+        spec = variety([1, draw(st.integers(2, 3))], False, f"z^{d} + {draw(_coeffs)}")
+    ctx = spec.vars + ("t",)
+    kernel_vars = [n for n in ctx if n not in (spec.x_role, "z")]
+    h = MultiPoly(
+        ctx,
+        {
+            tuple(draw(st.integers(0, 2)) if n in kernel_vars else 0 for n in ctx): c
+            for c in draw(st.lists(_coeffs, max_size=3))
+        },
+    )
+    return spec, h
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_spec_and_kernel())
+def test_exp_inverse_images_are_exp_of_minus_h(case):
+    spec, h = case
+    gm = exp_replica(spec, h)
+    assert gm.inverse_images == exp_replica(spec, -h).images
+    assert gm.images == exp_replica(spec, -h).inverse_images

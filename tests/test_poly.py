@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from danaut import (
@@ -265,3 +265,113 @@ def test_cyclotomic_products_stay_canonical():
     assert prod.terms == {(2, 0, 0): Fraction(1)}
     assert type(prod.terms[(2, 0, 0)]) is Fraction
     assert (y * w) * y - y * (y * w) == 0
+
+
+_BIG_DENOMINATORS = (1, 2, 3, 7, 10**9 + 7, 998244353, 2**61 - 1, 10**12)
+_big_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**15), 10**15),
+    st.sampled_from(_BIG_DENOMINATORS),
+)
+_big_terms = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in _POLY_VARS)), _big_rationals, max_size=5
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_big_terms, _big_terms, st.sampled_from(_BIG_DENOMINATORS[1:]))
+def test_rational_kernel_big_coprime_denominators(tf, tg, den):
+    f, g = MultiPoly(_POLY_VARS, tf), MultiPoly(_POLY_VARS, tg)
+    # scaling by den and 1/den cancels denominators across the two operands
+    for result, expected in (
+        (f * g, _to_sympy(f) * _to_sympy(g)),
+        ((f * den) * (g * Fraction(1, den)), _to_sympy(f) * _to_sympy(g)),
+        ((f + g) * (f - g) - f * f + g * g, sympy.Integer(0)),
+    ):
+        assert sympy.expand(_to_sympy(result) - expected) == 0
+        assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+
+
+# -- grouped substitution ------------------------------------------------------
+
+_SUB_SPEC = variety([2, 2], True, "z^3+z+y1-y2")
+_SUB_CTX = _SUB_SPEC.vars + ("t",)  # images may live in a larger context
+_sub_scalars = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(3, 7), zeta(3), zeta(3, 2) * 2, zeta(4)]
+)
+_sub_exps = st.tuples(*(st.integers(0, 1) for _ in _SUB_CTX))
+# few single-term targets, so distinct terms of f often fold onto one monomial
+_sub_monomials = st.sampled_from(
+    [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (0, 1, 0, 0, 1)]
+)
+
+
+@st.composite
+def _substitution(draw):
+    f = MultiPoly(
+        _SUB_SPEC.vars,
+        draw(
+            st.dictionaries(
+                st.tuples(*(st.integers(0, 2) for _ in _SUB_SPEC.vars)),
+                _sub_scalars,
+                max_size=4,
+            )
+        ),
+    )
+    images = {}
+    for name in _SUB_SPEC.vars:
+        kind = draw(st.sampled_from(["single", "multi", "zero"]))
+        if kind == "single":
+            images[name] = MultiPoly(_SUB_CTX, {draw(_sub_monomials): draw(_sub_scalars)})
+        elif kind == "multi":
+            terms = draw(st.dictionaries(_sub_exps, _sub_scalars, min_size=2, max_size=3))
+            images[name] = MultiPoly(_SUB_CTX, terms)
+        else:
+            images[name] = MultiPoly.zero(_SUB_CTX)
+    return f, images
+
+
+def _naive_substitute(f, images):
+    """Term-by-term expansion with the generic scalar operations."""
+    from danaut.cyclotomic import s_add, s_mul
+
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = s_add(out[e], s_mul(c1, c2)) if e in out else s_mul(c1, c2)
+        return out
+
+    total = {}
+    for exps, c in f.terms.items():
+        term = {(0,) * len(_SUB_CTX): c}
+        for name, e in zip(f.vars, exps):
+            for _ in range(e):
+                term = mul(term, images[name].terms)
+        for e, x in term.items():
+            total[e] = s_add(total[e], x) if e in total else x
+    return MultiPoly(_SUB_CTX, total)
+
+
+def _folding_collision():
+    """y1 and y2 both fold onto y2 while x and z stay multi-term."""
+    f = parse_poly("x*y1*z + 2*x*y2*z + y1^2 - y2^2 + x", _SUB_SPEC.vars)
+    y2, t = (MultiPoly.variable(_SUB_CTX, n) for n in ("y2", "t"))
+    images = {"x": y2 + t, "y1": y2 * zeta(3), "y2": y2, "z": y2 * t - 1}
+    return f, images
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_substitution())
+@example(_folding_collision())
+def test_grouped_substitution_matches_naive_expansion(case):
+    f, images = case
+
+    def nf(g):
+        return normal_form(g, _SUB_SPEC)
+
+    expected = _naive_substitute(f, images)
+    assert substitute(f, images) == expected
+    assert substitute(f, images, nf) == nf(expected)
+    assert substitute(f, images).vars == _SUB_CTX
