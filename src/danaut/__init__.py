@@ -63,7 +63,6 @@ from .derivations import (
     exp_replica,
     gr_leading_form,
     homogeneous_decompose,
-    identity_map,
     nilpotency_index,
     tilde_degree,
 )

@@ -19,15 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .cyclotomic import (
-    CycElem,
-    _zeta_power_coords,
-    canonical_scalar,
-    s_inv,
-    s_mul,
-    s_pow,
-    zeta,
-)
+from .cyclotomic import CycElem, _zeta_power_coords, canonical_scalar, zeta
 from .derivations import GeneratorMap, automorphism_defect
 from .lattice import (
     DiagGroupType,
@@ -89,8 +81,8 @@ def compose_elements(g, gp, m: int):
     sig, t = g
     sigp, tp = gp
     sig2 = tuple(sig[sigp[i]] for i in range(m))
-    t2 = tuple(canonical_scalar(s_mul(tp[i], t[sigp[i]])) for i in range(m))
-    tau2 = canonical_scalar(s_mul(t[m], tp[m]))
+    t2 = tuple(tp[i] * t[sigp[i]] for i in range(m))
+    tau2 = t[m] * tp[m]
     return (sig2, t2 + (tau2,))
 
 
@@ -99,8 +91,8 @@ def invert_element(g, m: int):
     inv = [0] * m
     for i, s in enumerate(sig):
         inv[s] = i
-    u = tuple(canonical_scalar(s_inv(t[inv[i]])) for i in range(m))
-    return (tuple(inv), u + (canonical_scalar(s_inv(t[m])),))
+    u = tuple(Fraction(1) / t[inv[i]] for i in range(m))
+    return (tuple(inv), u + (Fraction(1) / t[m],))
 
 
 def identity_element(m: int):
@@ -118,11 +110,11 @@ def _divide_by_monomial(f: MultiPoly, exps) -> MultiPoly:
 
 
 def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
-    """Generator images of a canonical-group element.
+    """Generator images of a permutation-and-scaling element.
 
-    y_i maps to t_i*y_{sigma(i)}, z to tau*z, and x picks up the pure
-    scaling tau^d / prod t^k plus corrections from coefficient monomials
-    divisible by the weight monomial.
+    y_i maps to t_i*y_{sigma(i)}, z to tau*z, and x, when present, picks up
+    the pure scaling tau^d / prod t^k plus corrections from coefficient
+    monomials divisible by the weight monomial.
     """
     m = spec.m
     ctx = spec.vars
@@ -131,11 +123,13 @@ def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
     for i in range(m):
         images[f"y{i+1}"] = MultiPoly.variable(ctx, f"y{sigma[i]+1}") * scalars[i]
     images["z"] = MultiPoly.variable(ctx, "z") * tau
+    if not spec.x_present:
+        return images
     prod_tk = Fraction(1)
     for i, k in enumerate(spec.weights):
-        prod_tk = s_mul(prod_tk, s_pow(scalars[i], k))
-    inv_ptk = s_inv(prod_tk)
-    ximg = MultiPoly.variable(ctx, "x") * s_mul(s_pow(tau, spec.d), inv_ptk)
+        prod_tk = prod_tk * scalars[i] ** k
+    inv_ptk = Fraction(1) / prod_tk
+    ximg = MultiPoly.variable(ctx, "x") * (tau**spec.d * inv_ptk)
     Mexps = [0] * len(ctx)
     for i, k in enumerate(spec.weights):
         Mexps[ctx.index(f"y{i+1}")] = k
@@ -148,19 +142,19 @@ def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
             for j in range(m)
         }
         transformed = substitute(si.embed(ctx), sub_imgs)
-        delta = transformed - si.embed(ctx) * s_pow(tau, spec.d - i)
+        delta = transformed - si.embed(ctx) * tau ** (spec.d - i)
         if delta.is_zero():
             continue
         R = _divide_by_monomial(delta, tuple(Mexps))
-        ximg = ximg + R * z**i * s_mul(s_pow(tau, i), inv_ptk)
+        ximg = ximg + R * z**i * (tau**i * inv_ptk)
     images["x"] = ximg
     return images
 
 
 def group_element_map(spec: VarietySpec, sigma, scalars) -> GeneratorMap:
-    """Concrete generator map of a canonical-group element, inverse included."""
-    if spec.regime != REGIME_DANIELEWSKI:
-        raise SpecError("canonical-group elements need the unit-weight regime")
+    """Concrete generator map of a permutation-and-scaling element, inverse included."""
+    if spec.regime not in (REGIME_DANIELEWSKI, REGIME_ONE_UNIT, REGIME_ALL_GE2):
+        raise SpecError("group-element maps need a Danielewski or line-suspension regime")
     inv_sigma, inv_scalars = invert_element((sigma, scalars), spec.m)
     return GeneratorMap(
         spec,
@@ -195,11 +189,6 @@ class CanonicalGroup:
 
     def feasible_branches(self) -> list:
         return [b for b in self.branches if b.feasible]
-
-    def element_maps(self) -> list:
-        if self.elements is None:
-            return []
-        return [group_element_map(self.spec, s, t) for s, t in self.elements]
 
 
 def _branch_constraints(spec: VarietySpec, sigma):
@@ -453,13 +442,12 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
     for _, r, e in found:
         for rid, a in zip(r, e):
             if (rid, a) not in decoded:
-                w = zeta(L // gcd(a, L), a // gcd(a, L))
-                x = CycElem(w.order, tuple(rats[rid] * c for c in w.coords))
+                x = rats[rid] * zeta(L // gcd(a, L), a // gcd(a, L))
                 if L == L0 or a % 2 == 0:
                     coords = _zeta_power_coords(L0, a * L0 // L)
                 else:  # L = 2*L0 with L0 odd: zeta_L^a = -zeta_L0^((a+L0)/2)
                     coords = tuple(-c for c in _zeta_power_coords(L0, (a + L0) // 2))
-                decoded[(rid, a)] = (canonical_scalar(x), [rats[rid] * c for c in coords])
+                decoded[(rid, a)] = (x, [rats[rid] * c for c in coords])
     n = len(found)
     # elements sorted by sigma, then by the coordinates of their scalars
     order = sorted(
@@ -624,7 +612,7 @@ def compute_verdicts(
         commutative = distinct and not special_family
         torus = False
         if distinct and not special_family and aq is not None:
-            g_all = gcd(*spec.weights) if spec.m > 1 else spec.weights[0]
+            g_all = gcd(*spec.weights)
             if aq.pure_power:
                 torus = gcd(g_all, spec.d) == 1
             else:
@@ -726,7 +714,7 @@ def _suspension_finite_part(spec, H, aq, quot) -> Optional[FinitePart]:
     gens = []
     m = spec.m
     ident = identity_element(m)
-    g_all = gcd(*spec.weights) if m > 1 else spec.weights[0]
+    g_all = gcd(*spec.weights)
     sources = {src for src, _ in quot.survivors} or {"H", "K"}
     if "H" in sources and g_all > 1:
         sol = solve_torus_system(
@@ -866,7 +854,7 @@ def _derive_monomial_inverse(spec: VarietySpec, gm: GeneratorMap) -> Optional[di
     for name in ctx:
         if name in inverse_assign:
             src, c = inverse_assign[name]
-            inverse[name] = MultiPoly.variable(ctx, src) * s_inv(c)
+            inverse[name] = MultiPoly.variable(ctx, src) * (Fraction(1) / c)
         else:
             inverse[name] = MultiPoly.variable(ctx, name)
     return inverse

@@ -3,6 +3,14 @@
 Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) of
 Q[z]/(Phi_N(z)), with Fraction coordinates.  An element of order N embeds
 losslessly into any order N' with N | N'.
+
+Scalars are Fraction or CycElem, and they mix through the ordinary
+operators: + - * / ** between a CycElem and an int, Fraction or CycElem
+return a canonical scalar, that is a Fraction whenever the value is
+rational (canonical_scalar).  A rational operand is added to the first
+coordinate or scales every coordinate; two CycElems are lifted to the lcm
+of their orders.  Only the constructor, zeta, lift and inverse return
+CycElems that may be rational-valued.
 """
 
 from __future__ import annotations
@@ -10,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional, Union
+from operator import add
+from typing import Optional
 
 
 @lru_cache(maxsize=None)
@@ -109,16 +118,13 @@ class CycElem:
         self.order = order
         self.coords = coords
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "CycElem":
-        return CycElem(1, (Fraction(q),))
-
     # -- predicates and conversions -----------------------------------
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -146,7 +152,7 @@ class CycElem:
                     out[k] += c * v
         return CycElem(new_order, out)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic: results are canonical scalars ---------------------
 
     @staticmethod
     def _pair(a: "CycElem", b: "CycElem") -> tuple:
@@ -156,32 +162,31 @@ class CycElem:
         return a.lift(m), b.lift(m)
 
     def __add__(self, other):
-        other = _as_cyc(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            coords = (self.coords[0] + other,) + self.coords[1:]
+            return canonical_scalar(CycElem(self.order, coords))
+        if not isinstance(other, CycElem):
             return NotImplemented
         a, b = CycElem._pair(self, other)
-        return CycElem(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return canonical_scalar(CycElem(a.order, tuple(map(add, a.coords, b.coords))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem(self.order, tuple(-c for c in self.coords))
+        return canonical_scalar(CycElem(self.order, tuple(-c for c in self.coords)))
 
     def __sub__(self, other):
-        other = _as_cyc(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction, CycElem)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _as_cyc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _as_cyc(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return canonical_scalar(CycElem(self.order, tuple(c * other for c in self.coords)))
+        if not isinstance(other, CycElem):
             return NotImplemented
         a, b = CycElem._pair(self, other)
         n = a.order
@@ -192,15 +197,25 @@ class CycElem:
             for j, y in enumerate(b.coords):
                 if y:
                     prod[i + j] += x * y
-        return CycElem(n, _reduce_mod_phi(prod, n))
+        return canonical_scalar(CycElem(n, _reduce_mod_phi(prod, n)))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / other)
+        if not isinstance(other, CycElem):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def inverse(self) -> "CycElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
-            return CycElem(self.order, (1 / self.coords[0],) + self.coords[1:])
+            return CycElem(self.order, (Fraction(1) / self.coords[0],) + self.coords[1:])
         phin = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         g, s, _ = _poly_ext_gcd(list(self.coords), phin)
         if len(g) != 1:
@@ -210,9 +225,8 @@ class CycElem:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
-        result = CycElem.from_rational(1)
-        base = self
+            return self.inverse() ** -e
+        result, base = Fraction(1), self
         while e:
             if e & 1:
                 result = result * base
@@ -261,14 +275,6 @@ class CycElem:
             mult = "" if r == 1 else f"{r}*"
             return f"CycElem({mult}zeta{self.order}^{a})"
         return f"CycElem(order={self.order}, coords={self.coords})"
-
-
-def _as_cyc(x) -> Union["CycElem", type(NotImplemented)]:
-    if isinstance(x, CycElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycElem.from_rational(x)
-    return NotImplemented
 
 
 def _poly_ext_gcd(a: list, b: list) -> tuple:
@@ -384,10 +390,7 @@ def all_nth_roots(c, n: int) -> Optional[list]:
     w = cyc_root_of_unity(c, n)
     if w is None:
         return None
-    roots = []
-    for j in range(n):
-        roots.append(canonical_scalar(_as_cyc(w) * zeta(n, j)))
-    return roots
+    return [w * zeta(n, j) for j in range(n)]
 
 
 # -- scalar protocol: Fraction | CycElem ------------------------------
@@ -400,43 +403,3 @@ def canonical_scalar(x):
             return x.coords[0]
         return x
     return Fraction(x)
-
-
-def s_add(a, b):
-    if isinstance(a, CycElem) or isinstance(b, CycElem):
-        return canonical_scalar(_as_cyc(a) + _as_cyc(b))
-    return a + b
-
-
-def s_mul(a, b):
-    if isinstance(a, CycElem) or isinstance(b, CycElem):
-        return canonical_scalar(_as_cyc(a) * _as_cyc(b))
-    return a * b
-
-
-def s_neg(a):
-    return -a
-
-
-def s_inv(a):
-    if isinstance(a, CycElem):
-        return canonical_scalar(a.inverse())
-    return 1 / Fraction(a)
-
-
-def s_pow(a, e: int):
-    if isinstance(a, CycElem):
-        return canonical_scalar(a**e)
-    return Fraction(a) ** e
-
-
-def s_eq(a, b) -> bool:
-    if isinstance(a, CycElem) or isinstance(b, CycElem):
-        return _as_cyc(a) == _as_cyc(b)
-    return Fraction(a) == Fraction(b)
-
-
-def s_is_zero(a) -> bool:
-    if isinstance(a, CycElem):
-        return a.is_zero()
-    return a == 0

@@ -56,11 +56,6 @@ class Derivation:
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.images.values())
 
-    def scaled(self, h: MultiPoly) -> "Derivation":
-        return Derivation(
-            self.spec, {v: h.embed(self.spec.vars) * g for v, g in self.images.items()}
-        )
-
 
 def apply_derivation(
     der: Derivation, f: MultiPoly, reduce: bool = True
@@ -202,12 +197,6 @@ def automorphism_defect(
             if not in_ideal(fwd) or not in_ideal(bwd):
                 return "supplied inverse is not a two-sided inverse"
     return None
-
-
-def identity_map(spec: VarietySpec, extra: tuple = ()) -> GeneratorMap:
-    ctx = spec.vars + tuple(extra)
-    imgs = {v: MultiPoly.variable(ctx, v) for v in ctx}
-    return GeneratorMap(spec, imgs, dict(imgs))
 
 
 def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:

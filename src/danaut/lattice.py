@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import (
-    CycElem,
-    canonical_scalar,
-    cyc_root_of_unity,
-    s_eq,
-    s_mul,
-    s_pow,
-    zeta,
-)
+from .cyclotomic import CycElem, canonical_scalar, cyc_root_of_unity, zeta
 
 IntMat = list  # list of list of int
 
@@ -477,8 +469,8 @@ class TorusSolutionSet:
             for a, gen in zip(powers, self.torsion_generators):
                 if a == 0:
                     continue
-                t = [s_mul(ti, s_pow(gi, a)) for ti, gi in zip(t, gen)]
-            sols.append(tuple(canonical_scalar(ti) for ti in t))
+                t = [ti * gi**a for ti, gi in zip(t, gen)]
+            sols.append(tuple(t))
         return sols
 
 
@@ -565,14 +557,14 @@ def solve_torus_system(
                 val = Fraction(1)
                 for p, w in enumerate(roots):
                     if V[j][p]:
-                        val = s_mul(val, s_pow(w, V[j][p]))
-                t.append(canonical_scalar(val))
+                        val = val * w ** V[j][p]
+                t.append(val)
             for row, lam in zip(rows, targets):
                 val = Fraction(1)
                 for tj, e in zip(t, row):
                     if e:
-                        val = s_mul(val, s_pow(tj, e))
-                if not s_eq(val, lam):
+                        val = val * tj**e
+                if val != lam:
                     raise AssertionError("particular solution failed verification")
             particular = tuple(t)
         else:

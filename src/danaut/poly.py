@@ -13,7 +13,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from .cyclotomic import CycElem, canonical_scalar, s_add, s_is_zero, s_mul, s_pow
+from .cyclotomic import CycElem, canonical_scalar
 from .fmt import scalar_str
 
 
@@ -33,11 +33,11 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             c = canonical_scalar(c)
-            if s_is_zero(c):
+            if not c:
                 continue
             if exps in clean:
-                c = s_add(clean[exps], c)
-                if s_is_zero(c):
+                c = clean[exps] + c
+                if not c:
                     del clean[exps]
                     continue
             clean[exps] = c
@@ -138,8 +138,8 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             if exps in out:
-                c = s_add(out[exps], c)
-                if s_is_zero(c):
+                c = out[exps] + c
+                if not c:
                     del out[exps]
                     continue
             out[exps] = c
@@ -163,11 +163,11 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
             other = canonical_scalar(other)
-            if s_is_zero(other):
+            if not other:
                 return MultiPoly.zero(self.vars)
             # a product of nonzero field elements is nonzero and canonical
             return MultiPoly._trusted(
-                self.vars, {e: s_mul(c, other) for e, c in self.terms.items()}
+                self.vars, {e: c * other for e, c in self.terms.items()}
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -192,11 +192,8 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                prod = s_mul(c1, c2)
-                if e in out:
-                    out[e] = s_add(out[e], prod)
-                else:
-                    out[e] = prod
+                prod = c1 * c2
+                out[e] = out[e] + prod if e in out else prod
         return MultiPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -236,7 +233,7 @@ class MultiPoly:
                 if e:
                     new[pos[i]] = e
             key = tuple(new)
-            out[key] = s_add(out.get(key, Fraction(0)), c)
+            out[key] = out.get(key, Fraction(0)) + c
         return MultiPoly(new_vars, out)
 
     # -- presentation -------------------------------------------------------
@@ -309,11 +306,11 @@ def substitute(
                 if s != 1:
                     sk = scalar_powers.get((i, k))
                     if sk is None:
-                        sk = scalar_powers[i, k] = s_pow(s, k)
-                    c = s_mul(c, sk)
+                        sk = scalar_powers[i, k] = s**k
+                    c = c * sk
         key = tuple(new)
         group = groups.setdefault(tuple(exps[i] for i in rest), {})
-        group[key] = s_add(group[key], c) if key in group else c
+        group[key] = group[key] + c if key in group else c
 
     powers: dict = {}  # index -> [image, image^2, ...]
 
@@ -327,17 +324,13 @@ def substitute(
 
     out: dict = {}
     for rest_exps, group in groups.items():
-        term = MultiPoly._trusted(
-            ctx, {e: c for e, c in group.items() if not s_is_zero(c)}
-        )
+        term = MultiPoly._trusted(ctx, {e: c for e, c in group.items() if c})
         for i, k in zip(rest, rest_exps):
             if k:
                 term = term * power(i, k)
         for e, c in term.terms.items():
-            out[e] = s_add(out[e], c) if e in out else c
-    result = MultiPoly._trusted(
-        ctx, {e: c for e, c in out.items() if not s_is_zero(c)}
-    )
+            out[e] = out[e] + c if e in out else c
+    result = MultiPoly._trusted(ctx, {e: c for e, c in out.items() if c})
     return result if reduce is None else reduce(result)
 
 
@@ -405,7 +398,7 @@ def derivative(f: MultiPoly, name: str) -> MultiPoly:
         new = list(exps)
         new[i] = e - 1
         key = tuple(new)
-        out[key] = s_add(out.get(key, Fraction(0)), s_mul(c, Fraction(e)))
+        out[key] = out.get(key, Fraction(0)) + c * e
     return MultiPoly(f.vars, out)
 
 
@@ -546,9 +539,9 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
                 if not den.is_constant():
                     raise ValueError("division only by nonzero constants")
                 c = den.constant_term()
-                if s_is_zero(c):
+                if not c:
                     raise ValueError("division by zero")
-                node = node * Fraction(1, 1) * s_pow(c, -1)
+                node = node * (Fraction(1) / c)
             elif tok == "(" or isinstance(tok, int) or (
                 isinstance(tok, tuple) and tok[0] == "name"
             ):

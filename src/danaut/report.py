@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .autgroup import AutReport, _sigma_str, group_element_map
-from .cyclotomic import zeta, canonical_scalar
+from .cyclotomic import zeta
 from .derivations import GeneratorMap, canonical_lnd, exp_replica
 from .fmt import scalar_json, scalar_str
 from .lattice import DiagGroupType, solve_torus_system
@@ -115,56 +115,30 @@ def sample_generator_maps(report: AutReport) -> list:
     maps = []
     ctx = spec.vars
     m = spec.m
-
-    def diag_map(scal):
-        images = {}
-        for i in range(m):
-            images[f"y{i+1}"] = MultiPoly.variable(ctx, f"y{i+1}") * scal[i]
-        images["z"] = MultiPoly.variable(ctx, "z") * scal[m]
-        if spec.x_present:
-            inv = Fraction(1)
-            for i, k in enumerate(spec.weights):
-                inv = inv * scal[i] ** k
-            images["x"] = MultiPoly.variable(ctx, "x") * (scal[m] ** spec.d / inv)
-        return GeneratorMap(spec, images)
-
+    ident, unit = tuple(range(m)), (Fraction(1),) * (m + 1)
     if report.regime in (REGIME_ALL_GE2, REGIME_ONE_UNIT):
         H = report.groups["H"]
         sol = solve_torus_system(
             [list(r) for r in H.subgroup.lattice], [Fraction(1)] * len(H.subgroup.lattice),
             ncols=m + 1,
         )
-        for gen in sol.torsion_generators:
-            maps.append(diag_map(list(gen)))
-        for direction in sol.torus_directions:
-            maps.append(diag_map([Fraction(2) ** w for w in direction]))
+        scalings = list(sol.torsion_generators)
+        scalings += [tuple(Fraction(2) ** w for w in d) for d in sol.torus_directions]
         # scaling family: the image of a generating parameter value
         aqD = report.groups["D"]
-        if aqD.type.torus_rank:
-            t = Fraction(3)
-            scal = [Fraction(1)] * (m + 1)
+        if aqD.type.torus_rank or aqD.type.invariant_factors:
+            t = Fraction(3) if aqD.type.torus_rank else zeta(aqD.type.invariant_factors[-1])
+            scal = list(unit)
             for name, e in aqD.action:
-                idx = m if name == "z" else int(name[1:]) - 1
-                scal[idx] = t**e
-            maps.append(diag_map(scal))
-        elif aqD.type.invariant_factors:
-            order = aqD.type.invariant_factors[-1]
-            w = zeta(order)
-            scal = [Fraction(1)] * (m + 1)
-            for name, e in aqD.action:
-                idx = m if name == "z" else int(name[1:]) - 1
-                scal[idx] = canonical_scalar(w**e)
-            maps.append(diag_map(scal))
-        S = report.groups["S"]
-        for block in S.blocks:
+                scal[m if name == "z" else int(name[1:]) - 1] = t**e
+            scalings.append(tuple(scal))
+        maps += [group_element_map(spec, ident, scal) for scal in scalings]
+        for block in report.groups["S"].blocks:
             if len(block) > 1:
-                i, j = block[0], block[1]
-                images = {
-                    name: MultiPoly.variable(ctx, name) for name in ctx
-                }
-                images[f"y{i}"] = MultiPoly.variable(ctx, f"y{j}")
-                images[f"y{j}"] = MultiPoly.variable(ctx, f"y{i}")
-                maps.append(GeneratorMap(spec, images))
+                i, j = block[0] - 1, block[1] - 1
+                sigma = list(ident)
+                sigma[i], sigma[j] = j, i
+                maps.append(group_element_map(spec, tuple(sigma), unit))
         if report.special_family:
             a, b = Fraction(5, 4), Fraction(3, 4)
             y, z = MultiPoly.variable(ctx, "y1"), MultiPoly.variable(ctx, "z")

@@ -304,7 +304,9 @@ def irreducibility(spec: VarietySpec) -> Irreducibility:
     """Reducibility witness (maximal l with l | all k_i and P = Q^l), if any."""
     if spec.regime == REGIME_DANIELEWSKI:
         return Irreducibility(False, note="unit-weight presentations are irreducible")
-    g = gcd(*spec.weights) if spec.m > 1 else spec.weights[0]
+    if spec.m == 0:
+        return Irreducibility(False, note="no y variables: the variety is an affine line")
+    g = gcd(*spec.weights)
     if g <= 1:
         return Irreducibility(False, note="weight gcd is 1")
     coeffs = spec.P_univar_coeffs()
@@ -429,20 +431,19 @@ def proper_quasitorus(spec: VarietySpec) -> QuasitorusData:
     n = spec.m + 1
     chars = [list(spec.weights) + [0], [0] * spec.m + [1]]
     sub = DiagSubgroup.from_defining_characters(n, chars)
-    g = gcd(*spec.weights) if spec.m > 1 else spec.weights[0]
+    g = gcd(*spec.weights)
     typ = DiagGroupType(spec.m - 1, (g,) if g > 1 else ())
     if sub.group_type() != typ:
         raise AssertionError(
             f"weight-monomial stabilizer has type {sub.group_type()}, expected {typ}"
         )
-    which = "H" if typ.invariant_factors else "T"
     return QuasitorusData(
         which="H",
         type=typ,
         action=tuple((f"y{i+1}", 1) for i in range(spec.m)),
         subgroup=sub,
         effective_type=typ,
-        note="connected: equals the proper torus" if which == "T" else "",
+        note="" if typ.invariant_factors else "connected: equals the proper torus",
     )
 
 

@@ -42,7 +42,9 @@ def test_json_roundtrip_is_identity():
 
 
 def test_golden_reports_stable():
-    for fx in sorted(FIXTURES.glob("s*.json")):
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    assert len(fixtures) == 18
+    for fx in fixtures:
         golden = GOLDEN / (fx.stem + ".golden.json")
         if not golden.exists():
             pytest.fail(f"missing golden report for {fx.name}; regenerate goldens")
@@ -233,6 +235,26 @@ def test_degenerate_reported_not_rejected(tmp_path):
     assert payload["regime"] == "Degenerate"
     assert "affine group of the line" in payload["structure_pretty"]
     assert payload["warnings"]
+    # no y variables at all: irreducible agrees with analyze
+    f.write_text(
+        json.dumps(
+            {
+                "weights": [],
+                "P": [
+                    {"y_exponents": [], "z_exponent": 2, "coeff": "1"},
+                    {"y_exponents": [], "z_exponent": 0, "coeff": "1"},
+                ],
+            }
+        )
+    )
+    code, out, err = run_cli("analyze", str(f), "--json")
+    assert code == 0, err
+    assert json.loads(out)["invariants"]["irreducible"] is True
+    code, out, err = run_cli("irreducible", str(f), "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["irreducible"] is True
+    assert "affine line" in payload["note"]
 
 
 def test_specfile_roundtrip():

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danaut import (
     CycElem,
@@ -64,15 +67,16 @@ def test_embedding_compatibility():
         m = n * mult
         a = CycElem(n, [Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(n))])
         b = CycElem(n, [Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(n))])
-        assert (a + b).lift(m) == a.lift(m) + b.lift(m)
-        assert (a * b).lift(m) == a.lift(m) * b.lift(m)
+        assert a + b == a.lift(m) + b.lift(m)
+        assert a * b == a.lift(m) * b.lift(m)
     # zeta_n lifts to zeta_m^(m/n)
     assert zeta(3).lift(12) == zeta(12) ** 4
 
 
 def test_rational_detection():
     w = zeta(8) ** 8
-    assert w.is_rational() and w.to_fraction() == 1
+    assert type(w) is Fraction and w == 1
+    assert CycElem(8, zeta(8, 8).coords).is_rational()
     assert not zeta(8).is_rational()
 
 
@@ -122,3 +126,61 @@ def test_exact_roots_of_huge_rationals():
                 assert rational_nth_root(Fraction(b**n + 1, (b + 1) ** n), n) is None
     assert rational_nth_root(Fraction(10**400), 2) == 10**200
     assert rational_nth_root(Fraction(10**400 + 1), 1) == 10**400 + 1
+
+
+@st.composite
+def _cyc_elems(draw):
+    """A CycElem of small order; some rational-valued, some zero."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coords = draw(st.lists(coord, min_size=euler_phi(n), max_size=euler_phi(n)))
+    shape = draw(st.sampled_from(["any", "any", "rational", "zero"]))
+    if shape != "any":
+        coords[1:] = [0] * (len(coords) - 1)
+    if shape == "zero":
+        coords[0] = 0
+    return CycElem(n, coords)
+
+
+def _promoted(x):
+    return x if isinstance(x, CycElem) else CycElem(1, (x,))
+
+
+def _same_scalar(result, expected):
+    """Equal values, and canonical: a Fraction exactly when rational-valued."""
+    assert type(result) in (Fraction, CycElem), type(result)
+    assert type(result) is Fraction or not result.is_rational()
+    assert result == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    _cyc_elems(),
+    st.one_of(st.integers(-4, 4), st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+)
+def test_mixed_scalar_operators_match_cyclotomic_path(a, q):
+    """Mixed CycElem/rational operators agree with q promoted to an order-1 CycElem."""
+    Q = CycElem(1, (q,))
+    _same_scalar(a + q, a + Q)
+    _same_scalar(q + a, Q + a)
+    _same_scalar(a - q, a - Q)
+    _same_scalar(q - a, Q - a)
+    _same_scalar(a * q, a * Q)
+    _same_scalar(q * a, Q * a)
+    _same_scalar(-a, CycElem(1, (-1,)) * a)
+    if q:
+        _same_scalar(a / q, a / Q)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / q
+    if a:
+        _same_scalar(q / a, Q / a)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            q / a
+    for k in range(-3 if a else 0, 5):
+        expected, base = Fraction(1), a if k >= 0 else a.inverse()
+        for _ in range(abs(k)):
+            expected = _promoted(expected) * base
+        _same_scalar(a**k, expected)
+    assert bool(a) == (not a.is_zero())

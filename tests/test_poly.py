@@ -333,14 +333,13 @@ def _substitution(draw):
 
 def _naive_substitute(f, images):
     """Term-by-term expansion with the generic scalar operations."""
-    from danaut.cyclotomic import s_add, s_mul
 
     def mul(a, b):
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = s_add(out[e], s_mul(c1, c2)) if e in out else s_mul(c1, c2)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return out
 
     total = {}
@@ -350,7 +349,7 @@ def _naive_substitute(f, images):
             for _ in range(e):
                 term = mul(term, images[name].terms)
         for e, x in term.items():
-            total[e] = s_add(total[e], x) if e in total else x
+            total[e] = total[e] + x if e in total else x
     return MultiPoly(_SUB_CTX, total)
 
 
