@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .cyclotomic import CycElem, _zeta_power_coords, canonical_scalar, zeta
+from .cyclotomic import CycElem, canonical_scalar, zeta
 from .derivations import GeneratorMap, automorphism_defect
 from .lattice import (
     DiagGroupType,
@@ -341,6 +341,8 @@ def _split_note(elements, m: int) -> str:
 
 @dataclass
 class FinitePart:
+    """elements in breadth-first discovery order, the identity at index 0."""
+
     elements: list  # (sigma, scalars)
     order: int
     abelian: bool
@@ -360,12 +362,11 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
     reached; row i of the table then follows the search tree, since
     g_i * (g_k * gen) = (g_i * g_k) * gen.
     """
-    L0 = 1
+    L = 2
     for _, t in elements:
         for x in t:
             if isinstance(x, CycElem):
-                L0 = lcm(L0, x.order)
-    L = lcm(L0, 2)
+                L = lcm(L, x.order)
     rats, rat_ids, products, codes = [], {}, {}, {}
 
     def intern(r) -> int:
@@ -438,28 +439,14 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
                     visit(done, gi)
                 done += 1
 
-    decoded = {}  # (r id, a) -> (scalar, its coordinates at order L0)
+    scalars = {}  # (r id, a) -> rats[r] * zeta_L^a, at its least order
     for _, r, e in found:
         for rid, a in zip(r, e):
-            if (rid, a) not in decoded:
-                x = rats[rid] * zeta(L // gcd(a, L), a // gcd(a, L))
-                if L == L0 or a % 2 == 0:
-                    coords = _zeta_power_coords(L0, a * L0 // L)
-                else:  # L = 2*L0 with L0 odd: zeta_L^a = -zeta_L0^((a+L0)/2)
-                    coords = tuple(-c for c in _zeta_power_coords(L0, (a + L0) // 2))
-                decoded[(rid, a)] = (x, [rats[rid] * c for c in coords])
+            if (rid, a) not in scalars:
+                g = gcd(a, L)
+                scalars[(rid, a)] = rats[rid] * zeta(L // g, a // g)
     n = len(found)
-    # elements sorted by sigma, then by the coordinates of their scalars
-    order = sorted(
-        range(n),
-        key=lambda k: (found[k][0], [decoded[c][1] for c in zip(*found[k][1:])]),
-    )
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    elems = [
-        (found[k][0][:m], tuple(decoded[c][0] for c in zip(*found[k][1:]))) for k in order
-    ]
+    elems = [(sig[:m], tuple(scalars[c] for c in zip(r, e))) for sig, r, e in found]
     table = {}
     for i in range(n):
         row = [i]
@@ -467,13 +454,13 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
             k, gi = tree[j]
             row.append(right[row[k]][gi])
         for j, k in enumerate(row):
-            table[(pos[i], pos[j])] = pos[k]
+            table[(i, j)] = k
     abelian = all(table[(i, j)] == table[(j, i)] for i in range(n) for j in range(i))
     return FinitePart(
         elements=elems,
         order=n,
         abelian=abelian,
-        invariant_factors=_abelian_invariants(table, n, pos[0]) if abelian else (),
+        invariant_factors=_abelian_invariants(table, n, 0) if abelian else (),
         splits_note=_split_note(elems, m),
         table=table,
     )

@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from .autgroup import aut_structure, group_element_map, verify_automorphism
-from .derivations import exp_replica, gr_leading_form, tilde_degree
+from .derivations import GeneratorMap, exp_replica, gr_leading_form, tilde_degree
 from .poly import MultiPoly, from_univar, parse_poly, poly_str
-from .report import build_report, degenerate_report
+from .report import build_report, canonical_dict, degenerate_report
 from .varieties import (
     REGIME_UNSUPPORTED,
     SpecError,
@@ -258,8 +258,6 @@ def cmd_apply(args) -> int:
         if aut.canonical is None or aut.canonical.elements is None:
             raise CliError("no enumerated elements available for this presentation")
         gm = None
-        from .report import canonical_dict
-
         cd = canonical_dict(aut.canonical)
         for entry, (sigma, t) in zip(cd["elements"], aut.canonical.elements):
             if args.element in (entry["id"], entry["signature"]):
@@ -277,8 +275,6 @@ def cmd_apply(args) -> int:
             raise CliError(f"--map is not valid JSON: {exc}")
         if not isinstance(mapping, dict):
             raise CliError("--map must be a JSON object of generator images")
-        from .derivations import GeneratorMap
-
         for name, text in mapping.items():
             if name not in spec.vars:
                 raise CliError(f"--map gives an image for unknown generator {name!r}")

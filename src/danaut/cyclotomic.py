@@ -105,6 +105,25 @@ def _zeta_power_coords(n: int, e: int) -> tuple:
     return tuple(_reduce_mod_phi([Fraction(0)] * e + [Fraction(1)], n))
 
 
+@lru_cache(maxsize=None)
+def _root_power_table(n: int) -> dict:
+    """{coords of zeta_n^a over their first nonzero c: (a, c)}, least a kept."""
+    phi = euler_phi(n)
+    phin = cyclotomic_polynomial(n)
+    table: dict = {}
+    vec = [1] + [0] * (phi - 1)
+    for a in range(n):
+        lead = next(c for c in vec if c)
+        # int keys hash like the equal Fraction tuples that look them up
+        key = tuple(vec) if lead == 1 else tuple(Fraction(c, lead) for c in vec)
+        table.setdefault(key, (a, lead))
+        top = vec[-1]  # zeta^(a+1) = zeta * zeta^a: shift, fold z^phi through Phi_n
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [c - top * d for c, d in zip(vec, phin)]
+    return table
+
+
 class CycElem:
     """An element of Q(zeta_N) in the power basis modulo Phi_N."""
 
@@ -248,23 +267,15 @@ class CycElem:
     # -- presentation ---------------------------------------------------
 
     def as_root_power(self) -> Optional[tuple]:
-        """Return (r, a) with self = r * zeta_order^a, if of that shape."""
-        n = self.order
-        for a in range(n):
-            w = zeta(n, a)
-            if w.order != n:
-                w = w.lift(n)
-            nz = [(i, c) for i, c in enumerate(w.coords) if c != 0]
-            if not nz:
-                continue
-            i0, c0 = nz[0]
-            if self.coords[i0] == 0:
-                continue
-            r = self.coords[i0] / c0
-            cand = tuple(r * c for c in w.coords)
-            if cand == self.coords:
-                return r, a
-        return None
+        """Return (r, a) with self = r * zeta_order^a, if of that shape (least a)."""
+        lead = next((c for c in self.coords if c), None)
+        if lead is None:
+            return None
+        hit = _root_power_table(self.order).get(tuple(c / lead for c in self.coords))
+        if hit is None:
+            return None
+        a, c0 = hit
+        return lead / c0, a
 
     def __repr__(self):
         if self.is_rational():

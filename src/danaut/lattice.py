@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .cyclotomic import CycElem, canonical_scalar, cyc_root_of_unity, zeta
@@ -174,9 +175,9 @@ def smith_diagonal(A: IntMat) -> list:
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def left_kernel_basis(A: IntMat, nrows: Optional[int] = None) -> IntMat:
+def left_kernel_basis(A: IntMat) -> IntMat:
     """Rows forming a Z-basis of {c : c*A = 0}."""
-    r = len(A) if nrows is None else nrows
+    r = len(A)
     if r == 0:
         return []
     c = len(A[0]) if A else 0
@@ -482,9 +483,10 @@ def solve_torus_system(
 ) -> TorusSolutionSet:
     """Solve the monomial system t^{A_r} = lambda_r with exact arithmetic.
 
-    Consistency is decided purely over Q through the left-kernel relations
-    of A; a particular solution is assembled from restricted exact root
-    extractions and verified by substitution before being returned.
+    One Smith form U*A*V = D: consistency is decided purely over Q through
+    the left-kernel relations U[rank:] of A; a particular solution is
+    assembled from restricted exact root extractions and verified by
+    substitution before being returned.
     """
     rows = [list(map(int, r)) for r in A]
     targets = [Fraction(t) for t in targets]
@@ -498,17 +500,6 @@ def solve_torus_system(
             raise ValueError("ragged exponent matrix")
     elif ncols is None:
         raise ValueError("ncols required for an empty system")
-
-    consistent = True
-    note = ""
-    for rel in left_kernel_basis(rows):
-        prod = Fraction(1)
-        for c, lam in zip(rel, targets):
-            prod *= lam**c
-        if prod != 1:
-            consistent = False
-            note = f"kernel relation {tuple(rel)} forces {prod} = 1"
-            break
 
     U, D, V = smith_normal_form(rows) if rows else ([], [], identity_matrix(ncols))
     ndiag = min(len(rows), ncols)
@@ -529,14 +520,14 @@ def solve_torus_system(
         tuple(V[j][p] for j in range(ncols)) for p in range(rank, ncols)
     )
 
+    # rows rank.. of U span the left kernel of A: consistent iff lambda^U[p] = 1 there
+    mu = [prod((lam**q for q, lam in zip(u, targets)), start=Fraction(1)) for u in U]
+    bad = next((p for p in range(rank, len(rows)) if mu[p] != 1), None)
+    consistent = bad is None
+    note = "" if consistent else f"kernel relation {tuple(U[bad])} forces {mu[bad]} = 1"
+
     particular = None
     if consistent:
-        mu = []
-        for p in range(len(rows)):
-            val = Fraction(1)
-            for q, lam in zip(U[p], targets):
-                val *= lam**q
-            mu.append(val)
         roots = []
         failed = None
         for p in range(rank):
@@ -548,23 +539,13 @@ def solve_torus_system(
                 failed = f"root order {w.order} exceeds enumeration bound {enum_order_bound}"
                 break
             roots.append(w)
-        for p in range(rank, len(rows)):
-            if mu[p] != 1:
-                raise AssertionError("consistency check missed a relation")
         if failed is None:
-            t = []
-            for j in range(ncols):
-                val = Fraction(1)
-                for p, w in enumerate(roots):
-                    if V[j][p]:
-                        val = val * w ** V[j][p]
-                t.append(val)
+            t = [
+                prod((w ** V[j][p] for p, w in enumerate(roots) if V[j][p]), start=Fraction(1))
+                for j in range(ncols)
+            ]
             for row, lam in zip(rows, targets):
-                val = Fraction(1)
-                for tj, e in zip(t, row):
-                    if e:
-                        val = val * tj**e
-                if val != lam:
+                if prod((tj**e for tj, e in zip(t, row) if e), start=Fraction(1)) != lam:
                     raise AssertionError("particular solution failed verification")
             particular = tuple(t)
         else:

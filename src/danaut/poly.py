@@ -232,9 +232,8 @@ class MultiPoly:
             for i, e in enumerate(exps):
                 if e:
                     new[pos[i]] = e
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(new_vars, out)
+            out[tuple(new)] = c  # only absent variables drop: no collisions
+        return MultiPoly._trusted(new_vars, out)
 
     # -- presentation -------------------------------------------------------
 

@@ -284,16 +284,13 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
                 "images": _exp_family_images(spec),
             }
         )
-    if aut.canonical is not None and aut.canonical.elements is not None:
-        for i, (sigma, t) in enumerate(aut.canonical.elements):
-            generators.append(
-                {
-                    "kind": "canonical-element",
-                    "id": f"e{i}",
-                    "sigma": _sigma_str(sigma),
-                    "scalars": [scalar_json(x) for x in t],
-                }
-            )
+    G = groups["G"]
+    if G is not None and G["elements"] is not None:  # reuse the rendered scalars
+        generators += [
+            {"kind": "canonical-element", "id": e["id"], "sigma": e["sigma"],
+             "scalars": e["scalars"]}
+            for e in G["elements"]
+        ]
 
     return {
         "schema": "danaut-report-v1",

@@ -297,6 +297,7 @@ def test_finite_part_matches_brute_force_closure(case):
     fp = finite_part_from_elements(gens, m, bound=_BOUND)
     n = len(elems)
     assert fp.order == n == len(fp.elements)
+    assert fp.elements[0] == identity_element(m)
     ref_index = {_value(g): i for i, g in enumerate(elems)}
     to_ref = [ref_index[_value(g)] for g in fp.elements]
     assert sorted(to_ref) == list(range(n))  # the same elements, by value

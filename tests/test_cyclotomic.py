@@ -184,3 +184,44 @@ def test_mixed_scalar_operators_match_cyclotomic_path(a, q):
             expected = _promoted(expected) * base
         _same_scalar(a**k, expected)
     assert bool(a) == (not a.is_zero())
+
+
+def _scan_root_power(x):
+    """Reference: try every exponent a < n in turn, as a plain scan."""
+    n = x.order
+    for a in range(n):
+        w = zeta(n, a).coords
+        i0 = next(i for i, c in enumerate(w) if c)
+        if x.coords[i0]:
+            r = x.coords[i0] / w[i0]
+            if tuple(r * c for c in w) == x.coords:
+                return r, a
+    return None
+
+
+_small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(range(1, 31)) + [105]), st.data())
+def test_as_root_power_matches_exponent_scan(n, data):
+    """Lookup and scan agree: least exponent, signed r, or None."""
+    kind = data.draw(st.sampled_from(["root", "root", "two roots", "random", "zero"]))
+    phi = euler_phi(n)
+    if kind == "zero":
+        x = CycElem(n, [0] * phi)
+    elif kind == "random":
+        x = CycElem(n, data.draw(st.lists(_small_fractions, min_size=phi, max_size=phi)))
+    else:
+        coords = [Fraction(0)] * phi
+        for _ in range(1 if kind == "root" else 2):
+            r = data.draw(_small_fractions.filter(bool))
+            w = zeta(n, data.draw(st.integers(0, 3 * n)))  # exponents past phi(n) and n
+            coords = [c + r * v for c, v in zip(coords, w.coords)]
+        x = CycElem(n, coords)
+    got = x.as_root_power()
+    assert got == _scan_root_power(x)
+    if kind == "root":
+        r, a = got
+        assert type(r) is Fraction and 0 <= a < n
+        assert x == r * zeta(n, a)

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import danaut
 from danaut import (
@@ -163,6 +165,48 @@ def test_particular_verified_by_substitution():
                     else:
                         acc = acc * t**e
                 assert acc == lam
+
+
+def _kernel_consistency(rows, targets):
+    """Reference: the left-kernel relations from a separate Smith form."""
+    for rel in left_kernel_basis(rows):
+        prod = Fraction(1)
+        for c, lam in zip(rel, targets):
+            prod *= lam**c
+        if prod != 1:
+            return False, f"kernel relation {tuple(rel)} forces {prod} = 1"
+    return True, ""
+
+
+_units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3), Fraction(3, 2)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_solve_consistency_matches_left_kernel_check(nrows, ncols, data):
+    """One Smith form decides consistency exactly as the left-kernel relations do."""
+    rows = [[data.draw(st.integers(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
+    kind = data.draw(st.sampled_from(["from a point", "random", "ones"]))
+    if kind == "from a point":  # consistent by construction
+        point = [data.draw(_units) for _ in range(ncols)]
+        targets = []
+        for row in rows:
+            val = Fraction(1)
+            for t, e in zip(point, row):
+                val *= t**e
+            targets.append(val)
+    elif kind == "random":
+        targets = [data.draw(_units) for _ in rows]
+    else:
+        targets = [Fraction(1)] * nrows
+    s = solve_torus_system(rows, targets, ncols=ncols)
+    consistent, note = _kernel_consistency(rows, targets)
+    assert s.consistent == consistent
+    if consistent:
+        assert not s.coset_note.startswith("kernel relation")
+        assert kind != "from a point" or s.particular is not None
+    else:
+        assert s.coset_note == note and s.particular is None
 
 
 def test_structure_against_bruteforce_small():
