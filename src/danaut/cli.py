@@ -13,12 +13,19 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
-from .autgroup import aut_structure, group_element_map, verify_automorphism
+from .autgroup import (
+    aut_structure,
+    canonical_group,
+    group_element_map,
+    verify_automorphism,
+)
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, tilde_degree
 from .poly import MultiPoly, from_univar, parse_poly, poly_str
-from .report import build_report, canonical_dict, degenerate_report
+from .report import build_report, degenerate_report, element_signature
 from .varieties import (
+    REGIME_DANIELEWSKI,
     REGIME_UNSUPPORTED,
     SpecError,
     VarietySpec,
@@ -122,8 +129,50 @@ def prepare(path: str, args) -> tuple:
 
 
 def emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
-    sys.stdout.write("\n")
+    """Write payload as json.dumps(sort_keys=True, indent=2, ensure_ascii=False) would."""
+    out: list = []
+    _json_chunks(payload, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _json_chunks(x, newline: str, out: list) -> None:
+    # json.dumps with indent runs its pure-Python encoder; this writer covers
+    # the report's types (newline carries the current indentation)
+    if isinstance(x, str):
+        out.append(encode_basestring(x))
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, bool):
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring(key) + ": ")
+            _json_chunks(x[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def cmd_analyze(args) -> int:
@@ -250,24 +299,35 @@ def _parse_in_spec(spec: VarietySpec, text: str) -> MultiPoly:
         raise CliError(str(exc))
 
 
+def _find_element(elements: list, name: str):
+    """The (sigma, scalars) element named by its report id e<i> or its signature."""
+    if name[:1] == "e" and name[1:].isdecimal():
+        i = int(name[1:])
+        if name == f"e{i}" and i < len(elements):
+            return elements[i]
+    for sigma, t in elements:
+        if element_signature(sigma, t) == name:
+            return sigma, t
+    return None
+
+
 def cmd_apply(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
     f = _parse_in_spec(spec, args.poly)
     if args.element:
-        aut = aut_structure(spec, enum_order_bound=bound)
-        if aut.canonical is None or aut.canonical.elements is None:
+        if spec.regime == REGIME_DANIELEWSKI:
+            G = canonical_group(spec, bound)
+        else:
+            G = aut_structure(spec, enum_order_bound=bound).canonical
+        if G is None or G.elements is None:
             raise CliError("no enumerated elements available for this presentation")
-        gm = None
-        cd = canonical_dict(aut.canonical)
-        for entry, (sigma, t) in zip(cd["elements"], aut.canonical.elements):
-            if args.element in (entry["id"], entry["signature"]):
-                try:
-                    gm = group_element_map(spec, sigma, t)  # verified at construction
-                except ValueError as exc:
-                    raise CliError(f"element {args.element!r} failed verification: {exc}")
-                break
-        if gm is None:
+        element = _find_element(G.elements, args.element)
+        if element is None:
             raise CliError(f"unknown element identifier {args.element!r}")
+        try:
+            gm = group_element_map(spec, *element)  # verified at construction
+        except ValueError as exc:
+            raise CliError(f"element {args.element!r} failed verification: {exc}")
     elif args.map:
         try:
             mapping = json.loads(args.map)

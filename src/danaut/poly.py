@@ -1,15 +1,20 @@
 """Sparse exact multivariate polynomials over Q and cyclotomic extensions.
 
-A polynomial carries a fixed variable context (an ordered tuple of names);
-terms are a dict keyed by exponent tuples.  Coefficients are Fraction or
-CycElem, kept canonical (rational-valued cyclotomics are demoted and zero
-coefficients are never stored), so equal polynomials compare equal.
+A polynomial carries a fixed variable context (an ordered tuple of names)
+and a dict keyed by exponent tuples.  A rational polynomial is stored as
+integer numerators over one positive common denominator, the numerators
+sharing no factor with it (as in FLINT's fmpq_poly), so sums, products and
+rewriting run on ints with one gcd per result.  A polynomial with a
+cyclotomic coefficient keeps a dict of Fraction and CycElem coefficients,
+canonical (rational-valued cyclotomics are demoted).  Zero coefficients are
+never stored, so equal polynomials compare equal.  ``terms`` reads either
+kind as {exponents: Fraction | CycElem}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Optional
 
@@ -18,14 +23,21 @@ from .fmt import scalar_str
 
 
 class MultiPoly:
-    """Polynomial in a fixed ordered variable context."""
+    """Polynomial in a fixed ordered variable context.
 
-    __slots__ = ("vars", "terms")
+    Rational: ``_num`` maps exponents to nonzero ints, ``_den > 0`` with
+    gcd(_den, *numerators) == 1 (``_den == 1`` for zero), and ``_terms``
+    caches the Fraction view once read.  Cyclotomic (some coefficient is a
+    CycElem): ``_num`` and ``_den`` are None and ``_terms`` holds the
+    coefficients.
+    """
+
+    __slots__ = ("vars", "_num", "_den", "_terms")
 
     def __init__(self, vars: tuple, terms: dict) -> None:
-        self.vars = tuple(vars)
+        vars = tuple(vars)
         clean = {}
-        n = len(self.vars)
+        n = len(vars)
         for exps, c in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != n:
@@ -41,7 +53,19 @@ class MultiPoly:
                     del clean[exps]
                     continue
             clean[exps] = c
-        self.terms = clean
+        self._set(vars, clean)
+
+    def _set(self, vars: tuple, terms: dict) -> None:
+        """Store canonical nonzero coefficients, as numerators when all are rational."""
+        self.vars = vars
+        self._terms = terms
+        if all(type(c) is Fraction for c in terms.values()):
+            # reduced fractions over the lcm of their denominators already
+            # share no factor with it
+            self._den = den = lcm(*(c.denominator for c in terms.values()))
+            self._num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        else:
+            self._num = self._den = None
 
     # -- constructors ---------------------------------------------------
 
@@ -53,13 +77,37 @@ class MultiPoly:
         tuples of the context's length, canonical nonzero coefficients.
         """
         f = object.__new__(cls)
-        f.vars = vars
-        f.terms = terms
+        f._set(vars, terms)
         return f
+
+    @classmethod
+    def _rational(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":
+        """Wrap numerators and a denominator that already satisfy the invariant."""
+        f = object.__new__(cls)
+        f.vars = vars
+        f._num = num
+        f._den = den
+        f._terms = None
+        return f
+
+    @classmethod
+    def _normalized(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":
+        """num / den for any int numerators and a positive den: zeros dropped,
+        the common factor of den and the numerators divided out."""
+        if 0 in num.values():
+            num = {e: n for e, n in num.items() if n}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
+        return cls._rational(vars, num, den)
 
     @staticmethod
     def zero(vars: tuple) -> "MultiPoly":
-        return MultiPoly(vars, {})
+        return MultiPoly._rational(tuple(vars), {}, 1)
 
     @staticmethod
     def const(vars: tuple, c) -> "MultiPoly":
@@ -67,7 +115,12 @@ class MultiPoly:
 
     @staticmethod
     def variable(vars: tuple, name: str) -> "MultiPoly":
-        return MultiPoly.monomial(vars, {name: 1}, 1)
+        vars = tuple(vars)
+        if name not in vars:
+            return MultiPoly.monomial(vars, {name: 1}, 1)  # raises KeyError
+        i = vars.index(name)
+        exps = (0,) * i + (1,) + (0,) * (len(vars) - i - 1)
+        return MultiPoly._rational(vars, {exps: 1}, 1)
 
     @staticmethod
     def monomial(vars: tuple, powers: dict, c=1) -> "MultiPoly":
@@ -82,14 +135,30 @@ class MultiPoly:
 
     # -- basic structure --------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponents: Fraction | CycElem}, built once from the numerators."""
+        t = self._terms
+        if t is None:
+            d = self._den
+            t = self._terms = {e: Fraction(n, d) for e, n in self._num.items()}
+        return t
+
+    def _support(self) -> dict:
+        """The exponent-keyed dict that is stored: numerators, or the terms."""
+        return self._terms if self._num is None else self._num
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._support()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
             other = MultiPoly.const(self.vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        self._check_ctx(other)
+        if self._num is not None and other._num is not None:
+            return self._den == other._den and self._num == other._num
         return (self - other).is_zero()
 
     __hash__ = None
@@ -101,25 +170,22 @@ class MultiPoly:
         return self.coeff((0,) * len(self.vars))
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if self.is_zero():
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._support())
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
+        if self.is_zero():
             return -1
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._support())
 
     def depends_on(self, name: str) -> bool:
         i = self.vars.index(name)
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self._support())
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def _is_rational(self) -> bool:
-        return all(type(c) is Fraction for c in self.terms.values())
+        return all(sum(e) == 0 for e in self._support())
 
     # -- ring operations --------------------------------------------------
 
@@ -135,20 +201,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ctx(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in out:
-                c = out[exps] + c
-                if not c:
-                    del out[exps]
-                    continue
-            out[exps] = c
-        return MultiPoly._trusted(self.vars, out)
+        return _sum(self.vars, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        if self._num is not None:
+            return MultiPoly._rational(
+                self.vars, {e: -n for e, n in self._num.items()}, self._den
+            )
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
@@ -165,6 +227,13 @@ class MultiPoly:
             other = canonical_scalar(other)
             if not other:
                 return MultiPoly.zero(self.vars)
+            if self._num is not None and type(other) is Fraction:
+                p = other.numerator
+                return MultiPoly._normalized(
+                    self.vars,
+                    {e: n * p for e, n in self._num.items()},
+                    self._den * other.denominator,
+                )
             # a product of nonzero field elements is nonzero and canonical
             return MultiPoly._trusted(
                 self.vars, {e: c * other for e, c in self.terms.items()}
@@ -172,40 +241,23 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ctx(other)
-        out: dict = {}
-        if self._is_rational() and other._is_rational():
-            # integer numerators over each operand's common denominator, so
-            # the inner loop multiplies and adds ints; one Fraction per term
-            n1, d1 = _over_common_denominator(self.terms)
-            n2, d2 = _over_common_denominator(other.terms)
-            for e1, a in n1.items():
-                for e2, b in n2.items():
-                    e = tuple(map(add, e1, e2))
-                    if e in out:
-                        out[e] += a * b
-                    else:
-                        out[e] = a * b
-            d = d1 * d2
-            return MultiPoly._trusted(
-                self.vars, {e: Fraction(n, d) for e, n in out.items() if n}
+        if self._num is not None and other._num is not None:
+            return MultiPoly._normalized(
+                self.vars, _convolve(self._num, other._num, {}), self._den * other._den
             )
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return MultiPoly(self.vars, out)
+        return MultiPoly(self.vars, _convolve(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(self.vars, 1)
-        base = self
+        if e == 0:
+            return MultiPoly.const(self.vars, 1)
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:  # the last squaring would go unused
                 base = base * base
@@ -227,13 +279,15 @@ class MultiPoly:
             else:
                 pos.append(new_vars.index(name))
         out: dict = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._support().items():
             new = [0] * len(new_vars)
             for i, e in enumerate(exps):
                 if e:
                     new[pos[i]] = e
             out[tuple(new)] = c  # only absent variables drop: no collisions
-        return MultiPoly._trusted(new_vars, out)
+        if self._num is None:
+            return MultiPoly._trusted(new_vars, out)
+        return MultiPoly._rational(new_vars, out, self._den)
 
     # -- presentation -------------------------------------------------------
 
@@ -246,10 +300,43 @@ class MultiPoly:
         return f"MultiPoly({poly_str(self)!r})"
 
 
-def _over_common_denominator(terms: dict) -> tuple:
-    """({exponents: integer numerator}, d) with terms = numerators / d, rationals only."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+def _convolve(a: dict, b: dict, out: dict) -> dict:
+    """Add the product of two exponent-keyed coefficient dicts into out."""
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(map(add, e1, e2))
+            if e in out:
+                out[e] += x * y
+            else:
+                out[e] = x * y
+    return out
+
+
+def _sum(vars: tuple, polys) -> MultiPoly:
+    """Sum of polynomials in one context; rational ones over the lcm of their
+    denominators, so each numerator is scaled once and one gcd normalizes."""
+    if not polys:
+        return MultiPoly._rational(vars, {}, 1)
+    if all(p._num is not None for p in polys):
+        den = lcm(*(p._den for p in polys))
+        first, *rest = polys
+        s = den // first._den
+        out = {e: n * s for e, n in first._num.items()} if s != 1 else dict(first._num)
+        for p in rest:
+            s = den // p._den
+            for e, n in p._num.items():
+                if s != 1:
+                    n *= s
+                if e in out:
+                    out[e] += n
+                else:
+                    out[e] = n
+        return MultiPoly._normalized(vars, out, den)
+    out = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            out[e] = out[e] + c if e in out else c
+    return MultiPoly._trusted(vars, {e: c for e, c in out.items() if c})
 
 
 def substitute(
@@ -278,35 +365,64 @@ def substitute(
             raise ValueError("substitution images have mismatched contexts")
     if ctx is None:
         ctx = f.vars
-    # folded: (index in f.vars, nonzero image exponents, scalar); rest: indices
+    # folded: (index in f.vars, nonzero image exponents, image); rest: indices
     folded, rest = [], []
+    occurs = [any(col) for col in zip(*f._support())]
     for i, name in enumerate(f.vars):
-        if not f.depends_on(name):
+        if not (occurs and occurs[i]):
             continue
         if name not in images:
             raise ValueError(f"no image supplied for occurring variable {name!r}")
         g = images[name]
-        if len(g.terms) == 1:
-            ((e, c),) = g.terms.items()
-            folded.append((i, [(j, a) for j, a in enumerate(e) if a], c))
+        if len(g._support()) == 1:
+            (e,) = g._support()
+            folded.append((i, [(j, a) for j, a in enumerate(e) if a], g))
         else:
             rest.append(i)
 
+    if f._num is not None and all(g._num is not None for _, _, g in folded):
+        # integer numerators over den = f's denominator times b^K for each
+        # folded scalar a/b, K the top power of its variable in f; a term
+        # with power k of that variable is scaled by a^k * b^(K - k)
+        coeffs, den = f._num, f._den
+        tops = {}
+        for i, _, g in folded:
+            if g._den != 1:
+                tops[i] = f.degree_in(f.vars[i])
+                den *= g._den ** tops[i]
+
+        def scale(i, g, k):
+            (a,) = g._num.values()
+            return a**k * g._den ** (tops[i] - k) if i in tops else a**k
+
+        def group_poly(group):
+            return MultiPoly._normalized(ctx, group, den)
+
+    else:
+        coeffs = f.terms
+
+        def scale(i, g, k):
+            (s,) = g.terms.values()
+            return s**k
+
+        def group_poly(group):
+            return MultiPoly._trusted(ctx, {e: c for e, c in group.items() if c})
+
     # rest exponents -> {folded exponents: coefficient}
     groups: dict = {}
-    scalar_powers: dict = {}  # (index, k) -> scalar^k
-    for exps, c in f.terms.items():
+    scalings: dict = {}  # (index, k) -> scale(index, image, k)
+    for exps, c in coeffs.items():
         new = [0] * len(ctx)
-        for i, support, s in folded:
+        for i, support, g in folded:
             k = exps[i]
             if k:
                 for j, a in support:
                     new[j] += k * a
-                if s != 1:
-                    sk = scalar_powers.get((i, k))
-                    if sk is None:
-                        sk = scalar_powers[i, k] = s**k
-                    c = c * sk
+            sk = scalings.get((i, k))
+            if sk is None:
+                sk = scalings[i, k] = scale(i, g, k)
+            if sk != 1:
+                c = c * sk
         key = tuple(new)
         group = groups.setdefault(tuple(exps[i] for i in rest), {})
         group[key] = group[key] + c if key in group else c
@@ -321,15 +437,14 @@ def substitute(
             seq.append(p if reduce is None else reduce(p))
         return seq[e - 1]
 
-    out: dict = {}
+    parts = []
     for rest_exps, group in groups.items():
-        term = MultiPoly._trusted(ctx, {e: c for e, c in group.items() if c})
+        term = group_poly(group)
         for i, k in zip(rest, rest_exps):
             if k:
                 term = term * power(i, k)
-        for e, c in term.terms.items():
-            out[e] = out[e] + c if e in out else c
-    result = MultiPoly._trusted(ctx, {e: c for e, c in out.items() if c})
+        parts.append(term)
+    result = _sum(ctx, parts)
     return result if reduce is None else reduce(result)
 
 
@@ -346,18 +461,28 @@ def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPo
     support = [(i, b) for i, b in enumerate(lead) if b]
     current = f
     while True:
+        rational = current._num is not None and replacement._num is not None
         rest, quotient = {}, {}
-        for e, c in current.terms.items():
+        for e, c in (current._num if rational else current.terms).items():
             if all(e[i] >= b for i, b in support):
                 quotient[tuple(a - b for a, b in zip(e, lead))] = c
             else:
                 rest[e] = c
         if not quotient:
             return current
-        # both parts keep the canonical coefficients of a validated polynomial
-        current = MultiPoly._trusted(f.vars, rest) + MultiPoly._trusted(
-            f.vars, quotient
-        ) * replacement
+        if rational:
+            # rest + quotient * replacement over current._den * rd, one gcd
+            rd = replacement._den
+            if rd != 1:
+                rest = {e: n * rd for e, n in rest.items()}
+            current = MultiPoly._normalized(
+                f.vars, _convolve(quotient, replacement._num, rest), current._den * rd
+            )
+        else:
+            # both parts keep the canonical coefficients of a validated polynomial
+            current = MultiPoly._trusted(f.vars, rest) + MultiPoly._trusted(
+                f.vars, quotient
+            ) * replacement
 
 
 # -- univariate helpers ----------------------------------------------------
@@ -501,8 +626,14 @@ def _tokenize(text: str) -> list:
 
 
 def parse_poly(text: str, vars: tuple) -> MultiPoly:
-    """Parse expressions like "z^3 + (y1+1)*z - 3/2" in the given context."""
+    """Parse expressions like "z^3 + (y1+1)*z - 3/2" in the given context.
+
+    A product of numbers, variables and their powers is one monomial
+    (coefficient, exponents); only parenthesised factors are multiplied as
+    polynomials, and each sum is added up once from its summands.
+    """
     vars = tuple(vars)
+    no_exps = (0,) * len(vars)
     tokens = _tokenize(text)
     pos = 0
 
@@ -517,48 +648,63 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
         pos += 1
         return tok
 
+    # a parsed value is a MultiPoly or a monomial (int | Fraction, exponents)
+    def as_poly(v):
+        if isinstance(v, MultiPoly):
+            return v
+        c, e = v
+        return MultiPoly._normalized(vars, {e: c.numerator}, c.denominator)
+
+    def neg(v):
+        return -v if isinstance(v, MultiPoly) else (-v[0], v[1])
+
     def parse_sum():
-        node = parse_product()
+        parts = [parse_product()]
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_product()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            parts.append(rhs if op == "+" else neg(rhs))
+        return _sum(vars, [as_poly(v) for v in parts])
 
     def parse_product():
         node = parse_power()
         while True:
             tok = peek()
-            if tok == "*":
+            if tok == "/":
                 take()
-                node = node * parse_power()
-            elif tok == "/":
-                take()
-                den = parse_power()
+                den = as_poly(parse_power())
                 if not den.is_constant():
                     raise ValueError("division only by nonzero constants")
                 c = den.constant_term()
                 if not c:
                     raise ValueError("division by zero")
-                node = node * (Fraction(1) / c)
-            elif tok == "(" or isinstance(tok, int) or (
-                isinstance(tok, tuple) and tok[0] == "name"
+                inv = Fraction(1) / c
+                node = node * inv if isinstance(node, MultiPoly) else (node[0] * inv, node[1])
+                continue
+            if tok == "*":
+                take()
+            elif not (
+                tok == "(" or isinstance(tok, int) or (isinstance(tok, tuple) and tok[0] == "name")
             ):
-                node = node * parse_power()  # juxtaposition
-            else:
                 return node
+            rhs = parse_power()  # after "*", or juxtaposed
+            if isinstance(node, MultiPoly) or isinstance(rhs, MultiPoly):
+                node = as_poly(node) * as_poly(rhs)
+            else:
+                node = (node[0] * rhs[0], tuple(map(add, node[1], rhs[1])))
 
     def parse_power():
         base = parse_atom()
         if peek() == "^":
             take()
-            sign = 1
             if peek() == "-":
                 raise ValueError("negative exponents are not supported")
             tok = take()
             if not isinstance(tok, int):
                 raise ValueError("exponent must be an integer literal")
-            return base ** (sign * tok)
+            if isinstance(base, MultiPoly):
+                return base**tok
+            return (base[0] ** tok, tuple(e * tok for e in base[1]))
         return base
 
     def parse_atom():
@@ -571,19 +717,20 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             return node
         if tok == "-":
             take()
-            return -parse_power()  # exponent binds tighter than unary minus
+            return neg(parse_power())  # exponent binds tighter than unary minus
         if tok == "+":
             take()
             return parse_power()
         if isinstance(tok, int):
             take()
-            return MultiPoly.const(vars, Fraction(tok))
+            return (tok, no_exps)
         if isinstance(tok, tuple) and tok[0] == "name":
             take()
             name = tok[1]
             if name not in vars:
                 raise ValueError(f"unknown variable {name!r} (context {vars})")
-            return MultiPoly.variable(vars, name)
+            i = vars.index(name)
+            return (1, no_exps[:i] + (1,) + no_exps[i + 1 :])
         raise ValueError("unexpected end of polynomial expression")
 
     result = parse_sum()

@@ -58,6 +58,11 @@ def sym_dict(s) -> dict:
     }
 
 
+def element_signature(sigma, scalars) -> str:
+    """How a canonical-group element is printed and named: (sigma; t_1, ..., tau)."""
+    return f"({_sigma_str(sigma)}; " + ", ".join(scalar_str(x) for x in scalars) + ")"
+
+
 def canonical_dict(G) -> Optional[dict]:
     if G is None:
         return None
@@ -86,9 +91,7 @@ def canonical_dict(G) -> Optional[dict]:
                     "id": f"e{i}",
                     "sigma": _sigma_str(sigma),
                     "scalars": [scalar_json(x) for x in t],
-                    "signature": f"({_sigma_str(sigma)}; "
-                    + ", ".join(scalar_str(x) for x in t)
-                    + ")",
+                    "signature": element_signature(sigma, t),
                 }
             )
     return {

@@ -1,10 +1,15 @@
 """CLI contract: parsing, exit codes, JSON stability, subcommands."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, GOLDEN, fixture_path
 
@@ -465,3 +470,79 @@ def test_map_goldens_stable(capsys):
         code, out, err = _main_in_process(argv, capsys)
         assert code == 0, err
         assert out == (GOLDEN / "maps" / name).read_text(), name
+
+
+# ASCII (quotes, backslash, control characters), non-ASCII text, the line and
+# paragraph separators and a lone surrogate
+_json_text = st.text(
+    st.sampled_from([chr(i) for i in range(128)] + list("\u00e9\u4e2d\U0001f600\u2028\u2029\ufeff\ud800")),
+    max_size=8,
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**30) | st.integers(max_value=-(10**30)),
+    _json_text,
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_json_text, _json_payloads, max_size=5))
+@example({"a": [], "b": {}, "c": [[], {}], "d": [True, False, None, 0, -1]})
+def test_emit_json_matches_json_dumps(payload):
+    from danaut.cli import emit_json
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_json(payload)
+    expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert out.getvalue() == expected
+
+
+def test_emit_json_rejects_other_types():
+    from danaut.cli import emit_json
+
+    for bad in ({"x": 1.5}, {"x": [Fraction(1, 2)]}, {"x": {1: "a"}}, {"x": {"y"}}):
+        with pytest.raises(TypeError), contextlib.redirect_stdout(io.StringIO()):
+            emit_json(bad)
+
+
+def test_apply_element_by_id_or_signature(tmp_path, capsys):
+    """Ids and signatures from the report pick the same element; other regimes keep their errors."""
+    bf03 = fixture_path("bf03.json")
+    code, out, _ = _main_in_process(["analyze", bf03, "--json"], capsys)
+    elements = json.loads(out)["groups"]["G"]["elements"]
+    assert code == 0 and len(elements) == 3
+    for entry in elements:
+        by_id = _main_in_process(["apply", bf03, "x*z + y1^2 - 3*y1", "--element", entry["id"]], capsys)
+        by_signature = _main_in_process(
+            ["apply", bf03, "x*z + y1^2 - 3*y1", "--element", entry["signature"]], capsys
+        )
+        assert by_id == by_signature and by_id[0] == 0
+    for name in ("e3", "e01", "e\u0661", "E1", "e", "(id; 1)"):
+        code, _, err = _main_in_process(["apply", bf03, "z", "--element", name], capsys)
+        assert code == 1 and err == f"error: unknown element identifier {name!r}\n"
+    code, _, err = _main_in_process(
+        ["apply", fixture_path("s5_y14y22.json"), "z", "--element", "e0"], capsys
+    )
+    assert (code, err) == (1, "error: no enumerated elements available for this presentation\n")
+    degenerate = tmp_path / "degen.json"
+    degenerate.write_text(
+        json.dumps(
+            {
+                "weights": [1],
+                "P": [
+                    {"y_exponents": [0], "z_exponent": 2, "coeff": "1"},
+                    {"y_exponents": [0], "z_exponent": 0, "coeff": "1"},
+                ],
+            }
+        )
+    )
+    code, _, err = _main_in_process(["apply", str(degenerate), "z", "--element", "e0"], capsys)
+    assert code == 1 and err.startswith("error: degenerate presentation: the variety is an affine line")

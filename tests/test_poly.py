@@ -1,7 +1,9 @@
 """Exact multivariate polynomial arithmetic and the one-relation normal form."""
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from danaut import (
+    CycElem,
     MultiPoly,
     SpecError,
     as_univar,
@@ -18,6 +21,7 @@ from danaut import (
     parse_poly,
     perfect_power_root,
     poly_str,
+    reduce_by_rule,
     substitute,
     univar_gcd,
     zeta,
@@ -290,6 +294,221 @@ def test_rational_kernel_big_coprime_denominators(tf, tg, den):
     ):
         assert sympy.expand(_to_sympy(result) - expected) == 0
         assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+
+
+# -- numerators over one denominator --------------------------------------------
+
+_REF_CTX = ("x", "y1", "z")
+_REF_WIDE = ("t", "z", "y1", "x")  # embed target: reordered, with an extra variable
+
+
+def _assert_canonical(p):
+    """Stored form of a rational polynomial, and the terms view of any."""
+    assert all(
+        (type(c) is Fraction or isinstance(c, CycElem)) and c != 0 for c in p.terms.values()
+    )
+    if all(type(c) is Fraction for c in p.terms.values()):
+        num, den = p._num, p._den
+        assert type(den) is int and den > 0
+        assert all(type(n) is int and n != 0 for n in num.values())
+        assert gcd(den, *num.values()) == 1
+        assert num or den == 1
+        assert p.terms == {e: Fraction(n, den) for e, n in num.items()}
+    else:
+        assert p._num is None and p._den is None
+
+
+def _ref_clean(d):
+    return {e: c for e, c in d.items() if c != 0}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_reduce(terms, lead, replacement):
+    """Rewrite one divisible term at a time until none is left."""
+    terms = dict(terms)
+    while True:
+        hit = next((e for e in terms if all(a >= b for a, b in zip(e, lead))), None)
+        if hit is None:
+            return terms
+        c = terms.pop(hit)
+        q = tuple(a - b for a, b in zip(hit, lead))
+        terms = _ref_add(terms, _ref_mul({q: c}, replacement))
+
+
+_REF_DENOMINATORS = (1, 2, 3, 4, 6, 7, 12, 10**9 + 7, 998244353, 2**61 - 1)
+_ref_rationals = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.sampled_from(_REF_DENOMINATORS)
+)
+_ref_scalars = st.one_of(
+    _ref_rationals,
+    _ref_rationals,
+    st.builds(lambda q, w: q * w, _ref_rationals, st.sampled_from([zeta(3), zeta(4), zeta(6, 5)])),
+)
+_ref_exps = st.tuples(*(st.integers(0, 2) for _ in _REF_CTX))
+
+
+@st.composite
+def _ref_operands(draw):
+    """Two coefficient dicts; b often cancels part of a, across denominators."""
+    coeffs = _ref_scalars if draw(st.booleans()) else _ref_rationals
+    a = _ref_clean(draw(st.dictionaries(_ref_exps, coeffs, max_size=5)))
+    b = _ref_clean(draw(st.dictionaries(_ref_exps, coeffs, max_size=5)))
+    for e in draw(st.lists(st.sampled_from(sorted(a)), max_size=3)) if a else ():
+        b[e] = -a[e]  # cancelling terms
+    return a, b
+
+
+@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@given(_ref_operands(), st.one_of(st.integers(-6, 6), _ref_rationals, st.just(zeta(3) * 2)))
+def test_numerator_kernel_matches_fraction_reference(operands, k):
+    ta, tb = operands
+    f, g = MultiPoly(_REF_CTX, ta), MultiPoly(_REF_CTX, tb)
+    for result, expected in (
+        (f, ta),
+        (f + g, _ref_add(ta, tb)),
+        (f - g, _ref_add(ta, {e: -c for e, c in tb.items()})),
+        (f + g - g, ta),
+        (g - f + f - g, {}),
+        (-f, {e: -c for e, c in ta.items()}),
+        (f * k, _ref_clean({e: c * k for e, c in ta.items()})),
+        (k * f - f * k, {}),
+        (f + k, _ref_add(ta, {(0, 0, 0): k})),
+        (f * g, _ref_mul(ta, tb)),
+        (f**2, _ref_mul(ta, ta)),
+        (g**3, _ref_mul(tb, _ref_mul(tb, tb))),
+        (f**0, {(0, 0, 0): Fraction(1)}),
+    ):
+        _assert_canonical(result)
+        assert result.terms == expected
+        assert result == MultiPoly(_REF_CTX, expected)
+    wide = f.embed(_REF_WIDE)
+    _assert_canonical(wide)
+    assert wide.terms == {(0, e[2], e[1], e[0]): c for e, c in ta.items()}
+    assert wide.embed(_REF_CTX) == f
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_ref_operands(), st.sampled_from([(1, 2, 0), (1, 1, 1), (1, 0, 0)]))
+def test_reduce_by_rule_matches_fraction_reference(operands, lead):
+    ta, tb = operands
+    # the replacement has no x, so every rewrite lowers the x-degree
+    tb = _ref_clean({(0,) + e[1:]: c for e, c in tb.items()})
+    f, replacement = MultiPoly(_REF_CTX, ta), MultiPoly(_REF_CTX, tb)
+    result = reduce_by_rule(f, lead, replacement)
+    _assert_canonical(result)
+    assert result.terms == _ref_reduce(ta, lead, tb)
+
+
+# -- parsing against sympy ------------------------------------------------------
+
+
+def _juxtapose(left, right):
+    """Implicit product text: 2y1, (y1+1)(y2-1), y1 y2, 2 3."""
+    number_then_name = re.search(r"(^|[^\w])\d+$", left) and right[0].isalpha()
+    if right[0] == "(" or left[-1] == ")" or number_then_name:
+        return left + right
+    return left + " " + right
+
+
+# strategies draw (text, reference): the reference is Python source over
+# sympy Polys with every step parenthesised, so precedence is explicit
+
+
+@st.composite
+def _parse_expr(draw, depth=2):
+    """A random sum of products."""
+    text, ref = draw(_parse_product(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        ptext, pref = draw(_parse_product(depth))
+        op = draw(st.sampled_from("+-"))
+        text, ref = f"{text} {op} {ptext}", f"({ref}) {op} ({pref})"
+    return text, ref
+
+
+@st.composite
+def _parse_factor(draw, depth):
+    kind = draw(st.sampled_from(["int", "var", "var", "paren"] if depth else ["int", "var"]))
+    if kind == "int":
+        text = ref = str(draw(st.integers(0, 12)))
+    elif kind == "var":
+        text = ref = draw(st.sampled_from(_POLY_VARS))
+    else:
+        inner, ref = draw(_parse_expr(depth - 1))
+        text = f"({inner})"
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        text, ref = f"{text}^{k}", f"({ref})**{k}"
+    if draw(st.integers(0, 3)) == 0:  # unary minus binds looser than ^
+        text, ref = "-" + text, f"-({ref})"
+    return text, ref
+
+
+@st.composite
+def _parse_product(draw, depth):
+    text, ref = draw(_parse_factor(depth))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["*", "juxt", "/"]))
+        if op == "/":
+            k = draw(st.integers(1, 9))
+            den, value = draw(st.sampled_from([(str(k), k), (f"({k})", k), (f"{k}^2", k * k), (f"-{k}", -k)]))
+            text, ref = f"{text}/{den}", f"({ref}) * Q(1, {value})"
+            continue
+        ftext, fref = draw(_parse_factor(depth))
+        if op == "*" or ftext[0] in "+-":  # juxtaposed "-" would read as a difference
+            text = f"{text}*{ftext}"
+        else:
+            text = _juxtapose(text, ftext)
+        ref = f"({ref}) * ({fref})"
+    return text, ref
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_parse_expr())
+@example(("-y1^2", "-(y1**2)"))
+@example(("2y1 - (y1+1)(y2-1)/3", "2*y1 - (y1+1)*(y2-1) * Q(1, 3)"))
+def test_parse_poly_matches_sympy(case):
+    text, ref = case
+    f = parse_poly(text, _POLY_VARS)
+    _assert_canonical(f)
+    names = {name: sympy.Poly(x, *_SYMS, domain="QQ") for name, x in zip(_POLY_VARS, _SYMS)}
+    expected = sympy.Poly(eval(ref, {"Q": sympy.Rational, **names}), *_SYMS, domain="QQ")
+    got = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+    assert got == {e: c for e, c in expected.as_dict().items() if c}, text
+
+
+def test_parse_poly_error_messages():
+    for text, message in (
+        ("((y1", "unexpected end"),
+        ("y1^", "unexpected end"),
+        ("y1 +", "unexpected end"),
+        ("y1)", "trailing tokens"),
+        ("(y1+1", "unexpected end"),
+        ("(y1+1]", "unexpected character"),
+        ("y1/y2", "division only by nonzero constants"),
+        ("y1/(y2-y2+z)", "division only by nonzero constants"),
+        ("y1/(2-2)", "division by zero"),
+        ("y1/0^3", "division by zero"),
+        ("y1^-2", "negative exponents are not supported"),
+        ("y1^y2", "exponent must be an integer literal"),
+        ("w + 1", "unknown variable 'w'"),
+    ):
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            parse_poly(text, _POLY_VARS)
 
 
 # -- grouped substitution ------------------------------------------------------
