@@ -257,6 +257,7 @@ def test_rational_kernel_against_sympy(tf, tg, th):
         assert sympy.expand(_to_sympy(result) - expected) == 0
         assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
         assert result == MultiPoly(_POLY_VARS, dict(result.terms))
+        _assert_canonical(result)
     assert f * g == g * f
     assert (f - f).terms == {}
 
@@ -268,6 +269,7 @@ def test_cyclotomic_products_stay_canonical():
     prod = (y * w) * (y * (w * w))
     assert prod.terms == {(2, 0, 0): Fraction(1)}
     assert type(prod.terms[(2, 0, 0)]) is Fraction
+    _assert_canonical(prod)  # stored as numerators once the cyclotomic part cancels
     assert (y * w) * y - y * (y * w) == 0
 
 
@@ -294,6 +296,7 @@ def test_rational_kernel_big_coprime_denominators(tf, tg, den):
     ):
         assert sympy.expand(_to_sympy(result) - expected) == 0
         assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+        _assert_canonical(result)
 
 
 # -- numerators over one denominator --------------------------------------------
