@@ -367,7 +367,7 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
         for x in t:
             if isinstance(x, CycElem):
                 L = lcm(L, x.order)
-    rats, rat_ids, products, codes = [], {}, {}, {}
+    rats, rat_ids, products = [], {}, {}
 
     def intern(r) -> int:
         if r not in rat_ids:
@@ -381,21 +381,18 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
         return products[(a, b)]
 
     def encode_scalar(x) -> tuple:
-        key = (x.order, x.coords) if isinstance(x, CycElem) else x
-        if key not in codes:
-            if isinstance(x, CycElem):
-                rp = x.as_root_power()
-                if rp is None:
-                    raise SpecError(f"scalar {x!r} is not a rational times a root of unity")
-                r, a = rp[0], rp[1] * (L // x.order)
-            else:
-                r, a = Fraction(x), 0
-            if r == 0:
-                raise SpecError("a zero scalar is not a group element")
-            if r < 0:
-                r, a = -r, a + L // 2
-            codes[key] = (intern(r), a % L)
-        return codes[key]
+        if isinstance(x, CycElem):
+            rp = x.as_root_power()
+            if rp is None:
+                raise SpecError(f"scalar {x!r} is not a rational times a root of unity")
+            r, a = rp[0], rp[1] * (L // x.order)
+        else:
+            r, a = Fraction(x), 0
+        if r == 0:
+            raise SpecError("a zero scalar is not a group element")
+        if r < 0:
+            r, a = -r, a + L // 2
+        return intern(r), a % L
 
     def encode(g) -> tuple:
         return (tuple(g[0]) + (m,), *zip(*(encode_scalar(x) for x in g[1])))

@@ -1,16 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) of
-Q[z]/(Phi_N(z)), with Fraction coordinates.  An element of order N embeds
+An element known to be r * zeta_N^a (zeta, cyc_root_of_unity, and every
+product, quotient, power, inverse, negation, lift or rational multiple of
+such elements) is stored by exponent: a nonzero Fraction r and the least
+exponent a, so that arithmetic on it is one Fraction product and integer
+arithmetic mod N.  Any other element is stored in the power basis
+1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N(z)), with Fraction coordinates.
+The coordinates of a root power are built on first read, which only a
+sum or a product or comparison with an element known by coordinates
+needs; printing reads the exponent.  An element of order N embeds
 losslessly into any order N' with N | N'.
 
 Scalars are Fraction or CycElem, and they mix through the ordinary
 operators: + - * / ** between a CycElem and an int, Fraction or CycElem
 return a canonical scalar, that is a Fraction whenever the value is
 rational (canonical_scalar).  A rational operand is added to the first
-coordinate or scales every coordinate; two CycElems are lifted to the lcm
-of their orders.  Only the constructor, zeta, lift and inverse return
-CycElems that may be rational-valued.
+coordinate, or scales r or every coordinate; two CycElems are lifted to
+the lcm of their orders.  Only the constructor, zeta, lift and inverse
+return CycElems that may be rational-valued.
 """
 
 from __future__ import annotations
@@ -125,9 +132,15 @@ def _root_power_table(n: int) -> dict:
 
 
 class CycElem:
-    """An element of Q(zeta_N) in the power basis modulo Phi_N."""
+    """An element of Q(zeta_N): r * zeta_N^a by exponent, or power-basis coordinates.
 
-    __slots__ = ("order", "coords")
+    ``_rp`` is (r, a) with r a nonzero Fraction and 0 <= a < N, and
+    2a < N when N is even, so that it is the least exponent; it is None
+    for an element known only by its coordinates.  ``_coords`` caches the
+    coordinates of a root power once they are read.
+    """
+
+    __slots__ = ("order", "_coords", "_rp")
 
     def __init__(self, order: int, coords) -> None:
         phi = euler_phi(order)
@@ -135,23 +148,60 @@ class CycElem:
         if len(coords) != phi:
             raise ValueError(f"need {phi} coordinates for order {order}")
         self.order = order
-        self.coords = coords
+        self._coords = coords
+        self._rp = None
+
+    @classmethod
+    def _trusted(cls, order: int, coords: tuple) -> "CycElem":
+        """Wrap phi(order) Fraction coordinates made by arithmetic, unchecked."""
+        x = object.__new__(cls)
+        x.order = order
+        x._coords = coords
+        x._rp = None
+        return x
+
+    @classmethod
+    def _root(cls, order: int, r: Fraction, a: int) -> "CycElem":
+        """r * zeta_order^a for a nonzero Fraction r, at the least exponent."""
+        a %= order
+        if not order % 2 and 2 * a >= order:  # zeta^(N/2) = -1
+            a -= order // 2
+            r = -r
+        x = object.__new__(cls)
+        x.order = order
+        x._coords = None
+        x._rp = (r, a)
+        return x
+
+    @property
+    def coords(self) -> tuple:
+        """Power-basis coordinates, built on first read for a root power."""
+        c = self._coords
+        if c is None:
+            r, a = self._rp
+            c = self._coords = tuple(r * v for v in _zeta_power_coords(self.order, a))
+        return c
 
     # -- predicates and conversions -----------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self._rp is None and not any(self._coords)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        if self._rp is not None:
+            return not 2 * self._rp[1] % self.order
+        return not any(self._coords[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        if self._rp is not None:
+            r, a = self._rp
+            return -r if a else r
+        return self._coords[0]
 
     def lift(self, new_order: int) -> "CycElem":
         """Embed into Q(zeta_M) for a multiple M of the current order."""
@@ -160,16 +210,19 @@ class CycElem:
         if new_order == self.order:
             return self
         step = new_order // self.order
+        if self._rp is not None:
+            r, a = self._rp
+            return CycElem._root(new_order, r, a * step)
         phi = euler_phi(new_order)
         out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coords):
+        for j, c in enumerate(self._coords):
             if c == 0:
                 continue
             vec = _zeta_power_coords(new_order, j * step)
             for k, v in enumerate(vec):
                 if v:
                     out[k] += c * v
-        return CycElem(new_order, out)
+        return CycElem._trusted(new_order, tuple(out))
 
     # -- arithmetic: results are canonical scalars ---------------------
 
@@ -182,17 +235,20 @@ class CycElem:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            coords = (self.coords[0] + other,) + self.coords[1:]
-            return canonical_scalar(CycElem(self.order, coords))
+            c = self.coords
+            return canonical_scalar(CycElem._trusted(self.order, (c[0] + other,) + c[1:]))
         if not isinstance(other, CycElem):
             return NotImplemented
         a, b = CycElem._pair(self, other)
-        return canonical_scalar(CycElem(a.order, tuple(map(add, a.coords, b.coords))))
+        return canonical_scalar(CycElem._trusted(a.order, tuple(map(add, a.coords, b.coords))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return canonical_scalar(CycElem(self.order, tuple(-c for c in self.coords)))
+        if self._rp is not None:
+            r, a = self._rp
+            return canonical_scalar(CycElem._root(self.order, -r, a))
+        return canonical_scalar(CycElem._trusted(self.order, tuple(-c for c in self._coords)))
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, CycElem)):
@@ -204,9 +260,21 @@ class CycElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return canonical_scalar(CycElem(self.order, tuple(c * other for c in self.coords)))
+            if self._rp is None:
+                return canonical_scalar(
+                    CycElem._trusted(self.order, tuple(c * other for c in self._coords))
+                )
+            if not other:
+                return Fraction(0)
+            r, a = self._rp
+            return canonical_scalar(CycElem._root(self.order, r * other, a))
         if not isinstance(other, CycElem):
             return NotImplemented
+        if self._rp is not None and other._rp is not None:
+            (r, a), (s, b) = self._rp, other._rp
+            n, m = self.order, other.order
+            L = n * m // gcd(n, m)
+            return canonical_scalar(CycElem._root(L, r * s, a * (L // n) + b * (L // m)))
         a, b = CycElem._pair(self, other)
         n = a.order
         prod = [Fraction(0)] * (2 * len(a.coords) - 1)
@@ -216,7 +284,7 @@ class CycElem:
             for j, y in enumerate(b.coords):
                 if y:
                     prod[i + j] += x * y
-        return canonical_scalar(CycElem(n, _reduce_mod_phi(prod, n)))
+        return canonical_scalar(CycElem._trusted(n, tuple(_reduce_mod_phi(prod, n))))
 
     __rmul__ = __mul__
 
@@ -231,18 +299,24 @@ class CycElem:
         return self.inverse() * other
 
     def inverse(self) -> "CycElem":
+        if self._rp is not None:
+            r, a = self._rp
+            return CycElem._root(self.order, 1 / r, -a)
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
-            return CycElem(self.order, (Fraction(1) / self.coords[0],) + self.coords[1:])
+            return CycElem._trusted(self.order, (1 / self._coords[0],) + self._coords[1:])
         phin = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s, _ = _poly_ext_gcd(list(self.coords), phin)
+        g, s, _ = _poly_ext_gcd(list(self._coords), phin)
         if len(g) != 1:
             raise AssertionError("representative not coprime to Phi_N")
         inv = [c / g[0] for c in s]
-        return CycElem(self.order, _reduce_mod_phi(inv, self.order))
+        return CycElem._trusted(self.order, tuple(_reduce_mod_phi(inv, self.order)))
 
     def __pow__(self, e: int):
+        if self._rp is not None:
+            r, a = self._rp
+            return canonical_scalar(CycElem._root(self.order, r**e, a * e))
         if e < 0:
             return self.inverse() ** -e
         result, base = Fraction(1), self
@@ -256,10 +330,12 @@ class CycElem:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and self.to_fraction() == other
         if not isinstance(other, CycElem):
             return NotImplemented
         a, b = CycElem._pair(self, other)
+        if a._rp is not None and b._rp is not None:
+            return a._rp == b._rp
         return a.coords == b.coords
 
     __hash__ = None
@@ -268,10 +344,12 @@ class CycElem:
 
     def as_root_power(self) -> Optional[tuple]:
         """Return (r, a) with self = r * zeta_order^a, if of that shape (least a)."""
-        lead = next((c for c in self.coords if c), None)
+        if self._rp is not None:
+            return self._rp
+        lead = next((c for c in self._coords if c), None)
         if lead is None:
             return None
-        hit = _root_power_table(self.order).get(tuple(c / lead for c in self.coords))
+        hit = _root_power_table(self.order).get(tuple(c / lead for c in self._coords))
         if hit is None:
             return None
         a, c0 = hit
@@ -279,7 +357,7 @@ class CycElem:
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycElem({self.coords[0]})"
+            return f"CycElem({self.to_fraction()})"
         rp = self.as_root_power()
         if rp is not None:
             r, a = rp
@@ -345,7 +423,7 @@ def zeta(n: int, a: int = 1) -> CycElem:
     """The root of unity zeta_n^a."""
     if n < 1:
         raise ValueError("order must be positive")
-    return CycElem(n, _zeta_power_coords(n, a))
+    return CycElem._root(n, Fraction(1), a)
 
 
 def _integer_nth_root(x: int, n: int) -> Optional[int]:
@@ -410,7 +488,5 @@ def all_nth_roots(c, n: int) -> Optional[list]:
 def canonical_scalar(x):
     """Demote rational-valued cyclotomic elements to Fraction."""
     if isinstance(x, CycElem):
-        if x.is_rational():
-            return x.coords[0]
-        return x
+        return x.to_fraction() if x.is_rational() else x
     return Fraction(x)

@@ -1,8 +1,9 @@
 """Derivations of the coordinate ring, given by generator images.
 
-Everything is exact: applying a derivation runs the Leibniz rule monomial
-by monomial and reduces to normal form; exponentials of kernel multiples of
-the canonical derivation are finite Taylor sums with exact 1/k! factors.
+Everything is exact: applying a derivation sums each partial derivative
+times its variable's image and reduces to normal form; exponentials of
+kernel multiples of the canonical derivation are finite Taylor sums with
+exact 1/k! factors.
 Extra variables beyond the presentation's own (for a formal kernel
 parameter h) are treated as kernel constants.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .poly import MultiPoly, derivative, substitute
+from .poly import MultiPoly, _sum, derivative, substitute
 from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_ONE_UNIT,
@@ -60,28 +61,21 @@ class Derivation:
 def apply_derivation(
     der: Derivation, f: MultiPoly, reduce: bool = True
 ) -> MultiPoly:
-    """Leibniz-rule application; variables outside the presentation map to 0."""
+    """Leibniz rule: the sum of df/dv * D(v) over the variables v of f.
+
+    Variables outside the presentation map to 0.
+    """
     ctx = f.vars
-    spec = der.spec
-    images = {}
+    parts = []
     for name in ctx:
-        if name in der.images:
-            images[name] = der.images[name].embed(ctx)
-        else:
-            images[name] = MultiPoly.zero(ctx)
-    result = MultiPoly.zero(ctx)
-    for exps, c in f.terms.items():
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            img = images[ctx[i]]
-            if img.is_zero():
-                continue
-            lowered = list(exps)
-            lowered[i] = e - 1
-            result = result + MultiPoly(ctx, {tuple(lowered): c * Fraction(e)}) * img
+        if name not in der.images:
+            continue
+        img = der.images[name].embed(ctx)
+        if not img.is_zero() and f.depends_on(name):
+            parts.append(derivative(f, name) * img)
+    result = _sum(ctx, parts)
     if reduce:
-        result = normal_form(result, spec)
+        result = normal_form(result, der.spec)
     return result
 
 

@@ -515,15 +515,13 @@ def from_univar(vars: tuple, name: str, coeffs: Iterable) -> MultiPoly:
 def derivative(f: MultiPoly, name: str) -> MultiPoly:
     i = f.vars.index(name)
     out = {}
-    for exps, c in f.terms.items():
+    for exps, c in f._support().items():
         e = exps[i]
-        if e == 0:
-            continue
-        new = list(exps)
-        new[i] = e - 1
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + c * e
-    return MultiPoly(f.vars, out)
+        if e:  # lowering exponent i is injective: no two terms collide
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+    if f._num is None:
+        return MultiPoly._trusted(f.vars, out)
+    return MultiPoly._normalized(f.vars, out, f._den)
 
 
 def univar_gcd(f: MultiPoly, g: MultiPoly, name: str = "z") -> MultiPoly:

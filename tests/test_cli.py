@@ -472,6 +472,31 @@ def test_map_goldens_stable(capsys):
         assert out == (GOLDEN / "maps" / name).read_text(), name
 
 
+def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
+    """y1^2 y2^3 = z^2000 + 1 has a Z2000 finite part, and D reads Z4000.
+
+    Its scalars are roots of unity of order 4000; the report is unchanged
+    and no cyclotomic polynomial of that size is ever built for it.
+    """
+    from danaut import cyclotomic
+
+    orders = []
+    original = cyclotomic.cyclotomic_polynomial
+
+    def recording(n):
+        orders.append(n)
+        return original(n)
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", recording)
+    name = "large/susp_z2000"
+    code, out, err = _main_in_process(
+        ["analyze", fixture_path(f"{name}.json"), "--json"], capsys
+    )
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.golden.json").read_text()
+    assert not [n for n in orders if n >= 2000]
+
+
 # ASCII (quotes, backslash, control characters), non-ASCII text, the line and
 # paragraph separators and a lone surrogate
 _json_text = st.text(

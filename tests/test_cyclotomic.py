@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
 import sympy
@@ -17,6 +19,7 @@ from danaut import (
     rational_nth_root,
     zeta,
 )
+from danaut.cyclotomic import canonical_scalar
 
 
 def test_cyclotomic_polynomials_known_values():
@@ -225,3 +228,80 @@ def test_as_root_power_matches_exponent_scan(n, data):
         r, a = got
         assert type(r) is Fraction and 0 <= a < n
         assert x == r * zeta(n, a)
+
+
+_ORDERS = list(range(1, 31)) + [105]
+
+
+@lru_cache(maxsize=None)
+def _zeta_power_by_sympy(n, a):
+    """Power-basis coordinates of zeta_n^a: z^(a mod n) reduced mod Phi_n by sympy."""
+    z = sympy.Symbol("z")
+    rem = sympy.Poly(sympy.rem(z ** (a % n), sympy.cyclotomic_poly(n, z), z), z)
+    coords = [Fraction(int(c)) for c in reversed(rem.all_coeffs())]
+    return tuple(coords + [Fraction(0)] * (euler_phi(n) - len(coords)))
+
+
+def _coordinate_first(n, r, a):
+    """r * zeta_n^a built through CycElem(n, coords), never by exponent."""
+    return CycElem(n, [r * c for c in _zeta_power_by_sympy(n, a)])
+
+
+def _same_form(got, want):
+    """Same canonical scalar: same type, order, coordinates and root-power form."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, CycElem):
+        assert got.order == want.order
+        assert got.coords == want.coords
+        assert got.as_root_power() == want.as_root_power()
+    else:
+        assert got == want
+
+
+@st.composite
+def _root_power_inputs(draw, orders=_ORDERS):
+    """(n, r, a): an order, a nonzero rational and an exponent past +-n."""
+    n = draw(st.sampled_from(orders))
+    r = draw(_small_fractions.filter(bool))
+    return n, r, draw(st.integers(-3 * n, 3 * n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_root_power_inputs(), st.data())
+def test_exponent_form_matches_coordinate_form(xin, data):
+    """r * zeta_n^a kept by exponent behaves exactly like its coordinates."""
+    n, r, a = xin
+    # the second operand's order keeps lcm(n, m) small enough for coordinates
+    m, s, b = data.draw(_root_power_inputs([d for d in _ORDERS if lcm(n, d) <= 210]))
+    X, Xc = zeta(n, a), _coordinate_first(n, Fraction(1), a)
+    x, xc = r * X, canonical_scalar(_coordinate_first(n, r, a))
+    y, yc = s * zeta(m, b), canonical_scalar(_coordinate_first(m, s, b))
+
+    # the root power itself, possibly rational-valued
+    assert X.is_rational() == Xc.is_rational()
+    _same_form(canonical_scalar(X), canonical_scalar(Xc))
+    _same_form(X.inverse(), Xc.inverse())
+    assert X == Xc and Xc == X
+    for k in (1, 2, 3):
+        _same_form(X.lift(n * k), Xc.lift(n * k))
+    _same_form(x, xc)
+    if isinstance(x, CycElem):
+        # least exponent, r carrying the sign: zeta^(N/2) = -1 at even N
+        a0 = a % n
+        least = (-r, a0 - n // 2) if n % 2 == 0 and 2 * a0 >= n else (r, a0)
+        assert x.as_root_power() == least
+        _same_form(x.inverse(), xc.inverse())
+
+    # arithmetic on two root powers, and mixed with the coordinate form
+    want = (xc + yc, xc - yc, xc * yc, xc / yc, xc == yc)
+    for u, v in ((x, y), (x, yc), (xc, y)):
+        for got, ref in zip((u + v, u - v, u * v, u / v), want):
+            _same_form(got, ref)
+        assert (u == v) == want[-1]
+    for q in (s, 2):
+        _same_form(x * q, xc * q)
+        _same_form(q * x, q * xc)
+        _same_form(x / q, xc / q)
+        _same_form(q / x, q / xc)
+    for k in range(-3, 6):
+        _same_form(x**k, xc**k)
