@@ -199,8 +199,7 @@ class CycElem:
         if not self.is_rational():
             raise ValueError("element is not rational")
         if self._rp is not None:
-            r, a = self._rp
-            return -r if a else r
+            return self._rp[0]  # a rational root power has least exponent 0
         return self._coords[0]
 
     def lift(self, new_order: int) -> "CycElem":
