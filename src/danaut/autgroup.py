@@ -22,6 +22,7 @@ from typing import Optional
 from .cyclotomic import CycElem, canonical_scalar, zeta
 from .derivations import GeneratorMap, automorphism_defect
 from .lattice import (
+    ENUM_ORDER_BOUND,
     DiagGroupType,
     QuotientResult,
     TorusSolutionSet,
@@ -230,7 +231,7 @@ def _branch_constraints(spec: VarietySpec, sigma):
     return rows, targets, ""
 
 
-def canonical_group(spec: VarietySpec, enum_order_bound: int = 360) -> CanonicalGroup:
+def canonical_group(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND) -> CanonicalGroup:
     """Permutation-and-scaling stabilizer of the coordinate ring."""
     if spec.regime != REGIME_DANIELEWSKI:
         raise SpecError("canonical group requires the unit-weight regime")
@@ -612,7 +613,7 @@ def compute_verdicts(
     raise SpecError("no verdicts for this regime")
 
 
-def aut_structure(spec: VarietySpec, enum_order_bound: int = 360) -> AutReport:
+def aut_structure(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND) -> AutReport:
     """Assemble generators, structure, and verdicts for a normalized spec."""
     if not spec.is_normalized():
         raise SpecError("normalize the presentation first")

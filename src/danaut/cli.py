@@ -21,8 +21,9 @@ from .autgroup import (
     group_element_map,
     verify_automorphism,
 )
+from .lattice import ENUM_ORDER_BOUND
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, tilde_degree
-from .poly import MultiPoly, from_univar, parse_poly, poly_str
+from .poly import MultiPoly, parse_poly, poly_str
 from .report import build_report, degenerate_report, element_signature
 from .varieties import (
     REGIME_DANIELEWSKI,
@@ -33,6 +34,7 @@ from .varieties import (
     genus,
     make_variety,
     normalize,
+    presentation_vars,
 )
 
 
@@ -72,7 +74,7 @@ def load_spec_file(path: str) -> tuple:
     if not isinstance(terms, list) or not terms:
         raise CliError("P must be a nonempty list of term records")
     m = len(weights)
-    vars = (("x",) if x_present else ()) + tuple(f"y{i+1}" for i in range(m)) + ("z",)
+    vars = presentation_vars(m, x_present)
     poly_terms: dict = {}
     for rec in terms:
         if not isinstance(rec, dict):
@@ -100,7 +102,7 @@ def load_spec_file(path: str) -> tuple:
         raise CliError("options must be an object")
     if not isinstance(options.get("normalize", True), bool):
         raise CliError("options.normalize must be a boolean")
-    bound = options.get("enum_order_bound", 360)
+    bound = options.get("enum_order_bound", ENUM_ORDER_BOUND)
     if type(bound) is not int or bound < 1:  # bool is an int subclass
         raise CliError("options.enum_order_bound must be a positive integer")
     try:
@@ -124,7 +126,7 @@ def prepare(path: str, args) -> tuple:
     spec = normalize(raw) if do_normalize else raw
     if spec.regime == REGIME_UNSUPPORTED:
         raise CliError(f"unsupported presentation: {spec.regime_note}", code=2)
-    bound = args.max_enum_order or options.get("enum_order_bound", 360)
+    bound = args.max_enum_order or options.get("enum_order_bound", ENUM_ORDER_BOUND)
     return raw, spec, bound
 
 
@@ -409,9 +411,8 @@ def cmd_genus(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
     if spec.m != 1 or spec.x_present:
         raise CliError("genus needs a curve presentation y1^k = P(z)")
-    P = from_univar(("z",), "z", spec.P_univar_coeffs())
     try:
-        g = genus(spec.weights[0], P)
+        g = genus(spec.weights[0], spec.P().embed(("z",)))
     except ValueError as exc:
         raise CliError(str(exc))
     if args.json:
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=None,
             metavar="N",
-            help="enumeration bound for cyclotomic orders (default 360)",
+            help=f"enumeration bound for cyclotomic orders (default {ENUM_ORDER_BOUND})",
         )
         p.add_argument(
             "--no-normalize",

@@ -28,6 +28,8 @@ from math import gcd, isqrt
 from operator import add
 from typing import Optional
 
+from .dense import div_mod, ext_gcd, mul
+
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -46,25 +48,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _int_poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Long division of coefficient lists (low to high); den monic."""
-    num = list(num)
-    dn = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    quot = [0] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dn] = c
-        for j, d in enumerate(den):
-            num[i - dn + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients of Phi_n, low to high, monic with integer entries."""
@@ -78,7 +61,7 @@ def cyclotomic_polynomial(n: int) -> tuple:
     coeffs[n] = 1
     for d in range(1, n):
         if n % d == 0:
-            coeffs, rem = _int_poly_divmod(coeffs, list(cyclotomic_polynomial(d)))
+            coeffs, rem = div_mod(coeffs, cyclotomic_polynomial(d))
             if rem:
                 raise AssertionError("cyclotomic recursion left a remainder")
     return tuple(coeffs)
@@ -87,18 +70,8 @@ def cyclotomic_polynomial(n: int) -> tuple:
 def _reduce_mod_phi(coeffs: list, n: int) -> list:
     """Remainder of a Fraction coefficient list modulo Phi_n, padded to phi(n)."""
     phi = euler_phi(n)
-    phin = cyclotomic_polynomial(n)
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        coeffs[i] = Fraction(0)
-        for j in range(phi):
-            coeffs[i - phi + j] -= c * phin[j]
-    coeffs = coeffs[:phi]
-    coeffs += [Fraction(0)] * (phi - len(coeffs))
-    return coeffs
+    _, rem = div_mod(coeffs, cyclotomic_polynomial(n))
+    return rem + [Fraction(0)] * (phi - len(rem))
 
 
 @lru_cache(maxsize=None)
@@ -275,15 +248,8 @@ class CycElem:
             L = n * m // gcd(n, m)
             return canonical_scalar(CycElem._root(L, r * s, a * (L // n) + b * (L // m)))
         a, b = CycElem._pair(self, other)
-        n = a.order
-        prod = [Fraction(0)] * (2 * len(a.coords) - 1)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
-                    prod[i + j] += x * y
-        return canonical_scalar(CycElem._trusted(n, tuple(_reduce_mod_phi(prod, n))))
+        prod = _reduce_mod_phi(mul(a.coords, b.coords), a.order)
+        return canonical_scalar(CycElem._trusted(a.order, tuple(prod)))
 
     __rmul__ = __mul__
 
@@ -305,8 +271,7 @@ class CycElem:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return CycElem._trusted(self.order, (1 / self._coords[0],) + self._coords[1:])
-        phin = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s, _ = _poly_ext_gcd(list(self._coords), phin)
+        g, s = ext_gcd(self._coords, cyclotomic_polynomial(self.order))
         if len(g) != 1:
             raise AssertionError("representative not coprime to Phi_N")
         inv = [c / g[0] for c in s]
@@ -363,59 +328,6 @@ class CycElem:
             mult = "" if r == 1 else f"{r}*"
             return f"CycElem({mult}zeta{self.order}^{a})"
         return f"CycElem(order={self.order}, coords={self.coords})"
-
-
-def _poly_ext_gcd(a: list, b: list) -> tuple:
-    """Extended Euclid over Q[x] on coefficient lists; returns (g, s, t)."""
-
-    def norm(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_q(num, den):
-        num, den = list(num), norm(den)
-        lead = den[-1]
-        dn = len(den) - 1
-        quot = [Fraction(0)] * max(len(num) - dn, 0)
-        for i in range(len(num) - 1, dn - 1, -1):
-            c = num[i] / lead
-            if c == 0:
-                continue
-            quot[i - dn] = c
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-        return quot, norm(num)
-
-    def sub(p, q):
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] += c
-        for i, c in enumerate(q):
-            out[i] -= c
-        return norm(out)
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            if x == 0:
-                continue
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-        return norm(out)
-
-    r0, r1 = norm(a), norm(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    return r0, s0, t0
 
 
 def zeta(n: int, a: int = 1) -> CycElem:

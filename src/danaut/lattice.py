@@ -19,6 +19,9 @@ from .cyclotomic import CycElem, canonical_scalar, cyc_root_of_unity, zeta
 
 IntMat = list  # list of list of int
 
+# default bound on the cyclotomic orders whose roots are enumerated
+ENUM_ORDER_BOUND = 360
+
 
 def identity_matrix(n: int) -> IntMat:
     return [[int(i == j) for j in range(n)] for i in range(n)]
@@ -170,11 +173,6 @@ def _snf_postconditions(A, U, D, V) -> bool:
     return True
 
 
-def smith_diagonal(A: IntMat) -> list:
-    _, D, _ = smith_normal_form(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
 def left_kernel_basis(A: IntMat) -> IntMat:
     """Rows forming a Z-basis of {c : c*A = 0}."""
     r = len(A)
@@ -217,10 +215,6 @@ def hermite_normal_form(rows: IntMat, ncols: int) -> IntMat:
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
         pivot_row += 1
     return [row for row in mat[:pivot_row]]
-
-
-def lattice_sum(L1: IntMat, L2: IntMat, ncols: int) -> IntMat:
-    return hermite_normal_form(list(L1) + list(L2), ncols)
 
 
 def lattice_intersect(L1: IntMat, L2: IntMat, ncols: int) -> IntMat:
@@ -323,7 +317,8 @@ def group_type_from_vanishing_lattice(rows: IntMat, ncols: int) -> DiagGroupType
     rows = [r for r in rows if any(r)]
     if not rows:
         return DiagGroupType(ncols, ())
-    diag = smith_diagonal(rows)
+    _, D, _ = smith_normal_form(rows)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d > 1)
     return DiagGroupType(ncols - rank, factors)
@@ -364,7 +359,8 @@ class DiagSubgroup:
 
     def intersection(self, other: "DiagSubgroup") -> "DiagSubgroup":
         self._check(other)
-        rows = lattice_sum(list(self.lattice), list(other.lattice), self.ambient)
+        # the intersection vanishes on the sum of the two lattices
+        rows = hermite_normal_form(list(self.lattice) + list(other.lattice), self.ambient)
         return DiagSubgroup(self.ambient, tuple(tuple(r) for r in rows))
 
     def generated_with(self, other: "DiagSubgroup") -> "DiagSubgroup":
@@ -479,7 +475,7 @@ def solve_torus_system(
     A: IntMat,
     targets,
     ncols: Optional[int] = None,
-    enum_order_bound: int = 360,
+    enum_order_bound: int = ENUM_ORDER_BOUND,
 ) -> TorusSolutionSet:
     """Solve the monomial system t^{A_r} = lambda_r with exact arithmetic.
 

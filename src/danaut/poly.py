@@ -19,6 +19,7 @@ from operator import add
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import CycElem, canonical_scalar
+from .dense import ext_gcd, mul
 from .fmt import scalar_str
 
 
@@ -528,35 +529,12 @@ def univar_gcd(f: MultiPoly, g: MultiPoly, name: str = "z") -> MultiPoly:
     """Monic gcd of two univariate rational polynomials (Euclid)."""
     f._check_ctx(g)
     a, b = as_univar(f, name), as_univar(g, name)
-    for coeffs in (a, b):
-        if any(isinstance(c, CycElem) for c in coeffs):
-            raise ValueError("univariate gcd requires rational coefficients")
-
-    def norm(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def rem(num, den):
-        num = list(num)
-        lead = den[-1]
-        dn = len(den) - 1
-        for i in range(len(num) - 1, dn - 1, -1):
-            c = num[i] / lead
-            if c == 0:
-                continue
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-        return norm(num)
-
-    a, b = norm(a), norm(b)
-    while b:
-        a, b = b, rem(a, b)
-    if not a:
+    if any(isinstance(c, CycElem) for c in a + b):
+        raise ValueError("univariate gcd requires rational coefficients")
+    r, _ = ext_gcd(a, b)
+    if not r:
         return MultiPoly.zero(f.vars)
-    a = [c / a[-1] for c in a]
-    return from_univar(f.vars, name, a)
+    return from_univar(f.vars, name, [c / r[-1] for c in r])
 
 
 def perfect_power_root(P: MultiPoly, l: int, name: str = "z") -> Optional[MultiPoly]:
@@ -575,19 +553,23 @@ def perfect_power_root(P: MultiPoly, l: int, name: str = "z") -> Optional[MultiP
         raise ValueError("power index does not divide the degree")
     if l == 1:
         return P
-    r = d // l
-    q = [Fraction(0)] * r + [Fraction(1)]
-    for i in range(1, r + 1):
-        # match the coefficient of z^(d-i); q[r-i] enters linearly with factor l
-        probe = from_univar(P.vars, name, q)
-        cur = as_univar(probe**l, name)
-        target_idx = d - i
-        delta = coeffs[target_idx] - cur[target_idx]
-        q[r - i] = delta / l
-    candidate = from_univar(P.vars, name, q)
-    if candidate**l == P:
-        return candidate
-    return None
+    # top down, p and q are power series in 1/z with constant term 1, and
+    # q = p^(1/l) obeys n*l*q[n] = sum_k ((l+1)k - n*l) p[k] q[n-k] (J.C.P. Miller)
+    p = coeffs[::-1]
+    q = [Fraction(1)]
+    for n in range(1, d // l + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if p[k]:
+                acc += ((l + 1) * k - n * l) * p[k] * q[n - k]
+        q.append(acc / (n * l))
+    q.reverse()
+    power = [Fraction(1)]
+    for _ in range(l):
+        power = mul(power, q)
+    if power != coeffs:
+        return None
+    return from_univar(P.vars, name, q)
 
 
 # -- parsing and printing ---------------------------------------------------

@@ -1,16 +1,17 @@
 """Variety presentations and their geometric invariants.
 
 A presentation is x*y1^k1*...*ym^km = P(y,z) (or without x for plain
-suspensions over a line), P monic in z of degree d >= 2.  This module
-classifies presentations into regimes, normalizes the z^(d-1) coefficient
-away, and computes irreducibility, rigidity, genus, the stabilizer
-quasitorus of the weight monomial, the scaling quasitorus of P, the
-permutation symmetries, and the intersection of all derivation kernels.
+suspensions over a line), P monic in z of degree d >= 2.  P is stored once
+and everything else is read from its terms.  This module classifies
+presentations into regimes, normalizes the z^(d-1) coefficient away, and
+computes irreducibility, rigidity, genus, the stabilizer quasitorus of the
+weight monomial, the scaling quasitorus of P, the permutation symmetries,
+and the intersection of all derivation kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -21,7 +22,6 @@ from .poly import (
     MultiPoly,
     as_univar,
     derivative,
-    from_univar,
     perfect_power_root,
     reduce_by_rule,
     substitute,
@@ -39,38 +39,56 @@ class SpecError(ValueError):
     """Invalid presentation (violated invariant named in the message)."""
 
 
+def presentation_vars(m: int, x_present: bool) -> tuple:
+    """The variable context of a presentation: (x,) y1..ym z, z last."""
+    return (("x",) if x_present else ()) + tuple(f"y{i+1}" for i in range(m)) + ("z",)
+
+
 @dataclass(frozen=True)
 class VarietySpec:
     """A classified presentation.
 
-    weights are the y-exponents k_1..k_m; s[i] is the coefficient of z^i in
-    P (a polynomial in the y variables, constant in suspension regimes);
-    shift records the substitution z -> z - shift applied by normalize, so
-    automorphisms can be pulled back to the original coordinates.
+    weights are the y-exponents k_1..k_m and _P, the polynomial P in the
+    presentation's variables, is the only stored copy of the right-hand
+    side: P(), s and P_univar_coeffs read it.  shift records the
+    substitution z -> z - shift applied by normalize, so automorphisms can
+    be pulled back to the original coordinates.
     """
 
     m: int
     weights: tuple
     d: int
     x_present: bool
-    s: tuple
+    _P: MultiPoly
     regime: str
     regime_note: str = ""
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
-    # P, the canonical derivation and the reduction rule of each variable
+    # s, the canonical derivation and the reduction rule of each variable
     # context, built on first use; kept on the spec so they live exactly as
     # long as it does
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def vars(self) -> tuple:
-        ys = tuple(f"y{i+1}" for i in range(self.m))
-        return (("x",) if self.x_present else ()) + ys + ("z",)
+        return presentation_vars(self.m, self.x_present)
 
     @property
     def yvars(self) -> tuple:
-        return tuple(f"y{i+1}" for i in range(self.m))
+        return self.vars[int(self.x_present):-1]
+
+    @property
+    def s(self) -> tuple:
+        """s[i] is the coefficient of z^i in P (i < d), a polynomial in the y
+        variables (constant in suspension regimes); built on first read."""
+        s = self._memo.get("s")
+        if s is None:
+            buckets: list = [{} for _ in range(self.d)]
+            for exps, c in self._P.terms.items():
+                if exps[-1] < self.d:
+                    buckets[exps[-1]][exps[:-1] + (0,)] = c
+            s = self._memo["s"] = tuple(MultiPoly(self.vars, b) for b in buckets)
+        return s
 
     @property
     def x_role(self) -> Optional[str]:
@@ -93,25 +111,14 @@ class VarietySpec:
         return MultiPoly.monomial(self.vars, powers, 1)
 
     def P(self) -> MultiPoly:
-        result = self._memo.get("P")
-        if result is None:
-            z = MultiPoly.variable(self.vars, "z")
-            result = z**self.d
-            for i, si in enumerate(self.s):
-                if not si.is_zero():
-                    result = result + si.embed(self.vars) * z**i
-            self._memo["P"] = result
-        return result
+        return self._P
 
     def P_univar_coeffs(self) -> list:
-        """Dense rational coefficients of P; requires constant s_i."""
-        coeffs = []
-        for si in self.s:
-            if not si.is_constant():
-                raise SpecError("P depends on y; univariate form unavailable")
-            coeffs.append(si.constant_term())
-        coeffs.append(Fraction(1))
-        return coeffs
+        """Dense rational coefficients of P, low to high; requires P free of y."""
+        try:
+            return as_univar(self._P.embed(("z",)), "z")
+        except ValueError:
+            raise SpecError("P depends on y; univariate form unavailable") from None
 
     def lead_monomial(self) -> MultiPoly:
         lead = self.weight_monomial()
@@ -123,7 +130,7 @@ class VarietySpec:
         return self.lead_monomial() - self.P()
 
     def is_normalized(self) -> bool:
-        return self.d < 1 or self.s[self.d - 1].is_zero()
+        return self.d < 1 or all(exps[-1] != self.d - 1 for exps in self._P.terms)
 
     def equation_str(self) -> str:
         from .poly import poly_str
@@ -131,58 +138,47 @@ class VarietySpec:
         return f"{poly_str(self.lead_monomial())} = {poly_str(self.P())}"
 
 
-def _extract_s(P: MultiPoly, m: int, vars: tuple) -> tuple:
-    """Split P into coefficients of powers of z; validates monicity in z."""
-    zi = P.vars.index("z")
-    d = P.degree_in("z")
-    if d < 0:
-        raise SpecError("P must be nonzero")
-    buckets: list = [dict() for _ in range(d + 1)]
-    for exps, c in P.terms.items():
-        rest = list(exps)
-        e = rest[zi]
-        rest[zi] = 0
-        buckets[e][tuple(rest)] = c
-    top = MultiPoly(P.vars, buckets[d])
-    if not (top.is_constant() and top.constant_term() == 1):
-        raise SpecError(
-            "P must be monic in z (leading z-term with coefficient 1 and no y part)"
-        )
-    s = []
-    for i in range(d):
-        s.append(MultiPoly(P.vars, buckets[i]).embed(vars))
-    return tuple(s), d
-
-
 def make_variety(weights, x_present: bool, P: MultiPoly) -> VarietySpec:
     """Build and classify a presentation from weights and the polynomial P."""
     weights = tuple(int(k) for k in weights)
     if any(k < 1 for k in weights):
         raise SpecError("weights must be positive integers")
-    m = len(weights)
-    ys = tuple(f"y{i+1}" for i in range(m))
-    vars = (("x",) if x_present else ()) + ys + ("z",)
+    vars = presentation_vars(len(weights), x_present)
     for name in P.vars:
         if P.depends_on(name) and name not in vars:
             raise SpecError(f"P uses unknown variable {name!r}")
     if "x" in P.vars and P.depends_on("x"):
         raise SpecError("P must not involve x")
-    P = P.embed(vars)
-    s, d = _extract_s(P, m, vars)
-    regime, note, unit_index = _classify(weights, x_present, d, s, m)
+    return _classified(weights, x_present, P.embed(vars))
+
+
+def _classified(weights: tuple, x_present: bool, P: MultiPoly, shift=None) -> VarietySpec:
+    """The spec of P, given in the presentation's variables; checks P is monic in z."""
+    d = P.degree_in("z")
+    if d < 0:
+        raise SpecError("P must be nonzero")
+    lead = (0,) * (len(P.vars) - 1) + (d,)  # z is the last variable
+    if P.coeff(lead) != 1 or any(e[-1] == d and e != lead for e in P.terms):
+        raise SpecError(
+            "P must be monic in z (leading z-term with coefficient 1 and no y part)"
+        )
+    m = len(weights)
+    constant = not any(P.depends_on(f"y{i+1}") for i in range(m))
+    regime, note, unit_index = _classify(weights, x_present, d, constant, m)
     return VarietySpec(
         m=m,
         weights=weights,
         d=d,
         x_present=x_present,
-        s=s,
+        _P=P,
         regime=regime,
         regime_note=note,
         unit_index=unit_index,
+        shift=shift,
     )
 
 
-def _classify(weights, x_present, d, s, m):
+def _classify(weights, x_present, d, constant_s, m):
     units = [i for i, k in enumerate(weights) if k == 1]
     if d < 2:
         return REGIME_UNSUPPORTED, "z-degree must be at least 2", None
@@ -200,7 +196,6 @@ def _classify(weights, x_present, d, s, m):
         )
     if m == 0:
         return REGIME_DEGENERATE, "no y variables: the variety is an affine line", None
-    constant_s = all(si.is_constant() for si in s)
     if x_present:
         return REGIME_DANIELEWSKI, "", None
     if not constant_s:
@@ -226,21 +221,12 @@ def normalize(spec: VarietySpec) -> VarietySpec:
     """Shift z by s_{d-1}/d so the z^(d-1) coefficient vanishes (idempotent)."""
     if spec.is_normalized():
         return spec
-    b = spec.s[spec.d - 1] * Fraction(1, spec.d)
+    top = {e[:-1] + (0,): c for e, c in spec.P().terms.items() if e[-1] == spec.d - 1}
+    b = MultiPoly(spec.vars, top) * Fraction(1, spec.d)
     images = {name: MultiPoly.variable(spec.vars, name) for name in spec.vars}
-    images["z"] = MultiPoly.variable(spec.vars, "z") - b.embed(spec.vars)
+    images["z"] = MultiPoly.variable(spec.vars, "z") - b
     newP = substitute(spec.P(), images)
-    s, d = _extract_s(newP, spec.m, spec.vars)
-    regime, note, unit_index = _classify(spec.weights, spec.x_present, d, s, spec.m)
-    return replace(
-        spec,
-        s=s,
-        d=d,
-        regime=regime,
-        regime_note=note,
-        unit_index=unit_index,
-        shift=b.embed(spec.vars),
-    )
+    return _classified(spec.weights, spec.x_present, newP, shift=b)
 
 
 def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
@@ -309,8 +295,7 @@ def irreducibility(spec: VarietySpec) -> Irreducibility:
     g = gcd(*spec.weights)
     if g <= 1:
         return Irreducibility(False, note="weight gcd is 1")
-    coeffs = spec.P_univar_coeffs()
-    P = from_univar(("z",), "z", coeffs)
+    P = spec.P().embed(("z",))
     for l in sorted((l for l in range(2, g + 1) if g % l == 0), reverse=True):
         if spec.d % l != 0:
             continue
@@ -360,9 +345,7 @@ def rigidity(spec: VarietySpec) -> Rigidity:
     irr = irreducibility(spec)
     if irr.reducible:
         return Rigidity(True, "reducible curve")
-    coeffs = spec.P_univar_coeffs()
-    P = from_univar(("z",), "z", coeffs)
-    if not _is_squarefree(P):
+    if not _is_squarefree(spec.P().embed(("z",))):
         return Rigidity(True, "singular curve: P has a multiple root")
     k = spec.weights[0]
     g = genus_formula(k, spec.d)
@@ -475,8 +458,7 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
         raise SpecError("normalize the presentation first")
     ref = spec.unit_index if spec.regime == REGIME_ONE_UNIT else 0
     k_ref = spec.weights[ref]
-    coeffs = spec.P_univar_coeffs()
-    support = [e for e, c in enumerate(coeffs) if c != 0]
+    support = sorted(exps[-1] for exps in spec.P().terms)  # P is free of y here
     u = min(support)
     n = spec.m + 1
     weight_vec = [0] * n

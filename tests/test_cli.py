@@ -476,9 +476,12 @@ def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
     """y1^2 y2^3 = z^2000 + 1 has a Z2000 finite part, and D reads Z4000.
 
     Its scalars are roots of unity of order 4000; the report is unchanged
-    and no cyclotomic polynomial of that size is ever built for it.
+    and no cyclotomic polynomial of that size is ever built for it.  P is
+    stored once, so the analysis builds a handful of polynomials, not one
+    per power of z.
     """
     from danaut import cyclotomic
+    from danaut.poly import MultiPoly
 
     orders = []
     original = cyclotomic.cyclotomic_polynomial
@@ -487,7 +490,20 @@ def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
         orders.append(n)
         return original(n)
 
+    built = []
+    init, trusted = MultiPoly.__init__, MultiPoly._trusted.__func__
+
+    def counting_init(self, vars, terms):
+        built.append(1)
+        init(self, vars, terms)
+
+    def counting_trusted(cls, vars, terms):
+        built.append(1)
+        return trusted(cls, vars, terms)
+
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", recording)
+    monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(counting_trusted))
     name = "large/susp_z2000"
     code, out, err = _main_in_process(
         ["analyze", fixture_path(f"{name}.json"), "--json"], capsys
@@ -495,6 +511,7 @@ def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.golden.json").read_text()
     assert not [n for n in orders if n >= 2000]
+    assert len(built) < 50, len(built)
 
 
 # ASCII (quotes, backslash, control characters), non-ASCII text, the line and

@@ -156,6 +156,79 @@ def test_perfect_power_root_roundtrip():
         assert root**l == Pp
 
 
+_ZS = sympy.Symbol("z")
+_kernel_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _sympy_univar(coeffs):
+    """A sympy Poly over QQ from Fraction coefficients, low to high."""
+    rats = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+    return sympy.Poly(rats or [0], _ZS, domain="QQ")
+
+
+def _exact(coeffs, kinds=(int, Fraction)):
+    coeffs = list(coeffs)
+    assert all(type(c) in kinds for c in coeffs), coeffs
+    return coeffs
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_dense_kernel_routines_match_sympy(data):
+    """univar_gcd, perfect_power_root and CycElem.inverse, which run on the
+    dense coefficient-list kernel, agree with sympy; no float ever appears."""
+    from danaut.cyclotomic import cyclotomic_polynomial
+    from danaut.dense import div_mod, ext_gcd, mul
+
+    def draw_poly(max_deg, monic=False):
+        coeffs = data.draw(st.lists(_kernel_coeffs, min_size=1, max_size=max_deg + 1))
+        return coeffs + [Fraction(1)] if monic else coeffs
+
+    # gcd of two polynomials sharing a drawn monic factor
+    common = from_univar(VZ, "z", draw_poly(2, monic=True))
+    f = from_univar(VZ, "z", draw_poly(3)) * common
+    g = from_univar(VZ, "z", draw_poly(3)) * common
+    a, b = as_univar(f, "z"), as_univar(g, "z")
+    r, s = ext_gcd(a, b)
+    _exact(r), _exact(s)
+    quot, rem = div_mod(a, b) if b else ([], [])
+    _exact(quot), _exact(rem), _exact(mul(a, b), kinds=(Fraction,))
+    expected = sympy.gcd(_sympy_univar(a), _sympy_univar(b))
+    got = _sympy_univar(as_univar(univar_gcd(f, g), "z"))
+    assert got == (expected.monic() if not expected.is_zero else expected)
+
+    # l-th roots: of an exact power, and of a perturbed one
+    l = data.draw(st.integers(1, 3))
+    Q = from_univar(VZ, "z", draw_poly(3, monic=True))
+    Pp = Q**l
+    if data.draw(st.booleans()):
+        Pp = Pp + data.draw(_kernel_coeffs)
+    root = perfect_power_root(Pp, l)
+    _, factors = sympy.factor_list(_sympy_univar(as_univar(Pp, "z")))
+    assert (root is not None) == all(e % l == 0 for _, e in factors)
+    if root is not None:
+        coeffs = _exact(as_univar(root, "z"))
+        assert _sympy_univar(coeffs) ** l == _sympy_univar(as_univar(Pp, "z"))
+
+    # products and inverses of coordinate-form cyclotomic elements modulo Phi_n
+    n = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15]))
+    phi = len(cyclotomic_polynomial(n)) - 1
+    coords, other = (
+        data.draw(st.lists(_kernel_coeffs, min_size=phi, max_size=phi)) for _ in range(2)
+    )
+    if not any(coords):
+        coords[1] = Fraction(1)
+    x = CycElem(n, coords)
+    product = x * CycElem(n, other)
+    if isinstance(product, CycElem):
+        _exact(product.coords, kinds=(Fraction,))
+    inv = _exact(x.inverse().coords, kinds=(Fraction,))
+    phin = sympy.Poly(list(reversed(cyclotomic_polynomial(n))), _ZS, domain="QQ")
+    expected = sympy.invert(_sympy_univar(coords), phin)
+    assert _sympy_univar(inv) == expected
+    assert x * x.inverse() == 1
+
+
 def test_perfect_power_root_bad_index():
     z = MultiPoly.variable(VZ, "z")
     with pytest.raises(ValueError):
