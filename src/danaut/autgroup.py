@@ -30,7 +30,7 @@ from .lattice import (
     normalize_invariant_factors,
     solve_torus_system,
 )
-from .poly import MultiPoly, substitute
+from .poly import MultiPoly, divide_by_monomial, substitute
 from .varieties import (
     REGIME_ALL_GE2,
     REGIME_DANIELEWSKI,
@@ -54,22 +54,15 @@ MAX_PERMUTATIONS = 5040
 
 def stabilizer_permutations(spec: VarietySpec) -> list:
     """All permutations of the y indices preserving the weights (0-based maps)."""
-    blocks: dict = {}
-    for i, k in enumerate(spec.weights):
-        blocks.setdefault(k, []).append(i)
-    count = 1
-    for members in blocks.values():
-        for i in range(2, len(members) + 1):
-            count *= i
+    S = symmetric_group(spec)
+    count = S.order()
     if count > MAX_PERMUTATIONS:
         raise SpecError(f"permutation stabilizer too large to enumerate ({count})")
-    per_block = []
-    for _, members in sorted(blocks.items()):
-        per_block.append([list(p) for p in itertools.permutations(members)])
+    blocks = [[i - 1 for i in b] for b in S.blocks]
     sigmas = []
-    for combo in itertools.product(*per_block):
+    for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
         sigma = [0] * spec.m
-        for (_, members), perm in zip(sorted(blocks.items()), combo):
+        for members, perm in zip(blocks, combo):
             for src, dst in zip(members, perm):
                 sigma[src] = dst
         sigmas.append(tuple(sigma))
@@ -100,22 +93,12 @@ def identity_element(m: int):
     return (tuple(range(m)), tuple([Fraction(1)] * (m + 1)))
 
 
-def _divide_by_monomial(f: MultiPoly, exps) -> MultiPoly:
-    out = {}
-    for e, c in f.terms.items():
-        q = tuple(a - b for a, b in zip(e, exps))
-        if any(x < 0 for x in q):
-            raise AssertionError("polynomial not divisible by the weight monomial")
-        out[q] = c
-    return MultiPoly(f.vars, out)
-
-
 def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
-    """Generator images of a permutation-and-scaling element.
+    """Generator images of a permutation-and-scaling element phi.
 
-    y_i maps to t_i*y_{sigma(i)}, z to tau*z, and x, when present, picks up
-    the pure scaling tau^d / prod t^k plus corrections from coefficient
-    monomials divisible by the weight monomial.
+    y_i maps to t_i*y_{sigma(i)} and z to tau*z.  When x is present, the
+    relation x*M = P fixes its image: phi(M) = mu*M with mu = prod t_i^k_i,
+    so x maps to (tau^d*x + (phi(P) - tau^d*P)/M) / mu.
     """
     m = spec.m
     ctx = spec.vars
@@ -126,29 +109,12 @@ def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
     images["z"] = MultiPoly.variable(ctx, "z") * tau
     if not spec.x_present:
         return images
-    prod_tk = Fraction(1)
+    mu = Fraction(1)
     for i, k in enumerate(spec.weights):
-        prod_tk = prod_tk * scalars[i] ** k
-    inv_ptk = Fraction(1) / prod_tk
-    ximg = MultiPoly.variable(ctx, "x") * (tau**spec.d * inv_ptk)
-    Mexps = [0] * len(ctx)
-    for i, k in enumerate(spec.weights):
-        Mexps[ctx.index(f"y{i+1}")] = k
-    z = MultiPoly.variable(ctx, "z")
-    for i, si in enumerate(spec.s):
-        if si.is_zero():
-            continue
-        sub_imgs = {
-            f"y{j+1}": MultiPoly.variable(ctx, f"y{sigma[j]+1}") * scalars[j]
-            for j in range(m)
-        }
-        transformed = substitute(si.embed(ctx), sub_imgs)
-        delta = transformed - si.embed(ctx) * tau ** (spec.d - i)
-        if delta.is_zero():
-            continue
-        R = _divide_by_monomial(delta, tuple(Mexps))
-        ximg = ximg + R * z**i * (tau**i * inv_ptk)
-    images["x"] = ximg
+        mu = mu * scalars[i] ** k
+    P, taud = spec.P(), tau**spec.d
+    R = divide_by_monomial(substitute(P, images) - P * taud, spec.kernel_monomial())
+    images["x"] = (MultiPoly.variable(ctx, "x") * taud + R) * (Fraction(1) / mu)
     return images
 
 

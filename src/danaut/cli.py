@@ -23,7 +23,7 @@ from .autgroup import (
 )
 from .lattice import ENUM_ORDER_BOUND
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, tilde_degree
-from .poly import MultiPoly, parse_poly, poly_str
+from .poly import MultiPoly, _tokenize, parse_poly, poly_str
 from .report import build_report, degenerate_report, element_signature
 from .varieties import (
     REGIME_DANIELEWSKI,
@@ -231,16 +231,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_exp(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
-    extra = tuple(
-        sorted(
-            name
-            for name in _free_names(args.h)
-            if name not in spec.vars
-        )
-    )
-    ctx = spec.vars + extra
     try:
-        h = parse_poly(args.h, ctx)
+        names = {tok[1] for tok in _tokenize(args.h) if isinstance(tok, tuple)}
+        h = parse_poly(args.h, spec.vars + tuple(sorted(names - set(spec.vars))))
     except ValueError as exc:
         raise CliError(str(exc))
     try:
@@ -279,19 +272,6 @@ def _exp_warnings(spec: VarietySpec) -> list:
             "y1*h does not preserve the defining ideal"
         ]
     return []
-
-
-def _free_names(text: str) -> set:
-    names = set()
-    token = ""
-    for ch in text + " ":
-        if ch.isalnum() or ch == "_":
-            token += ch
-        else:
-            if token and not token[0].isdigit():
-                names.add(token)
-            token = ""
-    return names
 
 
 def _parse_in_spec(spec: VarietySpec, text: str) -> MultiPoly:

@@ -7,9 +7,10 @@ exponent a, so that arithmetic on it is one Fraction product and integer
 arithmetic mod N.  Any other element is stored in the power basis
 1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N(z)), with Fraction coordinates.
 The coordinates of a root power are built on first read, which only a
-sum or a product or comparison with an element known by coordinates
-needs; printing reads the exponent.  An element of order N embeds
-losslessly into any order N' with N | N'.
+sum of root powers with different exponents, or a sum, product or
+comparison with an element known by coordinates needs; printing reads
+the exponent.  An element of order N embeds losslessly into any order
+N' with N | N'.
 
 Scalars are Fraction or CycElem, and they mix through the ordinary
 operators: + - * / ** between a CycElem and an int, Fraction or CycElem
@@ -212,6 +213,9 @@ class CycElem:
         if not isinstance(other, CycElem):
             return NotImplemented
         a, b = CycElem._pair(self, other)
+        if a._rp is not None and b._rp is not None and a._rp[1] == b._rp[1]:
+            r = a._rp[0] + b._rp[0]  # r1*zeta^e + r2*zeta^e
+            return canonical_scalar(CycElem._root(a.order, r, a._rp[1])) if r else r
         return canonical_scalar(CycElem._trusted(a.order, tuple(map(add, a.coords, b.coords))))
 
     __radd__ = __add__

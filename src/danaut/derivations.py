@@ -1,9 +1,10 @@
 """Derivations of the coordinate ring, given by generator images.
 
 Everything is exact: applying a derivation sums each partial derivative
-times its variable's image and reduces to normal form; exponentials of
-kernel multiples of the canonical derivation are finite Taylor sums with
-exact 1/k! factors.
+times its variable's image and reduces to normal form.  The exponential
+of h times the canonical derivation (h in its kernel) is given in closed
+form: z -> z + h*M, and the unit-weight variable u, for which u*M = P,
+goes to u + (P(z + h*M) - P)/M.
 Extra variables beyond the presentation's own (for a formal kernel
 parameter h) are treated as kernel constants.
 """
@@ -11,11 +12,9 @@ parameter h) are treated as kernel constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 from typing import Optional
 
-from .poly import MultiPoly, _sum, derivative, substitute
+from .poly import MultiPoly, _sum, derivative, divide_by_monomial, substitute
 from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_ONE_UNIT,
@@ -48,8 +47,7 @@ class Derivation:
                 g = MultiPoly.zero(self.spec.vars)
             imgs[name] = normal_form(g.embed(self.spec.vars), self.spec)
         self.images = imgs
-        check = apply_derivation(self, self.spec.defining_polynomial(), reduce=False)
-        if not normal_form(check, self.spec).is_zero():
+        if not apply_derivation(self, self.spec.defining_polynomial()).is_zero():
             raise ValueError(
                 "derivation does not annihilate the defining relation modulo the ideal"
             )
@@ -58,10 +56,8 @@ class Derivation:
         return all(g.is_zero() for g in self.images.values())
 
 
-def apply_derivation(
-    der: Derivation, f: MultiPoly, reduce: bool = True
-) -> MultiPoly:
-    """Leibniz rule: the sum of df/dv * D(v) over the variables v of f.
+def apply_derivation(der: Derivation, f: MultiPoly) -> MultiPoly:
+    """Leibniz rule: the sum of df/dv * D(v) over the variables v of f, in normal form.
 
     Variables outside the presentation map to 0.
     """
@@ -73,10 +69,7 @@ def apply_derivation(
         img = der.images[name].embed(ctx)
         if not img.is_zero() and f.depends_on(name):
             parts.append(derivative(f, name) * img)
-    result = _sum(ctx, parts)
-    if reduce:
-        result = normal_form(result, der.spec)
-    return result
+    return normal_form(_sum(ctx, parts), der.spec)
 
 
 def canonical_lnd(spec: VarietySpec) -> Derivation:
@@ -85,15 +78,19 @@ def canonical_lnd(spec: VarietySpec) -> Derivation:
     Kills every y, sends z to the non-unit part of the weight monomial, and
     the unit-weight variable to dP/dz.
     """
-    if spec.regime not in (REGIME_DANIELEWSKI, REGIME_ONE_UNIT):
-        raise SpecError(
-            "no canonical derivation: the regime is rigid or outside scope"
-        )
+    _require_canonical_regime(spec)
     der = spec._memo.get("canonical_lnd")
     if der is None:
         images = {spec.x_role: derivative(spec.P(), "z"), "z": spec.kernel_monomial()}
         der = spec._memo["canonical_lnd"] = Derivation(spec, images)
     return der
+
+
+def _require_canonical_regime(spec: VarietySpec) -> None:
+    if spec.regime not in (REGIME_DANIELEWSKI, REGIME_ONE_UNIT):
+        raise SpecError(
+            "no canonical derivation: the regime is rigid or outside scope"
+        )
 
 
 def nilpotency_index(
@@ -198,7 +195,8 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
 
     h may mention the presentation's y variables and any extra formal
     symbols (which are treated as kernel constants); images come with the
-    exp(-h) inverse filled in.
+    exp(-h) inverse filled in.  With M the kernel monomial, the relation
+    u*M = P fixes the image of the unit-weight variable u once z -> z + h*M.
     """
     x_role = spec.x_role
     if x_role is None:
@@ -207,38 +205,19 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
     for name in h.vars:
         if h.depends_on(name) and name in banned:
             raise ValueError(f"h must lie in the kernel; it depends on {name!r}")
+    _require_canonical_regime(spec)
     extra = tuple(n for n in h.vars if n not in spec.vars)
     ctx = spec.vars + extra
-    der = canonical_lnd(spec)
-    cap = spec.d + sum(spec.weights) + 8
-    h = h.embed(ctx)
-    images, inverse = {}, {}
-    for name in ctx:
-        v = MultiPoly.variable(ctx, name)
-        if name in extra:
-            images[name] = inverse[name] = v
-            continue
-        # exp(+-hD)(v) = sum_k (+-h)^k D^k(v)/k!, from one series D^k(v)
-        fwd, bwd = v, v
-        term, hpow = v, MultiPoly.const(ctx, 1)
-        k = 0
-        while True:
-            term = apply_derivation(der, term, reduce=True)
-            if term.is_zero():
-                break
-            k += 1
-            if k > cap:
-                raise AssertionError(
-                    "Taylor sum exceeded the nilpotency cap; derivation not "
-                    "locally nilpotent?"
-                )
-            hpow = hpow * h
-            summand = hpow * term * Fraction(1, factorial(k))
-            fwd = fwd + summand
-            bwd = bwd - summand if k % 2 else bwd + summand
-        images[name] = normal_form(fwd, spec)
-        inverse[name] = normal_form(bwd, spec)
-    return GeneratorMap(spec, images, inverse)
+    M = spec.kernel_monomial().embed(ctx)
+    P = spec.P().embed(ctx)
+    hM = h.embed(ctx) * M
+    maps = []
+    for shift in (hM, -hM):
+        images = {name: MultiPoly.variable(ctx, name) for name in ctx}
+        images["z"] = images["z"] + shift
+        images[x_role] = images[x_role] + divide_by_monomial(substitute(P, images) - P, M)
+        maps.append(images)
+    return GeneratorMap(spec, *maps)
 
 
 def homogeneous_decompose(

@@ -525,6 +525,23 @@ def derivative(f: MultiPoly, name: str) -> MultiPoly:
     return MultiPoly._normalized(f.vars, out, f._den)
 
 
+def divide_by_monomial(f: MultiPoly, m: MultiPoly) -> MultiPoly:
+    """Exact quotient f / m by a monic monomial m; AssertionError unless m divides f."""
+    f._check_ctx(m)
+    if list(m.terms.values()) != [1]:
+        raise ValueError("divisor must be a monic monomial")
+    (lead,) = m.terms
+    out = {}
+    for exps, c in f._support().items():
+        q = tuple(a - b for a, b in zip(exps, lead))
+        if any(e < 0 for e in q):
+            raise AssertionError("polynomial not divisible by the monomial")
+        out[q] = c  # shifting every exponent by lead is injective
+    if f._num is None:
+        return MultiPoly._trusted(f.vars, out)
+    return MultiPoly._rational(f.vars, out, f._den)
+
+
 def univar_gcd(f: MultiPoly, g: MultiPoly, name: str = "z") -> MultiPoly:
     """Monic gcd of two univariate rational polynomials (Euclid)."""
     f._check_ctx(g)

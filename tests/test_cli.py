@@ -146,6 +146,19 @@ def test_exp_rejects_non_kernel():
     assert code == 1 and "kernel" in err
 
 
+def test_exp_reads_juxtaposed_coefficients(capsys):
+    from danaut import cli
+
+    e4 = fixture_path("s7_e4.json")
+    for short, spelled in (("2h", "2*h"), ("3t*y1", "3*t*y1")):
+        outputs = []
+        for h in (short, spelled):
+            assert cli.main(["exp", e4, h]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1], short
+        assert outputs[0].err == ""
+
+
 def test_apply_element():
     code, out, _ = run_cli(
         "apply", fixture_path("s7_e4.json"), "y1-y2", "--element", "e0"
@@ -332,6 +345,7 @@ def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):
     from danaut import autgroup, cli, derivations
 
     real_images = autgroup._element_images
+    real_divide = derivations.divide_by_monomial
 
     def wrong_x(spec, sigma, scalars):
         images = real_images(spec, sigma, scalars)
@@ -341,8 +355,9 @@ def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):
     e4 = fixture_path("s7_e4.json")
     for target, attr, fake, argv in (
         (autgroup, "_element_images", wrong_x, ["apply", e4, "z", "--element", "e0"]),
-        # Taylor sums without the 1/k! factors give a wrong x image
-        (derivations, "factorial", lambda k: 1, ["exp", e4, "h"]),
+        # an offset quotient (P(z + h*M) - P)/M gives a wrong x image
+        (derivations, "divide_by_monomial", lambda f, m: real_divide(f, m) + 1,
+         ["exp", e4, "h"]),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(target, attr, fake)

@@ -305,3 +305,38 @@ def test_exponent_form_matches_coordinate_form(xin, data):
         _same_form(q / x, q / xc)
     for k in range(-3, 6):
         _same_form(x**k, xc**k)
+
+
+def test_sum_of_like_root_powers_stays_by_exponent(monkeypatch):
+    """r1*zeta^a + r2*zeta^a is (r1 + r2)*zeta^a, or 0, without coordinates."""
+    from danaut import cyclotomic
+
+    calls = []
+    for name in ("_zeta_power_coords", "cyclotomic_polynomial"):
+        real = getattr(cyclotomic, name)
+        monkeypatch.setattr(
+            cyclotomic, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    n = 100000
+    x = Fraction(3, 2) * zeta(n, 7)
+    sums = [
+        x + Fraction(-1, 3) * zeta(n, 7),
+        x + Fraction(3, 2) * zeta(n, 7 + n // 2),  # zeta^(a + n/2) = -zeta^a
+        x - x,
+        zeta(n // 2, 3) + zeta(n, 6),  # lifted to order n by exponent
+    ]
+    assert calls == []
+    # read the exponent form directly: a coordinate-form element of order n
+    # would make as_root_power build a table of n coordinate vectors
+    assert [getattr(s, "_rp", s) for s in sums] == [
+        (Fraction(7, 6), 7), Fraction(0), Fraction(0), (Fraction(2), 6)
+    ]
+    assert type(sums[1]) is type(sums[2]) is Fraction
+    monkeypatch.undo()
+    # the same sums by coordinates, at orders where they are cheap to build
+    for n in (4, 12, 15):
+        for a in range(-n, 2 * n, 5):
+            for r, s in ((Fraction(3, 2), Fraction(-1, 3)), (Fraction(2), Fraction(-2))):
+                want = _coordinate_first(n, r, a) + _coordinate_first(n, s, a)
+                _same_form(r * zeta(n, a) + s * zeta(n, a), want)
+                _same_form(r * zeta(n, a) + s * zeta(n, a + n), want)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from danaut import (
     group_element_map,
     gr_leading_form,
     homogeneous_decompose,
+    make_variety,
     nilpotency_index,
     normal_form,
     parse_poly,
@@ -25,7 +27,8 @@ from danaut import (
     tilde_degree,
     verify_automorphism,
 )
-from conftest import random_kernel_poly, random_quotient_element, variety
+from danaut.autgroup import _element_images
+from conftest import load_fixture, random_kernel_poly, random_quotient_element, variety
 
 
 @pytest.fixture
@@ -333,3 +336,70 @@ def test_exp_inverse_images_are_exp_of_minus_h(case):
     gm = exp_replica(spec, h)
     assert gm.inverse_images == exp_replica(spec, -h).images
     assert gm.images == exp_replica(spec, -h).inverse_images
+
+
+# -- closed forms against their defining series --------------------------------
+
+
+def _taylor_exp(spec, h):
+    """exp(hD)(v) = sum_k h^k D^k(v) / k! for every variable v of h's context."""
+    der = canonical_lnd(spec)
+    images = {}
+    for name in h.vars:
+        total = term = MultiPoly.variable(h.vars, name)
+        k = 0
+        while True:  # D kills the extra symbols, and D is locally nilpotent
+            term = apply_derivation(der, term)
+            if term.is_zero():
+                break
+            k += 1
+            total = total + h**k * term * Fraction(1, factorial(k))
+        images[name] = normal_form(total, spec)
+    return images
+
+
+_FIXTURES_WITH_ELEMENTS = (
+    "bf03", "bf04", "bf06", "bf07", "bf08", "bf09", "bf10", "bf11", "bf12", "s7_e4"
+)
+
+
+@st.composite
+def _canonical_element(draw):
+    """A fixture presentation plus a multiple of M, and one canonical-group element."""
+    spec = load_fixture(draw(st.sampled_from(_FIXTURES_WITH_ELEMENTS)) + ".json")
+    # multiples of M set no constraint, so the group is the fixture's, and
+    # z-degrees below d - 1 keep the presentation normalized
+    terms = {
+        tuple(
+            0 if n == "x" else draw(st.integers(0, spec.d - 2 if n == "z" else 1))
+            for n in spec.vars
+        ): c
+        for c in draw(st.lists(_coeffs, max_size=2))
+    }
+    P = spec.P() + MultiPoly(spec.vars, terms) * spec.kernel_monomial()
+    spec = make_variety(spec.weights, True, P)
+    sigma, t = draw(st.sampled_from(canonical_group(spec).elements))
+    return spec, sigma, t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_spec_and_kernel(), _canonical_element())
+def test_closed_forms_match_series_and_coefficient_formulas(case, element):
+    spec, h = case
+    gm = exp_replica(spec, h)
+    assert gm.images == _taylor_exp(spec, h)
+    assert gm.inverse_images == _taylor_exp(spec, -h)
+
+    # x image of a canonical-group element phi, one correction per z^i:
+    # mu*M*phi(x) = tau^d*M*x + sum_i (phi(s_i)*tau^i - tau^d*s_i)*z^i
+    spec, sigma, t = element
+    m, d = spec.m, spec.d
+    tau, M = t[m], spec.kernel_monomial()
+    mu = Fraction(1)
+    for i, k in enumerate(spec.weights):
+        mu = mu * t[i] ** k
+    ys = {f"y{i+1}": v(spec, f"y{sigma[i]+1}") * t[i] for i in range(m)}
+    want = v(spec, "x") * M * tau**d
+    for i, si in enumerate(spec.s):
+        want = want + (substitute(si, ys) * tau**i - si * tau**d) * v(spec, "z") ** i
+    assert _element_images(spec, sigma, t)["x"] * M * mu == want
