@@ -14,10 +14,11 @@ evaluated (deterministically, in lexicographic order) one after another.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .cyclotomic import CycElem, canonical_scalar, zeta
 from .derivations import GeneratorMap, automorphism_defect
@@ -27,7 +28,7 @@ from .lattice import (
     QuotientResult,
     TorusSolutionSet,
     diag_group_quotient,
-    normalize_invariant_factors,
+    group_type_from_vanishing_lattice,
     solve_torus_system,
 )
 from .poly import MultiPoly, divide_by_monomial, substitute
@@ -315,7 +316,13 @@ class FinitePart:
     abelian: bool
     invariant_factors: tuple  # abelian invariants when abelian, else ()
     splits_note: str
-    table: dict  # (i, j) -> k composition indices
+    _product: Callable = field(repr=False, compare=False)  # (i, j) -> k
+
+    @cached_property
+    def table(self) -> dict:
+        """(i, j) -> k composition indices, built on first read."""
+        n = self.order
+        return {(i, j): self._product(i, j) for i in range(n) for j in range(n)}
 
 
 def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) -> FinitePart:
@@ -326,8 +333,12 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
     (sigma, ids of the r's, exponents mod L), so composition works on
     integer tuples.  The closure is a breadth-first search from the
     identity that right-multiplies by each input element it has not yet
-    reached; row i of the table then follows the search tree, since
-    g_i * (g_k * gen) = (g_i * g_k) * gen.
+    reached, recording a generator-exponent word for each element found.
+    Each product found[k] * gens[i] = found[j] met again gives the relation
+    w_k + e_i - w_j; when the generators commute these span the relation
+    lattice of the group (Schreier's lemma; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005), whose Smith form gives
+    the invariant factors.
     """
     L = 2
     for _, t in elements:
@@ -376,20 +387,23 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
 
     found = [encode(identity_element(m))]
     index = {found[0]: 0}
-    tree = [None]  # (k, gi): found[j] is found[k] * gens[gi]
-    right = [[]]  # right[k][gi]: index of found[k] * gens[gi]
+    words = [()]  # words[j]: generator exponents of a path to found[j]
+    relations = set()
     gens = []
 
     def visit(k: int, gi: int) -> None:
         y = compose(found[k], gens[gi])
-        if y not in index:
-            if len(found) >= bound:
-                raise SpecError(f"finite part exceeds table bound {bound}")
-            index[y] = len(found)
-            found.append(y)
-            tree.append((k, gi))
-            right.append([])
-        right[k].append(index[y])
+        w = list(words[k]) + [0] * (len(gens) - len(words[k]))
+        w[gi] += 1
+        if y in index:
+            w_j = words[index[y]]
+            relations.add(tuple(a - b for a, b in itertools.zip_longest(w, w_j, fillvalue=0)))
+            return
+        if len(found) >= bound:
+            raise SpecError(f"finite part exceeds table bound {bound}")
+        index[y] = len(found)
+        found.append(y)
+        words.append(tuple(w))
 
     done = 0  # found[:done] have their products with every generator
     for g in elements:
@@ -409,73 +423,20 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
             if (rid, a) not in scalars:
                 g = gcd(a, L)
                 scalars[(rid, a)] = rats[rid] * zeta(L // g, a // g)
-    n = len(found)
     elems = [(sig[:m], tuple(scalars[c] for c in zip(r, e))) for sig, r, e in found]
-    table = {}
-    for i in range(n):
-        row = [i]
-        for j in range(1, n):
-            k, gi = tree[j]
-            row.append(right[row[k]][gi])
-        for j, k in enumerate(row):
-            table[(i, j)] = k
-    abelian = all(table[(i, j)] == table[(j, i)] for i in range(n) for j in range(i))
+    abelian = all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(gens, 2))
+    invariants = ()
+    if abelian:
+        rows = sorted({rel + (0,) * (len(gens) - len(rel)) for rel in relations})
+        invariants = group_type_from_vanishing_lattice(rows, len(gens)).invariant_factors
     return FinitePart(
         elements=elems,
-        order=n,
+        order=len(found),
         abelian=abelian,
-        invariant_factors=_abelian_invariants(table, n, 0) if abelian else (),
+        invariant_factors=invariants,
         splits_note=_split_note(elems, m),
-        table=table,
+        _product=lambda i, j: index[compose(found[i], found[j])],
     )
-
-
-def _abelian_invariants(table, n: int, ident_idx: int) -> tuple:
-    """Invariant factors of an abelian table via element-order counts."""
-
-    def power(i: int, e: int) -> int:
-        result = ident_idx
-        base = i
-        while e:
-            if e & 1:
-                result = table[(result, base)]
-            base = table[(base, base)]
-            e >>= 1
-        return result
-
-    primes = set()
-    k = n
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            primes.add(p)
-            while k % p == 0:
-                k //= p
-        p += 1
-    if k > 1:
-        primes.add(k)
-
-    # Count solutions of g^(p^j) = e; their p-logarithms determine the
-    # partition of the p-part (parts >= j occur logs[j]-logs[j-1] times).
-    prime_powers = []
-    for p in sorted(primes):
-        logs = [0]
-        j = 1
-        while True:
-            cnt = sum(1 for i in range(n) if power(i, p**j) == ident_idx)
-            e = 0
-            while cnt > 1:
-                cnt //= p
-                e += 1
-            logs.append(e)
-            if logs[-1] == logs[-2]:
-                break
-            j += 1
-        ge_counts = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
-        for i in range(1, (ge_counts[0] if ge_counts else 0) + 1):
-            length = sum(1 for g in ge_counts if g >= i)
-            prime_powers.append(p**length)
-    return normalize_invariant_factors(prime_powers)
 
 
 # -- structure assembly ----------------------------------------------------------

@@ -25,14 +25,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add
 from typing import Optional
 
 from .dense import div_mod, ext_gcd, mul
 
+# entries kept per cache below: bounds memory when many orders are met
+_CACHE_SIZE = 1024
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
@@ -49,7 +52,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients of Phi_n, low to high, monic with integer entries."""
     if n < 1:
@@ -75,7 +78,7 @@ def _reduce_mod_phi(coeffs: list, n: int) -> list:
     return rem + [Fraction(0)] * (phi - len(rem))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _zeta_power_coords(n: int, e: int) -> tuple:
     e %= n
     phi = euler_phi(n)
@@ -84,25 +87,6 @@ def _zeta_power_coords(n: int, e: int) -> tuple:
         vec[e] = Fraction(1)
         return tuple(vec)
     return tuple(_reduce_mod_phi([Fraction(0)] * e + [Fraction(1)], n))
-
-
-@lru_cache(maxsize=None)
-def _root_power_table(n: int) -> dict:
-    """{coords of zeta_n^a over their first nonzero c: (a, c)}, least a kept."""
-    phi = euler_phi(n)
-    phin = cyclotomic_polynomial(n)
-    table: dict = {}
-    vec = [1] + [0] * (phi - 1)
-    for a in range(n):
-        lead = next(c for c in vec if c)
-        # int keys hash like the equal Fraction tuples that look them up
-        key = tuple(vec) if lead == 1 else tuple(Fraction(c, lead) for c in vec)
-        table.setdefault(key, (a, lead))
-        top = vec[-1]  # zeta^(a+1) = zeta * zeta^a: shift, fold z^phi through Phi_n
-        vec = [0] + vec[:-1]
-        if top:
-            vec = [c - top * d for c, d in zip(vec, phin)]
-    return table
 
 
 class CycElem:
@@ -311,17 +295,30 @@ class CycElem:
     # -- presentation ---------------------------------------------------
 
     def as_root_power(self) -> Optional[tuple]:
-        """Return (r, a) with self = r * zeta_order^a, if of that shape (least a)."""
+        """Return (r, a) with self = r * zeta_order^a, if of that shape (least a).
+
+        An element known by coordinates is multiplied by zeta^-1 until one
+        coordinate is left: r * zeta^a gets there after at most
+        a - phi(N) + 1 <= N - phi(N) steps, each a shift of the integer
+        numerators with one fold of z^-1 = -(Phi_N(z) - 1) / z, as
+        Phi_N(0) = 1 for N >= 2 (order 1 has one coordinate and never steps).
+        """
         if self._rp is not None:
             return self._rp
-        lead = next((c for c in self._coords if c), None)
-        if lead is None:
-            return None
-        hit = _root_power_table(self.order).get(tuple(c / lead for c in self._coords))
-        if hit is None:
-            return None
-        a, c0 = hit
-        return lead / c0, a
+        n = self.order
+        den = lcm(*(c.denominator for c in self._coords))
+        vec = [int(c * den) for c in self._coords]
+        phin = cyclotomic_polynomial(n)
+        for k in range(n - euler_phi(n) + 1):
+            nonzero = [j for j, c in enumerate(vec) if c]
+            if not nonzero:
+                return None
+            if len(nonzero) == 1:
+                j = nonzero[0]
+                return CycElem._root(n, Fraction(vec[j], den), j + k)._rp
+            low = vec[0]
+            vec = [c - low * p for c, p in zip(vec[1:] + [0], phin[1:])]
+        return None
 
     def __repr__(self):
         if self.is_rational():

@@ -240,36 +240,9 @@ def lattice_intersect(L1: IntMat, L2: IntMat, ncols: int) -> IntMat:
 
 def normalize_invariant_factors(factors) -> tuple:
     """Rewrite any multiset of moduli >= 2 as a divisibility chain."""
-    primary: dict = {}
-    for f in factors:
-        f = int(f)
-        if f < 2:
-            continue
-        p = 2
-        while p * p <= f:
-            if f % p == 0:
-                e = 0
-                while f % p == 0:
-                    f //= p
-                    e += 1
-                primary.setdefault(p, []).append(e)
-            p += 1
-        if f > 1:
-            primary.setdefault(f, []).append(1)
-    if not primary:
-        return ()
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    depth = max(len(v) for v in primary.values())
-    chain = []
-    for i in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
+    fs = [f for f in map(int, factors) if f >= 2]
+    diag = [[f if i == j else 0 for j in range(len(fs))] for i, f in enumerate(fs)]
+    return group_type_from_vanishing_lattice(diag, len(fs)).invariant_factors
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI contract: parsing, exit codes, JSON stability, subcommands."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -527,6 +528,41 @@ def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
     assert out == (GOLDEN / f"{name}.golden.json").read_text()
     assert not [n for n in orders if n >= 2000]
     assert len(built) < 50, len(built)
+
+
+# the ladder presentation with m = 5 equal weights: a canonical group of order
+# 2 * 5! = 240, small enough to be listed element by element
+_LADDER_M5 = {
+    "weights": [2] * 5,
+    "x_present": True,
+    "P": [{"y_exponents": [0] * 5, "z_exponent": 3, "coeff": "1"},
+          {"y_exponents": [0] * 5, "z_exponent": 1, "coeff": "-2/3"}]
+    + [{"y_exponents": [int(i == j) for j in range(5)], "z_exponent": 0, "coeff": "5/2"}
+       for i in range(5)],
+}
+# sha256 of its analyze --json report (410188 bytes), recorded before the
+# finite part stopped building its Cayley table
+_LADDER_M5_SHA256 = "b7928e271b1d73fb05e5e5065c5e14e7c0a800f70002f968fbd2576cb5fa4350"
+
+
+def test_report_never_builds_a_cayley_table(capsys, monkeypatch, tmp_path):
+    """analyze reads the finite part's invariants, never its composition table."""
+    from danaut.autgroup import FinitePart
+
+    reads = []
+    table = FinitePart.table
+    monkeypatch.setattr(FinitePart, "table", property(lambda fp: reads.append(1) or table.func(fp)))
+    spec = tmp_path / "ladder_m5.json"
+    spec.write_text(json.dumps(_LADDER_M5))
+    code, out, err = _main_in_process(["analyze", str(spec), "--json"], capsys)
+    assert code == 0, err
+    G = json.loads(out)["groups"]["G"]
+    assert G["order"] == len(G["elements"]) == 240
+    assert hashlib.sha256(out.encode()).hexdigest() == _LADDER_M5_SHA256
+    code, out, err = _main_in_process(["analyze", fixture_path("s7_e4.json"), "--json"], capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / "s7_e4.golden.json").read_text()
+    assert reads == []
 
 
 # ASCII (quotes, backslash, control characters), non-ASCII text, the line and

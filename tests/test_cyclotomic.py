@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic: polynomials, roots of unity, embeddings."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -208,7 +209,7 @@ _small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(list(range(1, 31)) + [105]), st.data())
 def test_as_root_power_matches_exponent_scan(n, data):
-    """Lookup and scan agree: least exponent, signed r, or None."""
+    """The zeta^-1 search and the scan agree: least exponent, signed r, or None."""
     kind = data.draw(st.sampled_from(["root", "root", "two roots", "random", "zero"]))
     phi = euler_phi(n)
     if kind == "zero":
@@ -326,8 +327,8 @@ def test_sum_of_like_root_powers_stays_by_exponent(monkeypatch):
         zeta(n // 2, 3) + zeta(n, 6),  # lifted to order n by exponent
     ]
     assert calls == []
-    # read the exponent form directly: a coordinate-form element of order n
-    # would make as_root_power build a table of n coordinate vectors
+    # read the exponent form directly: on a coordinate-form element of order n
+    # as_root_power would search up to n - phi(n) powers of zeta^-1
     assert [getattr(s, "_rp", s) for s in sums] == [
         (Fraction(7, 6), 7), Fraction(0), Fraction(0), (Fraction(2), 6)
     ]
@@ -340,3 +341,37 @@ def test_sum_of_like_root_powers_stays_by_exponent(monkeypatch):
                 want = _coordinate_first(n, r, a) + _coordinate_first(n, s, a)
                 _same_form(r * zeta(n, a) + s * zeta(n, a), want)
                 _same_form(r * zeta(n, a) + s * zeta(n, a + n), want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_root_power_inputs(_ORDERS + [120, 210]), st.data())
+def test_zeta_inverse_search_matches_exponent_form(xin, data):
+    """Coordinates of r * zeta^a give back the exponent form; other sums give None.
+
+    r*zeta^a + s*zeta^b with zeta^(b-a) != +-1 is a rational times a root of
+    unity only if |r| = |s| (Mann's theorem on vanishing sums of roots of
+    unity), so with |r| != |s| such a sum must give None.
+    """
+    n, r, a = xin
+    x = _coordinate_first(n, r, a)
+    assert x._rp is None
+    sign, least = zeta(n, a).as_root_power()  # read from the exponent form
+    assert x.as_root_power() == (sign * r, least)
+    s = data.draw(_small_fractions.filter(lambda s: s and abs(s) != abs(r)))
+    b = data.draw(st.integers(0, n - 1).filter(lambda b: 2 * (b - a) % n))
+    y = CycElem(n, [u + v for u, v in zip(x.coords, _coordinate_first(n, s, b).coords)])
+    assert y.as_root_power() is None
+
+
+def test_zeta_inverse_search_memory_at_order_1200():
+    """One phi(n)-vector at a time: the worst exponent stays far under 1 MiB."""
+    n = 1200
+    x = CycElem(n, zeta(n, n - 1).coords)  # n - phi(n) = 880 steps of zeta^-1
+    tracemalloc.start()
+    try:
+        got = x.as_root_power()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (Fraction(-1), n // 2 - 1)
+    assert peak < 2**20, peak

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,45 @@ def test_normalize_invariant_factors():
     assert normalize_invariant_factors([3, 2]) == (6,)
     assert normalize_invariant_factors([4, 6]) == (2, 12)
     assert normalize_invariant_factors([]) == ()
+
+
+def _primary_chain(factors):
+    """Reference: split every modulus into prime powers, then merge them by rank."""
+    primary = {}
+    for f in factors:
+        if f < 2:
+            continue
+        p = 2
+        while p * p <= f:
+            if f % p == 0:
+                e = 0
+                while f % p == 0:
+                    f //= p
+                    e += 1
+                primary.setdefault(p, []).append(e)
+            p += 1
+        if f > 1:
+            primary.setdefault(f, []).append(1)
+    if not primary:
+        return ()
+    for exps in primary.values():
+        exps.sort(reverse=True)
+    chain = []
+    for i in range(max(len(v) for v in primary.values())):
+        d = 1
+        for p, exps in primary.items():
+            if i < len(exps):
+                d *= p ** exps[i]
+        chain.append(d)
+    return tuple(reversed(chain))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 60), max_size=8))
+def test_normalize_invariant_factors_matches_primary_decomposition(factors):
+    chain = normalize_invariant_factors(factors)
+    assert chain == _primary_chain(factors)
+    assert DiagGroupType(0, chain).order() == prod(factors)
 
 
 # -- torus systems ---------------------------------------------------------------
