@@ -28,7 +28,6 @@ from .report import build_report, degenerate_report, element_signature
 from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_UNSUPPORTED,
-    SpecError,
     VarietySpec,
     irreducibility,
     genus,
@@ -63,8 +62,9 @@ def load_spec_file(path: str) -> tuple:
     if not isinstance(data, dict):
         raise CliError("presentation file must be a JSON object")
     weights = data.get("weights")
+    # bool is an int subclass: JSON true/false is no weight, exponent or coefficient
     if not isinstance(weights, list) or not all(
-        isinstance(k, int) and k >= 1 for k in weights
+        type(k) is int and k >= 1 for k in weights
     ):
         raise CliError("weights must be a list of positive integers")
     x_present = data.get("x_present", False)
@@ -82,14 +82,19 @@ def load_spec_file(path: str) -> tuple:
         ye = rec.get("y_exponents")
         ze = rec.get("z_exponent")
         if not isinstance(ye, list) or len(ye) != m or not all(
-            isinstance(e, int) and e >= 0 for e in ye
+            type(e) is int and e >= 0 for e in ye
         ):
             raise CliError(
                 f"y_exponents must list {m} nonnegative integers (one per weight)"
             )
-        if not isinstance(ze, int) or ze < 0:
+        if type(ze) is not int or ze < 0:
             raise CliError("z_exponent must be a nonnegative integer")
-        c = parse_coeff(rec.get("coeff", "1"))
+        c = rec.get("coeff", "1")
+        if isinstance(c, (bool, float)):
+            raise CliError(
+                f"coefficient {c!r} must be an integer or a string such as \"3/4\""
+            )
+        c = parse_coeff(c)
         exps = [0] * len(vars)
         for i, e in enumerate(ye):
             exps[vars.index(f"y{i+1}")] = e
@@ -103,12 +108,9 @@ def load_spec_file(path: str) -> tuple:
     if not isinstance(options.get("normalize", True), bool):
         raise CliError("options.normalize must be a boolean")
     bound = options.get("enum_order_bound", ENUM_ORDER_BOUND)
-    if type(bound) is not int or bound < 1:  # bool is an int subclass
+    if type(bound) is not int or bound < 1:
         raise CliError("options.enum_order_bound must be a positive integer")
-    try:
-        spec = make_variety(weights, x_present, P)
-    except SpecError as exc:
-        raise CliError(str(exc))
+    spec = make_variety(weights, x_present, P)
     if spec.d < 2:
         raise CliError("z-degree must be at least 2")
     return spec, options
@@ -128,6 +130,15 @@ def prepare(path: str, args) -> tuple:
         raise CliError(f"unsupported presentation: {spec.regime_note}", code=2)
     bound = args.max_enum_order or options.get("enum_order_bound", ENUM_ORDER_BOUND)
     return raw, spec, bound
+
+
+def _emit(args, payload: dict, text) -> int:
+    """A subcommand's one exit: payload under --json, else text (a list is lines)."""
+    if args.json:
+        emit_json(payload)
+    else:
+        print("\n".join(text) if isinstance(text, list) else text)
+    return 0
 
 
 def emit_json(payload: dict) -> None:
@@ -231,33 +242,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_exp(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
-    try:
-        names = {tok[1] for tok in _tokenize(args.h) if isinstance(tok, tuple)}
-        h = parse_poly(args.h, spec.vars + tuple(sorted(names - set(spec.vars))))
-    except ValueError as exc:
-        raise CliError(str(exc))
-    try:
-        gm = exp_replica(spec, h)  # verified at construction
-    except (ValueError, SpecError) as exc:
-        raise CliError(str(exc))
-    payload = {
-        "images": {name: poly_str(gm.images[name]) for name in spec.vars},
-        "inverse_images": {
-            name: poly_str(gm.inverse_images[name]) for name in spec.vars
-        },
-        "warnings": _exp_warnings(spec),
-    }
-    if args.json:
-        emit_json(payload)
-        return 0
-    for name in spec.vars:
-        print(f"{name} -> {payload['images'][name]}")
-    print("inverse:")
-    for name in spec.vars:
-        print(f"{name} -> {payload['inverse_images'][name]}")
-    for w in payload["warnings"]:
-        print(f"warning: {w}")
-    return 0
+    names = {tok[1] for tok in _tokenize(args.h) if isinstance(tok, tuple)}
+    h = parse_poly(args.h, spec.vars + tuple(sorted(names - set(spec.vars))))
+    gm = exp_replica(spec, h)  # verified at construction
+    images = {name: poly_str(gm.images[name]) for name in spec.vars}
+    inverse = {name: poly_str(gm.inverse_images[name]) for name in spec.vars}
+    warnings = _exp_warnings(spec)
+    lines = [f"{name} -> {images[name]}" for name in spec.vars] + ["inverse:"]
+    lines += [f"{name} -> {inverse[name]}" for name in spec.vars]
+    lines += [f"warning: {w}" for w in warnings]
+    payload = {"images": images, "inverse_images": inverse, "warnings": warnings}
+    return _emit(args, payload, lines)
 
 
 def _exp_warnings(spec: VarietySpec) -> list:
@@ -274,13 +269,6 @@ def _exp_warnings(spec: VarietySpec) -> list:
     return []
 
 
-def _parse_in_spec(spec: VarietySpec, text: str) -> MultiPoly:
-    try:
-        return parse_poly(text, spec.vars)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def _find_element(elements: list, name: str):
     """The (sigma, scalars) element named by its report id e<i> or its signature."""
     if name[:1] == "e" and name[1:].isdecimal():
@@ -295,7 +283,7 @@ def _find_element(elements: list, name: str):
 
 def cmd_apply(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
-    f = _parse_in_spec(spec, args.poly)
+    f = parse_poly(args.poly, spec.vars)
     if args.element:
         if spec.regime == REGIME_DANIELEWSKI:
             G = canonical_group(spec, bound)
@@ -326,46 +314,28 @@ def cmd_apply(args) -> int:
         for name in spec.vars:
             if name not in mapping:
                 raise CliError(f"--map is missing an image for {name}")
-            images[name] = _parse_in_spec(spec, mapping[name])
+            images[name] = parse_poly(mapping[name], spec.vars)
         gm = GeneratorMap(spec, images, validate=False)
         if not verify_automorphism(spec, gm):
             raise CliError("the supplied map is not a verified automorphism")
     else:
         raise CliError("one of --element or --map is required")
-    result = gm.apply_to(f)
-    if args.json:
-        emit_json({"result": poly_str(result)})
-    else:
-        print(poly_str(result))
-    return 0
+    result = poly_str(gm.apply_to(f))
+    return _emit(args, {"result": result}, result)
 
 
 def cmd_degree(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
-    f = _parse_in_spec(spec, args.poly)
-    try:
-        deg = tilde_degree(f, spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if args.json:
-        emit_json({"degree": deg})
-    else:
-        print(deg)
-    return 0
+    f = parse_poly(args.poly, spec.vars)
+    deg = tilde_degree(f, spec)
+    return _emit(args, {"degree": deg}, deg)
 
 
 def cmd_gr(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
-    f = _parse_in_spec(spec, args.poly)
-    try:
-        lead = gr_leading_form(f, spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if args.json:
-        emit_json({"leading_form": poly_str(lead)})
-    else:
-        print(poly_str(lead))
-    return 0
+    f = parse_poly(args.poly, spec.vars)
+    lead = poly_str(gr_leading_form(f, spec))
+    return _emit(args, {"leading_form": lead}, lead)
 
 
 def cmd_irreducible(args) -> int:
@@ -377,29 +347,19 @@ def cmd_irreducible(args) -> int:
         "Q": poly_str(irr.Q) if irr.Q is not None else None,
         "note": irr.note,
     }
-    if args.json:
-        emit_json(payload)
+    if irr.reducible:
+        text = f"reducible: l={irr.l}, Q = {payload['Q']}"
     else:
-        if irr.reducible:
-            print(f"reducible: l={irr.l}, Q = {payload['Q']}")
-        else:
-            print(f"irreducible ({irr.note})")
-    return 0
+        text = f"irreducible ({irr.note})"
+    return _emit(args, payload, text)
 
 
 def cmd_genus(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
     if spec.m != 1 or spec.x_present:
         raise CliError("genus needs a curve presentation y1^k = P(z)")
-    try:
-        g = genus(spec.weights[0], spec.P().embed(("z",)))
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if args.json:
-        emit_json({"genus": g})
-    else:
-        print(g)
-    return 0
+    g = genus(spec.weights[0], spec.P().embed(("z",)))
+    return _emit(args, {"genus": g}, g)
 
 
 def _positive_int(text: str) -> int:
@@ -477,7 +437,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except SpecError as exc:
+    except ValueError as exc:  # every library error (SpecError is one) ends here
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

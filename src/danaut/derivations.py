@@ -14,13 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .poly import MultiPoly, _sum, derivative, divide_by_monomial, substitute
+from .poly import (
+    MultiPoly,
+    _sum,
+    derivative,
+    divide_by_monomial,
+    reduce_by_rule,
+    substitute,
+)
 from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_ONE_UNIT,
     SpecError,
     VarietySpec,
-    ideal_member,
+    _reduction_rule,
     normal_form,
 )
 
@@ -51,9 +58,6 @@ class Derivation:
             raise ValueError(
                 "derivation does not annihilate the defining relation modulo the ideal"
             )
-
-    def is_zero(self) -> bool:
-        return all(g.is_zero() for g in self.images.values())
 
 
 def apply_derivation(der: Derivation, f: MultiPoly) -> MultiPoly:
@@ -164,28 +168,23 @@ def automorphism_defect(
 
     The map must send the defining polynomial into its ideal and, when
     inverse images are given, both compositions must fix every generator
-    modulo the ideal.  With a unit-weight variable every substitution is
-    reduced to normal form as it is built (normal form is a ring map onto
-    the quotient, so this decides the same membership as full expansion);
-    otherwise membership is decided by division by the relation.
+    modulo the ideal.  Every substitution is reduced by the relation's
+    rewriting rule as it is built.  The result is the unique representative
+    of its class (P is monic in z), so it is zero exactly when the fully
+    expanded substitution lies in the ideal.
     """
-    reduce = None
-    if spec.x_role is not None:
-        reduce = lambda g: normal_form(g, spec)  # noqa: E731
-
-    def in_ideal(f: MultiPoly) -> bool:
-        # a reduced substitution is a normal form, which is unique
-        return f.is_zero() if reduce is not None else ideal_member(f, spec)
+    def reduce(g: MultiPoly) -> MultiPoly:
+        return reduce_by_rule(g, *_reduction_rule(spec, g.vars))
 
     image = substitute(spec.defining_polynomial(), images, reduce)
-    if not in_ideal(image):
+    if not image.is_zero():
         return "map does not preserve the defining ideal"
     if inverse_images is not None:
         for name in spec.vars:
             v = MultiPoly.variable(image.vars, name)
             fwd = substitute(images[name], inverse_images, reduce) - v
             bwd = substitute(inverse_images[name], images, reduce) - v
-            if not in_ideal(fwd) or not in_ideal(bwd):
+            if not fwd.is_zero() or not bwd.is_zero():
                 return "supplied inverse is not a two-sided inverse"
     return None
 

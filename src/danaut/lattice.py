@@ -420,11 +420,6 @@ class TorusSolutionSet:
     def is_finite(self) -> bool:
         return self.consistent and self.structure.is_finite()
 
-    def order(self) -> Optional[int]:
-        if not self.consistent:
-            return 0
-        return self.structure.order()
-
     def enumerate_solutions(self, limit: int = 512) -> Optional[list]:
         """All solutions as scalar tuples, when finite, small, and explicit."""
         if not self.is_finite() or self.particular is None:

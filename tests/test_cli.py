@@ -96,6 +96,97 @@ def test_parse_error_exit_one(tmp_path):
         assert err.startswith("error:")
 
 
+def _presentation(weights, terms, x_present=False):
+    """A presentation file object from (y_exponents, z_exponent, coeff) terms."""
+    return {
+        "weights": weights,
+        "x_present": x_present,
+        "P": [{"y_exponents": ye, "z_exponent": ze, "coeff": c} for ye, ze, c in terms],
+    }
+
+
+_NOT_EXACT = 'must be an integer or a string such as "3/4"'
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        # a JSON float goes through a Python float before anything sees it
+        ('{"weights": [2, 2], "P": [{"y_exponents": [0, 0], "z_exponent": 3, "coeff": "1"},'
+         ' {"y_exponents": [0, 0], "z_exponent": 0, "coeff": 123456789012345678901234567890.5}]}',
+         f"coefficient 1.2345678901234568e+29 {_NOT_EXACT}"),
+        ('{"weights": [2, 3], "P": [{"y_exponents": [0, 0], "z_exponent": 5, "coeff": 1.0},'
+         ' {"y_exponents": [0, 0], "z_exponent": 0}]}',
+         f"coefficient 1.0 {_NOT_EXACT}"),
+        ('{"weights": [2, 3], "P": [{"y_exponents": [0, 0], "z_exponent": 5, "coeff": 2e3}]}',
+         f"coefficient 2000.0 {_NOT_EXACT}"),
+        ('{"weights": [2, 3], "P": [{"y_exponents": [0, 0], "z_exponent": 5, "coeff": true}]}',
+         f"coefficient True {_NOT_EXACT}"),
+        # JSON true and false are no integers, though Python's bool is an int
+        ('{"weights": [2, true], "P": [{"y_exponents": [0, 0], "z_exponent": 3}]}',
+         "weights must be a list of positive integers"),
+        ('{"weights": [2, 3], "P": [{"y_exponents": [true, 0], "z_exponent": 3}]}',
+         "y_exponents must list 2 nonnegative integers (one per weight)"),
+        ('{"weights": [2, 3], "P": [{"y_exponents": [0, false], "z_exponent": 3}]}',
+         "y_exponents must list 2 nonnegative integers (one per weight)"),
+        ('{"weights": [2, 3], "P": [{"y_exponents": [0, 0], "z_exponent": true}]}',
+         "z_exponent must be a nonnegative integer"),
+    ],
+)
+def test_json_floats_and_booleans_rejected(raw, line, tmp_path, capsys):
+    f = tmp_path / "inexact.json"
+    f.write_text(raw)
+    for argv in (["analyze", str(f)], ["irreducible", str(f), "--json"]):
+        assert _main_in_process(argv, capsys) == (1, "", f"error: {line}\n")
+
+
+def test_exact_coefficient_forms_accepted(tmp_path, capsys):
+    """Integers, "num/den" and decimal strings stay exact."""
+    f = tmp_path / "exact.json"
+    terms = [([0, 0], 5, 1), ([0, 0], 2, "3/4"), ([0, 0], 1, "0.25"), ([0, 0], 0, -7)]
+    f.write_text(json.dumps(_presentation([2, 3], terms)))
+    code, out, err = _main_in_process(["analyze", str(f)], capsys)
+    assert code == 0, err
+    assert "equation: y1^2*y2^3 = z^5 + 3/4*z^2 + 1/4*z - 7\n" in out
+
+
+_IDENT = {"x": "x", "y1": "y1", "y2": "y2", "z": "z"}
+_WRITTEN = {
+    "curve_sq.json": _presentation([2], [([0], 4, "1"), ([0], 2, "-2"), ([0], 0, "1")]),
+    "non_monic.json": _presentation([2, 2], [([0, 0], 2, "2"), ([0, 0], 0, "1")]),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["exp", "s7_e2.json", "((y1"], "unexpected end of polynomial expression"),
+        (["exp", "s7_e4.json", "h*z"], "h must lie in the kernel; it depends on 'z'"),
+        (["exp", "s5_y14y22.json", "y1"], "no canonical derivation in this regime"),
+        (["degree", "s7_e4.json", "0"], "the zero class has no degree (sentinel -infinity)"),
+        (["gr", "s7_e4.json", "3*(x*y1^2*y2^2 - z^3 - z - y1 + y2)"],
+         "the zero class has no leading form"),
+        (["degree", "s5_y14y22.json", "y1"],
+         "normal form needs a regime with a unit-weight variable"),
+        (["genus", "curve_sq.json"], "P has a multiple root"),
+        (["apply", "s7_e4.json", "y1*z", "--map", json.dumps({**_IDENT, "x": "((z"})],
+         "unexpected end of polynomial expression"),
+        (["analyze", "non_monic.json"],
+         "P must be monic in z (leading z-term with coefficient 1 and no y part)"),
+    ],
+)
+def test_library_errors_exit_one_with_their_message(argv, line, tmp_path, capsys):
+    """A library ValueError (SpecError is one) becomes one error line and exit 1 in main."""
+    spec = argv[1]
+    if spec in _WRITTEN:
+        (tmp_path / spec).write_text(json.dumps(_WRITTEN[spec]))
+        argv = [argv[0], str(tmp_path / spec), *argv[2:]]
+    else:
+        argv = [argv[0], fixture_path(spec), *argv[2:]]
+    for extra in ([], ["--json"]):
+        assert _main_in_process(argv + extra, capsys) == (1, "", f"error: {line}\n")
+
+
 def test_unreadable_file_exit_one():
     code, _, err = run_cli("analyze", "/nonexistent/path.json")
     assert code == 1 and "cannot read" in err
@@ -477,10 +568,10 @@ def test_options_are_validated(tmp_path, capsys):
 
 
 def test_map_goldens_stable(capsys):
-    """exp and apply --element outputs, byte for byte (see golden/maps/calls.json)."""
+    """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 9
+    assert len(calls) == 24
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)

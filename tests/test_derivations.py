@@ -19,6 +19,7 @@ from danaut import (
     group_element_map,
     gr_leading_form,
     homogeneous_decompose,
+    ideal_member,
     make_variety,
     nilpotency_index,
     normal_form,
@@ -28,6 +29,8 @@ from danaut import (
     verify_automorphism,
 )
 from danaut.autgroup import _element_images
+from danaut.derivations import automorphism_defect
+from danaut.varieties import REGIME_ALL_GE2
 from conftest import load_fixture, random_kernel_poly, random_quotient_element, variety
 
 
@@ -298,6 +301,69 @@ def test_reduced_substitution_matches_full_expansion(case):
     defining = spec.defining_polynomial().embed(g.vars)
     for f in (g, defining):
         assert substitute(f, images, nf) == nf(substitute(f, images))
+
+
+@st.composite
+def _suspension_monomial_map(draw):
+    """y^k = P(z) with all weights >= 2, a monomial map, and an inverse or None.
+
+    The map is a signed weight-preserving permutation (an automorphism for
+    some signs) or random scalar-times-monomial images (rarely one); the
+    inverse is the true one, that one with z negated, the map itself, or
+    absent.
+    """
+    weights = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    d = draw(st.integers(2, 4))
+    lower = [f"({draw(_coeffs)})*z^{i}" for i in range(d - 1)]
+    spec = variety(weights, False, " + ".join([f"z^{d}"] + lower))
+    ctx = spec.vars
+    ys = [f"y{i+1}" for i in range(spec.m)]
+
+    def var(name, c):
+        return MultiPoly.variable(ctx, name) * Fraction(c)
+
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(spec.m)))
+        assume(all(weights[i] == weights[j] for i, j in enumerate(perm)))
+        n = spec.m + 1
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        images = {ys[i]: var(ys[j], signs[i]) for i, j in enumerate(perm)}
+        inverse = {ys[j]: var(ys[i], signs[i]) for i, j in enumerate(perm)}
+        images["z"] = inverse["z"] = var("z", signs[-1])
+    else:
+        nonzero = _coeffs.filter(bool)
+        images = {
+            name: MultiPoly(ctx, {tuple(draw(st.integers(0, 2)) for _ in ctx): draw(nonzero)})
+            for name in ctx
+        }
+        inverse = images
+    wrong = {**inverse, "z": -inverse["z"]}
+    inverse = draw(st.sampled_from([None, inverse, wrong, images]))
+    return spec, images, inverse
+
+
+def _defect_by_full_expansion(spec, images, inverse):
+    """automorphism_defect's answer from unreduced substitutions and ideal_member."""
+    if not ideal_member(substitute(spec.defining_polynomial(), images), spec):
+        return "map does not preserve the defining ideal"
+    for name in spec.vars if inverse is not None else ():
+        v = MultiPoly.variable(spec.vars, name)
+        fwd = substitute(images[name], inverse) - v
+        bwd = substitute(inverse[name], images) - v
+        if not ideal_member(fwd, spec) or not ideal_member(bwd, spec):
+            return "supplied inverse is not a two-sided inverse"
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_suspension_monomial_map())
+def test_suspension_defect_matches_full_expansion(case):
+    """Reducing by the z^d rule while substituting decides membership exactly."""
+    spec, images, inverse = case
+    assert spec.regime == REGIME_ALL_GE2
+    assert automorphism_defect(spec, images, inverse) == _defect_by_full_expansion(
+        spec, images, inverse
+    )
 
 
 # -- one Taylor series for exp(+-hD) -------------------------------------------
