@@ -27,6 +27,7 @@ from .poly import MultiPoly, _tokenize, parse_poly, poly_str
 from .report import build_report, degenerate_report, element_signature
 from .varieties import (
     REGIME_DANIELEWSKI,
+    REGIME_DEGENERATE,
     REGIME_UNSUPPORTED,
     VarietySpec,
     irreducibility,
@@ -190,7 +191,7 @@ def _json_chunks(x, newline: str, out: list) -> None:
 
 def cmd_analyze(args) -> int:
     raw, spec, bound = prepare(args.spec, args)
-    if spec.regime == "Degenerate":
+    if spec.regime == REGIME_DEGENERATE:
         report = degenerate_report(raw, spec)
     else:
         aut = aut_structure(spec, enum_order_bound=bound)
@@ -198,7 +199,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         emit_json(report)
         return 0
-    if spec.regime == "Degenerate":
+    if spec.regime == REGIME_DEGENERATE:
         print(f"regime: {report['regime']}")
         print(f"equation: {report['normalized_equation']}")
         print(f"Aut structure: {report['structure_pretty']}")

@@ -19,7 +19,6 @@ from .poly import (
     _sum,
     derivative,
     divide_by_monomial,
-    reduce_by_rule,
     substitute,
 )
 from .varieties import (
@@ -27,7 +26,6 @@ from .varieties import (
     REGIME_ONE_UNIT,
     SpecError,
     VarietySpec,
-    _reduction_rule,
     normal_form,
 )
 
@@ -168,13 +166,13 @@ def automorphism_defect(
 
     The map must send the defining polynomial into its ideal and, when
     inverse images are given, both compositions must fix every generator
-    modulo the ideal.  Every substitution is reduced by the relation's
-    rewriting rule as it is built.  The result is the unique representative
-    of its class (P is monic in z), so it is zero exactly when the fully
-    expanded substitution lies in the ideal.
+    modulo the ideal.  Every substitution is reduced to normal form as it
+    is built.  The result is the unique representative of its class (P is
+    monic in z), so it is zero exactly when the fully expanded substitution
+    lies in the ideal.
     """
     def reduce(g: MultiPoly) -> MultiPoly:
-        return reduce_by_rule(g, *_reduction_rule(spec, g.vars))
+        return normal_form(g, spec)
 
     image = substitute(spec.defining_polynomial(), images, reduce)
     if not image.is_zero():
@@ -259,16 +257,20 @@ def homogeneous_decompose(
 
 def tilde_degree(f: MultiPoly, spec: VarietySpec) -> int:
     """Nilpotency filtration degree: y's weigh 0, z weighs 1, x weighs d."""
+    _require_filtration(spec)
     nf = normal_form(f, spec)
     if nf.is_zero():
         raise ValueError("the zero class has no degree (sentinel -infinity)")
     return max(_filtration_weight(e, nf.vars, spec) for e in nf.terms)
 
 
+def _require_filtration(spec: VarietySpec) -> None:
+    if spec.x_role is None:
+        raise SpecError("filtration degree needs the canonical derivation")
+
+
 def _filtration_weight(exps, ctx, spec: VarietySpec) -> int:
     x_role = spec.x_role
-    if x_role is None:
-        raise SpecError("filtration degree needs the canonical derivation")
     w = 0
     for e, name in zip(exps, ctx):
         if e == 0:
@@ -282,6 +284,7 @@ def _filtration_weight(exps, ctx, spec: VarietySpec) -> int:
 
 def gr_leading_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     """Top filtration part of f, i.e. its image in the associated graded ring."""
+    _require_filtration(spec)
     nf = normal_form(f, spec)
     if nf.is_zero():
         raise ValueError("the zero class has no leading form")

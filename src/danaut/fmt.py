@@ -26,7 +26,7 @@ def scalar_str(x) -> str:
         return "(" + " + ".join(
             f"{c}*zeta{x.order}^{j}" for j, c in enumerate(x.coords) if c
         ) + ")"
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def scalar_json(x) -> dict:

@@ -1,14 +1,14 @@
 """Sparse exact multivariate polynomials over Q and cyclotomic extensions.
 
 A polynomial carries a fixed variable context (an ordered tuple of names)
-and a dict keyed by exponent tuples.  A rational polynomial is stored as
-integer numerators over one positive common denominator, the numerators
-sharing no factor with it (as in FLINT's fmpq_poly), so sums, products and
-rewriting run on ints with one gcd per result.  A polynomial with a
-cyclotomic coefficient keeps a dict of Fraction and CycElem coefficients,
-canonical (rational-valued cyclotomics are demoted).  Zero coefficients are
-never stored, so equal polynomials compare equal.  ``terms`` reads either
-kind as {exponents: Fraction | CycElem}.
+and one stored form: a dict from exponent tuples to nonzero coefficients
+over one positive common denominator.  When every coefficient is rational
+they are integer numerators sharing no factor with the denominator (as in
+FLINT's fmpq_poly), so sums, products and rewriting run on ints with one
+gcd per result; otherwise they are canonical Fraction and CycElem scalars
+(rational-valued cyclotomics demoted) over 1.  Equal polynomials therefore
+store equal forms.  ``terms`` reads either kind as
+{exponents: Fraction | CycElem}.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from .fmt import scalar_str
 class MultiPoly:
     """Polynomial in a fixed ordered variable context.
 
-    Rational: ``_num`` maps exponents to nonzero ints, ``_den > 0`` with
-    gcd(_den, *numerators) == 1 (``_den == 1`` for zero), and ``_terms``
-    caches the Fraction view once read.  Cyclotomic (some coefficient is a
-    CycElem): ``_num`` and ``_den`` are None and ``_terms`` holds the
-    coefficients.
+    ``_num`` maps exponents to nonzero coefficients over ``_den > 0``: ints
+    with gcd(_den, *_num) == 1 (``_den == 1`` for zero) when all are
+    rational, else Fraction and CycElem scalars with ``_den == 1``.
+    ``_terms`` caches the ``terms`` view once read.
     """
 
     __slots__ = ("vars", "_num", "_den", "_terms")
@@ -46,44 +45,41 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             c = canonical_scalar(c)
-            if not c:
-                continue
-            if exps in clean:
-                c = clean[exps] + c
-                if not c:
-                    del clean[exps]
-                    continue
-            clean[exps] = c
-        self._set(vars, clean)
-
-    def _set(self, vars: tuple, terms: dict) -> None:
-        """Store canonical nonzero coefficients, as numerators when all are rational."""
-        self.vars = vars
-        self._terms = terms
-        if all(type(c) is Fraction for c in terms.values()):
-            # reduced fractions over the lcm of their denominators already
-            # share no factor with it
-            self._den = den = lcm(*(c.denominator for c in terms.values()))
-            self._num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        else:
-            self._num = self._den = None
+            clean[exps] = clean[exps] + c if exps in clean else c
+        clean = {e: c for e, c in clean.items() if c}  # the terms view
+        f = MultiPoly._canonical(vars, clean)
+        self.vars, self._num, self._den, self._terms = vars, f._num, f._den, clean
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _trusted(cls, vars: tuple, terms: dict) -> "MultiPoly":
-        """Wrap terms that are canonical by construction, skipping validation.
-
-        For results of ring operations on validated operands: exponent
-        tuples of the context's length, canonical nonzero coefficients.
-        """
-        f = object.__new__(cls)
-        f._set(vars, terms)
-        return f
+    def _canonical(cls, vars: tuple, num: dict, den: int = 1) -> "MultiPoly":
+        """num / den in the stored form, for int, Fraction or CycElem values
+        (zeros allowed) and a positive int den."""
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
+        try:
+            g = gcd(den, *num.values())
+        except TypeError:  # some value is a Fraction or CycElem
+            if den != 1:
+                s = Fraction(1, den)
+                num = {e: c * s for e, c in num.items()}
+            if any(isinstance(c, CycElem) for c in num.values()):
+                return cls._wrap(vars, {e: canonical_scalar(c) for e, c in num.items()}, 1)
+            # ints and reduced fractions over the lcm of their denominators
+            # share no factor with it
+            den = lcm(*(c.denominator for c in num.values()))
+            return cls._wrap(
+                vars, {e: c.numerator * (den // c.denominator) for e, c in num.items()}, den
+            )
+        if g != 1:  # g == den for zero, which leaves den == 1
+            den //= g
+            num = {e: n // g for e, n in num.items()}
+        return cls._wrap(vars, num, den)
 
     @classmethod
-    def _rational(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":
-        """Wrap numerators and a denominator that already satisfy the invariant."""
+    def _wrap(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":
+        """Wrap coefficients and a denominator that already are in the stored form."""
         f = object.__new__(cls)
         f.vars = vars
         f._num = num
@@ -91,24 +87,9 @@ class MultiPoly:
         f._terms = None
         return f
 
-    @classmethod
-    def _normalized(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":
-        """num / den for any int numerators and a positive den: zeros dropped,
-        the common factor of den and the numerators divided out."""
-        if 0 in num.values():
-            num = {e: n for e, n in num.items() if n}
-        if not num:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {e: n // g for e, n in num.items()}
-        return cls._rational(vars, num, den)
-
     @staticmethod
     def zero(vars: tuple) -> "MultiPoly":
-        return MultiPoly._rational(tuple(vars), {}, 1)
+        return MultiPoly._wrap(tuple(vars), {}, 1)
 
     @staticmethod
     def const(vars: tuple, c) -> "MultiPoly":
@@ -121,7 +102,7 @@ class MultiPoly:
             return MultiPoly.monomial(vars, {name: 1}, 1)  # raises KeyError
         i = vars.index(name)
         exps = (0,) * i + (1,) + (0,) * (len(vars) - i - 1)
-        return MultiPoly._rational(vars, {exps: 1}, 1)
+        return MultiPoly._wrap(vars, {exps: 1}, 1)
 
     @staticmethod
     def monomial(vars: tuple, powers: dict, c=1) -> "MultiPoly":
@@ -138,19 +119,17 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict:
-        """{exponents: Fraction | CycElem}, built once from the numerators."""
+        """{exponents: Fraction | CycElem}, built once from the stored form."""
         t = self._terms
         if t is None:
             d = self._den
-            t = self._terms = {e: Fraction(n, d) for e, n in self._num.items()}
+            t = self._terms = {
+                e: Fraction(n, d) if type(n) is int else n for e, n in self._num.items()
+            }
         return t
 
-    def _support(self) -> dict:
-        """The exponent-keyed dict that is stored: numerators, or the terms."""
-        return self._terms if self._num is None else self._num
-
     def is_zero(self) -> bool:
-        return not self._support()
+        return not self._num
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
@@ -158,9 +137,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ctx(other)
-        if self._num is not None and other._num is not None:
-            return self._den == other._den and self._num == other._num
-        return (self - other).is_zero()
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 
@@ -173,20 +150,20 @@ class MultiPoly:
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self._support())
+        return max(sum(e) for e in self._num)
 
     def degree_in(self, name: str) -> int:
         if self.is_zero():
             return -1
         i = self.vars.index(name)
-        return max(e[i] for e in self._support())
+        return max(e[i] for e in self._num)
 
     def depends_on(self, name: str) -> bool:
         i = self.vars.index(name)
-        return any(e[i] for e in self._support())
+        return any(e[i] for e in self._num)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._support())
+        return all(sum(e) == 0 for e in self._num)
 
     # -- ring operations --------------------------------------------------
 
@@ -207,11 +184,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._num is not None:
-            return MultiPoly._rational(
-                self.vars, {e: -n for e, n in self._num.items()}, self._den
-            )
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._wrap(self.vars, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycElem)):
@@ -228,25 +201,16 @@ class MultiPoly:
             other = canonical_scalar(other)
             if not other:
                 return MultiPoly.zero(self.vars)
-            if self._num is not None and type(other) is Fraction:
-                p = other.numerator
-                return MultiPoly._normalized(
-                    self.vars,
-                    {e: n * p for e, n in self._num.items()},
-                    self._den * other.denominator,
-                )
-            # a product of nonzero field elements is nonzero and canonical
-            return MultiPoly._trusted(
-                self.vars, {e: c * other for e, c in self.terms.items()}
+            p, q = (other, 1) if isinstance(other, CycElem) else other.as_integer_ratio()
+            return MultiPoly._canonical(
+                self.vars, {e: n * p for e, n in self._num.items()}, self._den * q
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ctx(other)
-        if self._num is not None and other._num is not None:
-            return MultiPoly._normalized(
-                self.vars, _convolve(self._num, other._num, {}), self._den * other._den
-            )
-        return MultiPoly(self.vars, _convolve(self.terms, other.terms, {}))
+        return MultiPoly._canonical(
+            self.vars, _convolve(self._num, other._num, {}), self._den * other._den
+        )
 
     __rmul__ = __mul__
 
@@ -280,15 +244,13 @@ class MultiPoly:
             else:
                 pos.append(new_vars.index(name))
         out: dict = {}
-        for exps, c in self._support().items():
+        for exps, c in self._num.items():
             new = [0] * len(new_vars)
             for i, e in enumerate(exps):
                 if e:
                     new[pos[i]] = e
             out[tuple(new)] = c  # only absent variables drop: no collisions
-        if self._num is None:
-            return MultiPoly._trusted(new_vars, out)
-        return MultiPoly._rational(new_vars, out, self._den)
+        return MultiPoly._wrap(new_vars, out, self._den)
 
     # -- presentation -------------------------------------------------------
 
@@ -314,30 +276,24 @@ def _convolve(a: dict, b: dict, out: dict) -> dict:
 
 
 def _sum(vars: tuple, polys) -> MultiPoly:
-    """Sum of polynomials in one context; rational ones over the lcm of their
-    denominators, so each numerator is scaled once and one gcd normalizes."""
+    """Sum of polynomials in one context over the lcm of their denominators,
+    so each coefficient is scaled once and one gcd normalizes."""
     if not polys:
-        return MultiPoly._rational(vars, {}, 1)
-    if all(p._num is not None for p in polys):
-        den = lcm(*(p._den for p in polys))
-        first, *rest = polys
-        s = den // first._den
-        out = {e: n * s for e, n in first._num.items()} if s != 1 else dict(first._num)
-        for p in rest:
-            s = den // p._den
-            for e, n in p._num.items():
-                if s != 1:
-                    n *= s
-                if e in out:
-                    out[e] += n
-                else:
-                    out[e] = n
-        return MultiPoly._normalized(vars, out, den)
-    out = {}
-    for p in polys:
-        for e, c in p.terms.items():
-            out[e] = out[e] + c if e in out else c
-    return MultiPoly._trusted(vars, {e: c for e, c in out.items() if c})
+        return MultiPoly._wrap(vars, {}, 1)
+    den = lcm(*(p._den for p in polys))
+    first, *rest = polys
+    s = den // first._den
+    out = {e: n * s for e, n in first._num.items()} if s != 1 else dict(first._num)
+    for p in rest:
+        s = den // p._den
+        for e, n in p._num.items():
+            if s != 1:
+                n *= s
+            if e in out:
+                out[e] += n
+            else:
+                out[e] = n
+    return MultiPoly._canonical(vars, out, den)
 
 
 def substitute(
@@ -368,51 +324,37 @@ def substitute(
         ctx = f.vars
     # folded: (index in f.vars, nonzero image exponents, image); rest: indices
     folded, rest = [], []
-    occurs = [any(col) for col in zip(*f._support())]
+    occurs = [any(col) for col in zip(*f._num)]
     for i, name in enumerate(f.vars):
         if not (occurs and occurs[i]):
             continue
         if name not in images:
             raise ValueError(f"no image supplied for occurring variable {name!r}")
         g = images[name]
-        if len(g._support()) == 1:
-            (e,) = g._support()
+        if len(g._num) == 1:
+            (e,) = g._num
             folded.append((i, [(j, a) for j, a in enumerate(e) if a], g))
         else:
             rest.append(i)
 
-    if f._num is not None and all(g._num is not None for _, _, g in folded):
-        # integer numerators over den = f's denominator times b^K for each
-        # folded scalar a/b, K the top power of its variable in f; a term
-        # with power k of that variable is scaled by a^k * b^(K - k)
-        coeffs, den = f._num, f._den
-        tops = {}
-        for i, _, g in folded:
-            if g._den != 1:
-                tops[i] = f.degree_in(f.vars[i])
-                den *= g._den ** tops[i]
+    # coefficients over den = f's denominator times b^K for each folded
+    # image a/b * monomial, K the top power of its variable in f; a term
+    # with power k of that variable is scaled by a^k * b^(K - k)
+    den = f._den
+    tops = {}
+    for i, _, g in folded:
+        if g._den != 1:
+            tops[i] = f.degree_in(f.vars[i])
+            den *= g._den ** tops[i]
 
-        def scale(i, g, k):
-            (a,) = g._num.values()
-            return a**k * g._den ** (tops[i] - k) if i in tops else a**k
-
-        def group_poly(group):
-            return MultiPoly._normalized(ctx, group, den)
-
-    else:
-        coeffs = f.terms
-
-        def scale(i, g, k):
-            (s,) = g.terms.values()
-            return s**k
-
-        def group_poly(group):
-            return MultiPoly._trusted(ctx, {e: c for e, c in group.items() if c})
+    def scale(i, g, k):
+        (a,) = g._num.values()
+        return a**k * g._den ** (tops[i] - k) if i in tops else a**k
 
     # rest exponents -> {folded exponents: coefficient}
     groups: dict = {}
     scalings: dict = {}  # (index, k) -> scale(index, image, k)
-    for exps, c in coeffs.items():
+    for exps, c in f._num.items():
         new = [0] * len(ctx)
         for i, support, g in folded:
             k = exps[i]
@@ -440,7 +382,7 @@ def substitute(
 
     parts = []
     for rest_exps, group in groups.items():
-        term = group_poly(group)
+        term = MultiPoly._canonical(ctx, group, den)
         for i, k in zip(rest, rest_exps):
             if k:
                 term = term * power(i, k)
@@ -462,28 +404,21 @@ def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPo
     support = [(i, b) for i, b in enumerate(lead) if b]
     current = f
     while True:
-        rational = current._num is not None and replacement._num is not None
         rest, quotient = {}, {}
-        for e, c in (current._num if rational else current.terms).items():
+        for e, c in current._num.items():
             if all(e[i] >= b for i, b in support):
                 quotient[tuple(a - b for a, b in zip(e, lead))] = c
             else:
                 rest[e] = c
         if not quotient:
             return current
-        if rational:
-            # rest + quotient * replacement over current._den * rd, one gcd
-            rd = replacement._den
-            if rd != 1:
-                rest = {e: n * rd for e, n in rest.items()}
-            current = MultiPoly._normalized(
-                f.vars, _convolve(quotient, replacement._num, rest), current._den * rd
-            )
-        else:
-            # both parts keep the canonical coefficients of a validated polynomial
-            current = MultiPoly._trusted(f.vars, rest) + MultiPoly._trusted(
-                f.vars, quotient
-            ) * replacement
+        # rest + quotient * replacement over current._den * rd, one gcd
+        rd = replacement._den
+        if rd != 1:
+            rest = {e: n * rd for e, n in rest.items()}
+        current = MultiPoly._canonical(
+            f.vars, _convolve(quotient, replacement._num, rest), current._den * rd
+        )
 
 
 # -- univariate helpers ----------------------------------------------------
@@ -516,13 +451,11 @@ def from_univar(vars: tuple, name: str, coeffs: Iterable) -> MultiPoly:
 def derivative(f: MultiPoly, name: str) -> MultiPoly:
     i = f.vars.index(name)
     out = {}
-    for exps, c in f._support().items():
+    for exps, c in f._num.items():
         e = exps[i]
         if e:  # lowering exponent i is injective: no two terms collide
             out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-    if f._num is None:
-        return MultiPoly._trusted(f.vars, out)
-    return MultiPoly._normalized(f.vars, out, f._den)
+    return MultiPoly._canonical(f.vars, out, f._den)
 
 
 def divide_by_monomial(f: MultiPoly, m: MultiPoly) -> MultiPoly:
@@ -532,14 +465,12 @@ def divide_by_monomial(f: MultiPoly, m: MultiPoly) -> MultiPoly:
         raise ValueError("divisor must be a monic monomial")
     (lead,) = m.terms
     out = {}
-    for exps, c in f._support().items():
+    for exps, c in f._num.items():
         q = tuple(a - b for a, b in zip(exps, lead))
         if any(e < 0 for e in q):
             raise AssertionError("polynomial not divisible by the monomial")
         out[q] = c  # shifting every exponent by lead is injective
-    if f._num is None:
-        return MultiPoly._trusted(f.vars, out)
-    return MultiPoly._rational(f.vars, out, f._den)
+    return MultiPoly._wrap(f.vars, out, f._den)
 
 
 def univar_gcd(f: MultiPoly, g: MultiPoly, name: str = "z") -> MultiPoly:
@@ -650,7 +581,7 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
         if isinstance(v, MultiPoly):
             return v
         c, e = v
-        return MultiPoly._normalized(vars, {e: c.numerator}, c.denominator)
+        return MultiPoly._canonical(vars, {e: c.numerator}, c.denominator)
 
     def neg(v):
         return -v if isinstance(v, MultiPoly) else (-v[0], v[1])
@@ -750,14 +681,12 @@ def poly_str(f: MultiPoly) -> str:
         mono = "*".join(factors)
         if not mono:
             text = scalar_str(c)
-        elif isinstance(c, CycElem):
-            text = f"{scalar_str(c)}*{mono}"
         elif c == 1:
             text = mono
         elif c == -1:
             text = f"-{mono}"
         else:
-            text = f"{c}*{mono}"
+            text = f"{scalar_str(c)}*{mono}"
         parts.append(text)
     out = parts[0]
     for p in parts[1:]:

@@ -182,13 +182,7 @@ def _classify(weights, x_present, d, constant_s, m):
     units = [i for i, k in enumerate(weights) if k == 1]
     if d < 2:
         return REGIME_UNSUPPORTED, "z-degree must be at least 2", None
-    if x_present and units:
-        return (
-            REGIME_UNSUPPORTED,
-            "two unit weights: outside the structure theorems",
-            None,
-        )
-    if not x_present and len(units) >= 2:
+    if len(units) + x_present >= 2:
         return (
             REGIME_UNSUPPORTED,
             "two unit weights: outside the structure theorems",
@@ -260,19 +254,16 @@ def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
 def normal_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     """Unique representative modulo the defining relation.
 
-    Rewrites every monomial divisible by the lead monomial (x times the
-    weight monomial) by the corresponding multiple of P; requires a regime
-    carrying a unit-weight variable so the rule terminates on its degree.
+    Rewrites every monomial divisible by the lead monomial of
+    ``_reduction_rule`` by the corresponding multiple of its replacement.
+    P is monic in z, so the representative is unique in every regime.
     """
-    if spec.x_role is None:
-        raise SpecError("normal form needs a regime with a unit-weight variable")
     return reduce_by_rule(f, *_reduction_rule(spec, f.vars))
 
 
 def ideal_member(f: MultiPoly, spec: VarietySpec) -> bool:
     """Whether f lies in the principal ideal of the defining polynomial."""
-    # with no unit variable the rule divides by the relation's z^d lead term
-    return reduce_by_rule(f, *_reduction_rule(spec, f.vars)).is_zero()
+    return normal_form(f, spec).is_zero()
 
 
 # -- irreducibility -----------------------------------------------------------

@@ -167,7 +167,7 @@ _WRITTEN = {
         (["gr", "s7_e4.json", "3*(x*y1^2*y2^2 - z^3 - z - y1 + y2)"],
          "the zero class has no leading form"),
         (["degree", "s5_y14y22.json", "y1"],
-         "normal form needs a regime with a unit-weight variable"),
+         "filtration degree needs the canonical derivation"),
         (["genus", "curve_sq.json"], "P has a multiple root"),
         (["apply", "s7_e4.json", "y1*z", "--map", json.dumps({**_IDENT, "x": "((z"})],
          "unexpected end of polynomial expression"),
@@ -571,7 +571,7 @@ def test_map_goldens_stable(capsys):
     """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 24
+    assert len(calls) == 26
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)
@@ -598,19 +598,19 @@ def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
         return original(n)
 
     built = []
-    init, trusted = MultiPoly.__init__, MultiPoly._trusted.__func__
+    init, canonical = MultiPoly.__init__, MultiPoly._canonical.__func__
 
     def counting_init(self, vars, terms):
         built.append(1)
         init(self, vars, terms)
 
-    def counting_trusted(cls, vars, terms):
+    def counting_canonical(cls, vars, num, den=1):
         built.append(1)
-        return trusted(cls, vars, terms)
+        return canonical(cls, vars, num, den)
 
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", recording)
     monkeypatch.setattr(MultiPoly, "__init__", counting_init)
-    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(MultiPoly, "_canonical", classmethod(counting_canonical))
     name = "large/susp_z2000"
     code, out, err = _main_in_process(
         ["analyze", fixture_path(f"{name}.json"), "--json"], capsys

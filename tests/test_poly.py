@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from danaut import (
     CycElem,
     MultiPoly,
-    SpecError,
     as_univar,
     derivative,
     from_univar,
@@ -273,10 +272,21 @@ def test_normal_form_properties():
             )
 
 
-def test_normal_form_requires_unit_regime():
+def test_normal_form_without_unit_regime_rewrites_z_power():
+    """With no unit weight the z^d rule gives the representative of z-degree < d."""
     Y = variety([2, 3], False, "z^4+1")
-    with pytest.raises(SpecError):
-        normal_form(parse_poly("z^4", Y.vars), Y)
+    y1, y2, z = _SYMS
+    relation = y1**2 * y2**3 - z**4 - 1
+    rng = random.Random(13)
+    for _ in range(20):
+        f = random_poly(rng, Y.vars, max_deg=7, nterms=4)
+        nf = normal_form(f, Y)
+        assert nf.degree_in("z") < 4
+        assert normal_form(nf, Y) == nf
+        # a single generator is a Groebner basis: f - nf is in the ideal
+        # exactly when dividing it by the relation leaves no remainder
+        assert sympy.rem(_to_sympy(f - nf), relation, *_SYMS) == 0
+    assert normal_form(P("z^4"), Y) == P("y1^2*y2^3 - 1")
 
 
 def test_parse_and_print_roundtrip():
@@ -379,7 +389,7 @@ _REF_WIDE = ("t", "z", "y1", "x")  # embed target: reordered, with an extra vari
 
 
 def _assert_canonical(p):
-    """Stored form of a rational polynomial, and the terms view of any."""
+    """The stored form of either kind, and its terms view."""
     assert all(
         (type(c) is Fraction or isinstance(c, CycElem)) and c != 0 for c in p.terms.values()
     )
@@ -391,7 +401,9 @@ def _assert_canonical(p):
         assert num or den == 1
         assert p.terms == {e: Fraction(n, den) for e, n in num.items()}
     else:
-        assert p._num is None and p._den is None
+        assert p._den == 1
+        assert p._num == p.terms
+        assert any(isinstance(c, CycElem) for c in p._num.values())
 
 
 def _ref_clean(d):
@@ -488,6 +500,43 @@ def test_reduce_by_rule_matches_fraction_reference(operands, lead):
     result = reduce_by_rule(f, lead, replacement)
     _assert_canonical(result)
     assert result.terms == _ref_reduce(ta, lead, tb)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_ref_operands(), st.sampled_from([zeta(3), zeta(4), zeta(6, 5), Fraction(-3, 2)]))
+def test_equality_reads_the_stored_form(operands, w):
+    """f == g agrees with (f - g).is_zero() and with the reference dicts.
+
+    Equality compares the stored forms, so results whose cyclotomic parts
+    cancel must come back as int numerators, like any rational polynomial.
+    """
+    ta, tb = operands
+    f, g = MultiPoly(_REF_CTX, ta), MultiPoly(_REF_CTX, tb)
+    x, y1 = MultiPoly.variable(_REF_CTX, "x"), MultiPoly.variable(_REF_CTX, "y1")
+    z3, z8, half = zeta(3), zeta(8), Fraction(1, 2)
+    wa = _ref_clean({e: c * w for e, c in ta.items()})
+    candidates = (
+        (f, ta),
+        (g, tb),
+        (f * g, _ref_mul(ta, tb)),
+        (g * f, _ref_mul(ta, tb)),
+        (f * w, wa),
+        (f * w * (1 / w), ta),
+        (f * w + g - f * w, tb),
+        (f * w - w * f, {}),
+        ((z3 * x) * (z3**2 * y1), {(1, 1, 0): Fraction(1)}),
+        ((z8 * x + half * x) - z8 * x, {(1, 0, 0): half}),
+        (x * y1, {(1, 1, 0): Fraction(1)}),
+        (x, {(1, 0, 0): Fraction(1)}),  # the numerators of x/2 over another denominator
+    )
+    for p, expected in candidates:
+        _assert_canonical(p)
+        assert p.terms == expected
+        if all(type(c) is Fraction for c in expected.values()):
+            assert all(type(n) is int for n in p._num.values())
+    for p, rp in candidates:
+        for q, rq in candidates:
+            assert (p == q) == (p - q).is_zero() == (rp == rq)
 
 
 # -- parsing against sympy ------------------------------------------------------
