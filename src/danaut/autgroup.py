@@ -20,7 +20,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .cyclotomic import CycElem, canonical_scalar, zeta
+from .cyclotomic import CycElem, zeta
 from .derivations import GeneratorMap, automorphism_defect
 from .lattice import (
     ENUM_ORDER_BOUND,
@@ -37,7 +37,6 @@ from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_DEGENERATE,
     REGIME_ONE_UNIT,
-    AdditionalQuasitorus,
     SpecError,
     VarietySpec,
     additional_quasitorus,
@@ -454,18 +453,28 @@ class AutReport:
     """Structured description of the automorphism group of a presentation."""
 
     spec: VarietySpec
-    regime: str
     structure: dict
-    structure_pretty: str
-    structure_group: Optional[DiagGroupType]
     verdicts: Verdicts
     groups: dict
-    canonical: Optional[CanonicalGroup]
-    finite_part: Optional[FinitePart]
-    special_family: bool
     warnings: list
     citations: list
+    canonical: Optional[CanonicalGroup] = None
+    finite_part: Optional[FinitePart] = None
+    special_family: bool = False
     quotient: Optional[QuotientResult] = None
+
+    @property
+    def regime(self) -> str:
+        return self.spec.regime
+
+    @property
+    def structure_pretty(self) -> str:
+        return pretty_structure(self.structure)
+
+    @property
+    def structure_group(self) -> Optional[DiagGroupType]:
+        """The diagonal quotient the structure lists, for all weights >= 2."""
+        return self.quotient.reported if self.quotient is not None else None
 
 
 def leaf_diag(t: DiagGroupType) -> dict:
@@ -509,35 +518,29 @@ def pretty_structure(expr: dict) -> str:
     return "(" + sep.join(rendered) + ")"
 
 
-def compute_verdicts(
-    spec: VarietySpec,
-    canonical_trivial: Optional[bool],
-    aq: Optional[AdditionalQuasitorus],
-    special_family: bool,
-) -> Verdicts:
-    counts: dict = {}
-    for k in spec.weights:
-        counts[k] = counts.get(k, 0) + 1
-    five_equal = any(c >= 5 for c in counts.values())
-    distinct = all(c == 1 for c in counts.values())
-    if spec.regime == REGIME_ALL_GE2:
-        commutative = distinct and not special_family
-        torus = False
-        if distinct and not special_family and aq is not None:
-            g_all = gcd(*spec.weights)
-            if aq.pure_power:
-                torus = gcd(g_all, spec.d) == 1
-            else:
-                torus = aq.v == 1 and g_all == 1
-        solvable = "no" if five_equal else "yes"
-        return Verdicts(commutative, torus, solvable)
-    if spec.regime == REGIME_ONE_UNIT:
-        return Verdicts(False, False, "no" if five_equal else "yes")
-    if spec.regime == REGIME_DANIELEWSKI:
-        commutative = bool(canonical_trivial)
-        solvable = "yes" if not five_equal else "unknown"
-        return Verdicts(commutative, False, solvable)
-    raise SpecError("no verdicts for this regime")
+def _solvable(spec: VarietySpec, with_five_equal: str) -> str:
+    """The solvability verdict: "yes", or with_five_equal when five y's share a weight."""
+    five_equal = any(spec.weights.count(k) >= 5 for k in set(spec.weights))
+    return with_five_equal if five_equal else "yes"
+
+
+def h_scalings(spec: VarietySpec) -> tuple:
+    """Torsion generators and torus directions of H, the diagonal scalings
+    fixing z and the weight monomial, solved on its defining characters."""
+    m = spec.m
+    sol = solve_torus_system(
+        [list(spec.weights) + [0], [0] * m + [1]], [Fraction(1), Fraction(1)], ncols=m + 1
+    )
+    return sol.torsion_generators, sol.torus_directions
+
+
+def scaling_family_element(D, t, m: int) -> tuple:
+    """Scalars of the scaling-family element at parameter t, read from
+    D.action: y_ref -> t^d*y_ref and z -> t^k_ref*z."""
+    scalars = [Fraction(1)] * (m + 1)
+    for name, e in D.action:
+        scalars[m if name == "z" else int(name[1:]) - 1] = t**e
+    return tuple(scalars)
 
 
 def aut_structure(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND) -> AutReport:
@@ -574,8 +577,7 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
     if aq.Dbar.note:
         warnings.append("scaling family: " + aq.Dbar.note)
     special_family = spec.m == 1 and spec.weights[0] == 2 and spec.d == 2
-    is_pure_square = special_family and aq.pure_power
-    if is_pure_square:
+    if special_family and aq.pure_power:
         warnings.append(
             "the variety y^2 = z^2 falls outside the semidirect-quotient "
             "corollary; the listed structure covers only the diagonal and "
@@ -592,19 +594,16 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
         tree = diag_leaf
     else:
         tree = node("semidirect", [leaf_sym(S), diag_leaf])
-    verdicts = compute_verdicts(spec, None, aq, special_family)
-    finite_part = _suspension_finite_part(spec, H, aq, quot)
+    commutative = len(set(spec.weights)) == spec.m and not special_family
+    g_all = gcd(*spec.weights)
+    connected = gcd(g_all, spec.d) == 1 if aq.pure_power else aq.v == 1 and g_all == 1
     return AutReport(
         spec=spec,
-        regime=spec.regime,
         structure=tree,
-        structure_pretty=pretty_structure(tree),
-        structure_group=quot.reported,
-        verdicts=verdicts,
+        verdicts=Verdicts(commutative, commutative and connected, _solvable(spec, "no")),
         groups={"H": H, "S": S, "D": aq.D, "Dbar": aq.Dbar, "Dhat": aq.Dhat,
                 "H_cap_Dbar": quot.intersection},
-        canonical=None,
-        finite_part=finite_part,
+        finite_part=_suspension_finite_part(spec, aq, quot),
         special_family=special_family,
         warnings=warnings,
         citations=[
@@ -619,30 +618,19 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
     )
 
 
-def _suspension_finite_part(spec, H, aq, quot) -> Optional[FinitePart]:
+def _suspension_finite_part(spec, aq, quot) -> Optional[FinitePart]:
     """Element table of the finite generators surviving the cancellation."""
     if quot.reported.torus_rank and not quot.reported.invariant_factors:
         return None
-    gens = []
     m = spec.m
-    ident = identity_element(m)
-    g_all = gcd(*spec.weights)
+    ident = tuple(range(m))
     sources = {src for src, _ in quot.survivors} or {"H", "K"}
-    if "H" in sources and g_all > 1:
-        sol = solve_torus_system(
-            [list(spec.weights) + [0], [0] * m + [1]], [Fraction(1), Fraction(1)],
-            ncols=m + 1,
-        )
-        for gen in sol.torsion_generators:
-            gens.append((ident[0], gen))
-    if "K" in sources and not aq.pure_power:
-        ref = aq.Dbar.reference_index
-        order = (aq.v or 1) * spec.weights[ref]
-        if order > 1:
-            t = [Fraction(1)] * (m + 1)
-            t[ref] = canonical_scalar(zeta(order, spec.d % order))
-            t[m] = canonical_scalar(zeta(order, spec.weights[ref] % order))
-            gens.append((ident[0], tuple(t)))
+    gens = []
+    if "H" in sources:
+        gens += [(ident, t) for t in h_scalings(spec)[0]]
+    if "K" in sources and aq.D.type.invariant_factors:  # finite unless P = z^d
+        t = zeta(aq.D.type.invariant_factors[-1])
+        gens.append((ident, scaling_family_element(aq.D, t, m)))
     if not gens:
         return None
     try:
@@ -652,33 +640,22 @@ def _suspension_finite_part(spec, H, aq, quot) -> Optional[FinitePart]:
 
 
 def _aut_one_unit(spec: VarietySpec) -> AutReport:
-    warnings = []
     H = proper_quasitorus(spec)
     S = symmetric_group(spec)
     aq = additional_quasitorus(spec)
-    if aq.Dbar.note:
-        warnings.append("scaling family: " + aq.Dbar.note)
-    tree_inner = node(
+    warnings = ["scaling family: " + aq.Dbar.note] if aq.Dbar.note else []
+    tree = node(
         "semidirect",
         [node("direct", [leaf_diag(H.type), leaf_diag(aq.D.type)]),
          leaf_unipotent(ml_invariant(spec))],
     )
-    if S.is_trivial():
-        tree = tree_inner
-    else:
-        tree = node("semidirect", [leaf_sym(S), tree_inner])
-    verdicts = compute_verdicts(spec, None, aq, False)
+    if not S.is_trivial():
+        tree = node("semidirect", [leaf_sym(S), tree])
     return AutReport(
         spec=spec,
-        regime=spec.regime,
         structure=tree,
-        structure_pretty=pretty_structure(tree),
-        structure_group=None,
-        verdicts=verdicts,
+        verdicts=Verdicts(False, False, _solvable(spec, "no")),
         groups={"H": H, "T": H, "S": S, "D": aq.D, "Dbar": aq.Dbar, "Dhat": aq.Dhat},
-        canonical=None,
-        finite_part=None,
-        special_family=False,
         warnings=warnings + ["the proper quasitorus is connected (a torus) and "
                              "meets the scaling family trivially"],
         citations=[
@@ -686,7 +663,6 @@ def _aut_one_unit(spec: VarietySpec) -> AutReport:
             "kernel-classification-lemma",
             "solvability-criterion",
         ],
-        quotient=None,
     )
 
 
@@ -705,18 +681,13 @@ def _aut_danielewski(spec: VarietySpec, bound: int) -> AutReport:
         "semidirect",
         [leaf_canonical(G.summary, G.order), leaf_unipotent(ml_invariant(spec))],
     )
-    verdicts = compute_verdicts(spec, G.is_trivial, None, False)
     return AutReport(
         spec=spec,
-        regime=spec.regime,
         structure=tree,
-        structure_pretty=pretty_structure(tree),
-        structure_group=None,
-        verdicts=verdicts,
+        verdicts=Verdicts(G.is_trivial, False, _solvable(spec, "unknown")),
         groups={"S": symmetric_group(spec), "G": G},
         canonical=G,
         finite_part=finite_part,
-        special_family=False,
         warnings=warnings + ["the canonical group meets the exponential family "
                              "only in the identity"],
         citations=[
@@ -725,7 +696,6 @@ def _aut_danielewski(spec: VarietySpec, bound: int) -> AutReport:
             "commutativity-criterion",
             "solvability-sufficiency",
         ],
-        quotient=None,
     )
 
 

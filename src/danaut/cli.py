@@ -4,13 +4,16 @@ Subcommands: analyze | exp | apply | degree | gr | irreducible | genus.
 Input is a JSON presentation file with exact rational coefficients; output
 is a human-readable summary or, with --json, a byte-stable report.
 
-Exit codes: 0 success, 1 parse/validation error, 2 unsupported regime.
+Exit codes: 0 success, 1 parse/validation error, 2 unsupported regime,
+3 failed internal check (an AssertionError), 4 any other unexpected error.
+Every error exits with one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -44,9 +47,17 @@ class CliError(Exception):
         self.code = code
 
 
+MAX_DECIMAL_EXPONENT = 4300  # CPython's default limit on the digits of an int read from text
+
+
 def parse_coeff(text: str) -> Fraction:
+    text = str(text)
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", text)  # Fraction would build 10^exponent
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise CliError(f"coefficient {text!r} has a decimal exponent above 4300 in magnitude")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"coefficient {text!r} is not an exact rational: {exc}")
 
@@ -441,6 +452,16 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every library error (SpecError is one) ends here
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # the checks that hold under python -O too
+        print(f"internal check failed: {_one_line(exc)}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"unexpected error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
+        return 4
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

@@ -47,8 +47,8 @@ class MultiPoly:
             c = canonical_scalar(c)
             clean[exps] = clean[exps] + c if exps in clean else c
         clean = {e: c for e, c in clean.items() if c}  # the terms view
-        f = MultiPoly._canonical(vars, clean)
-        self.vars, self._num, self._den, self._terms = vars, f._num, f._den, clean
+        self.vars, self._terms = vars, clean
+        self._num, self._den = MultiPoly._stored_scalars(clean)
 
     # -- constructors ---------------------------------------------------
 
@@ -64,18 +64,22 @@ class MultiPoly:
             if den != 1:
                 s = Fraction(1, den)
                 num = {e: c * s for e, c in num.items()}
-            if any(isinstance(c, CycElem) for c in num.values()):
-                return cls._wrap(vars, {e: canonical_scalar(c) for e, c in num.items()}, 1)
-            # ints and reduced fractions over the lcm of their denominators
-            # share no factor with it
-            den = lcm(*(c.denominator for c in num.values()))
-            return cls._wrap(
-                vars, {e: c.numerator * (den // c.denominator) for e, c in num.items()}, den
-            )
+            return cls._wrap(vars, *cls._stored_scalars(num))
         if g != 1:  # g == den for zero, which leaves den == 1
             den //= g
             num = {e: n // g for e, n in num.items()}
         return cls._wrap(vars, num, den)
+
+    @staticmethod
+    def _stored_scalars(num: dict) -> tuple:
+        """(coefficients, denominator) in the stored form for nonzero int,
+        Fraction or CycElem values."""
+        if any(isinstance(c, CycElem) for c in num.values()):
+            return {e: canonical_scalar(c) for e, c in num.items()}, 1
+        # ints and reduced fractions over the lcm of their denominators
+        # share no factor with it
+        den = lcm(*(c.denominator for c in num.values()))
+        return {e: c.numerator * (den // c.denominator) for e, c in num.items()}, den
 
     @classmethod
     def _wrap(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":

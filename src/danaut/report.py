@@ -9,11 +9,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .autgroup import AutReport, _sigma_str, group_element_map
+from .autgroup import (
+    AutReport, _sigma_str, group_element_map, h_scalings, scaling_family_element,
+)
 from .cyclotomic import zeta
 from .derivations import GeneratorMap, canonical_lnd, exp_replica
 from .fmt import scalar_json, scalar_str
-from .lattice import DiagGroupType, solve_torus_system
+from .lattice import DiagGroupType
 from .poly import MultiPoly, poly_str
 from .varieties import (
     REGIME_ALL_GE2,
@@ -120,21 +122,13 @@ def sample_generator_maps(report: AutReport) -> list:
     m = spec.m
     ident, unit = tuple(range(m)), (Fraction(1),) * (m + 1)
     if report.regime in (REGIME_ALL_GE2, REGIME_ONE_UNIT):
-        H = report.groups["H"]
-        sol = solve_torus_system(
-            [list(r) for r in H.subgroup.lattice], [Fraction(1)] * len(H.subgroup.lattice),
-            ncols=m + 1,
-        )
-        scalings = list(sol.torsion_generators)
-        scalings += [tuple(Fraction(2) ** w for w in d) for d in sol.torus_directions]
+        torsion, directions = h_scalings(spec)
+        scalings = list(torsion) + [tuple(Fraction(2) ** w for w in d) for d in directions]
         # scaling family: the image of a generating parameter value
-        aqD = report.groups["D"]
-        if aqD.type.torus_rank or aqD.type.invariant_factors:
-            t = Fraction(3) if aqD.type.torus_rank else zeta(aqD.type.invariant_factors[-1])
-            scal = list(unit)
-            for name, e in aqD.action:
-                scal[m if name == "z" else int(name[1:]) - 1] = t**e
-            scalings.append(tuple(scal))
+        D = report.groups["D"]
+        if D.type.torus_rank or D.type.invariant_factors:
+            t = Fraction(3) if D.type.torus_rank else zeta(D.type.invariant_factors[-1])
+            scalings.append(scaling_family_element(D, t, m))
         maps += [group_element_map(spec, ident, scal) for scal in scalings]
         for block in report.groups["S"].blocks:
             if len(block) > 1:

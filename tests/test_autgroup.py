@@ -421,6 +421,75 @@ def test_generator_soundness_all_regimes():
             assert verify_automorphism(spec, gm), (spec.regime, gm.images)
 
 
+_REGIMES = ("Danielewski", "LineSuspensionOneUnit", "LineSuspensionAllGe2")
+
+
+@st.composite
+def _presentations(draw):
+    """A small presentation in one of the three regimes of the structure theorems."""
+    regime = draw(st.sampled_from(_REGIMES))
+    weight = st.integers(2, 4)
+    if regime == "LineSuspensionOneUnit":
+        weights = draw(st.permutations([1, draw(weight)]))
+    else:
+        weights = draw(st.lists(weight, min_size=1, max_size=2))
+    x_present = regime == "Danielewski"
+    d = draw(st.integers(2, 6))
+    terms = [f"z^{d}"]
+    for e in range(d):
+        c = draw(st.integers(-2, 2))
+        if c:
+            terms.append(f"{c}*z^{e}")
+    if x_present:
+        for i in range(len(weights)):
+            c = draw(st.integers(-2, 2))
+            if c:
+                terms.append(f"{c}*y{i+1}*z^{draw(st.integers(0, d - 2))}")
+    return variety(weights, x_present, " + ".join(terms))
+
+
+def _reference_verdicts(spec, rep) -> tuple:
+    """(commutative, torus, solvable) from the criteria of the structure theorems."""
+    counts = {k: spec.weights.count(k) for k in spec.weights}
+    five_equal = max(counts.values()) >= 5
+    if spec.regime == "Danielewski":
+        # commutative iff the canonical group is trivial; solvability is
+        # proved only below five equal weights
+        return rep.canonical.order == 1, False, "unknown" if five_equal else "yes"
+    solvable = "no" if five_equal else "yes"
+    if spec.regime == "LineSuspensionOneUnit":
+        return False, False, solvable
+    # all weights >= 2: commutative iff the weights are distinct, outside the
+    # family y^2 = P(z) with deg P = 2; a torus iff moreover the scalings of
+    # P = z^u Q(z^v) are connected: gcd(weights, d) = 1 for P = z^d, else
+    # v = 1 and gcd(weights) = 1
+    special = spec.weights == (2,) and spec.d == 2
+    commutative = len(counts) == spec.m and not special
+    zexps = sorted(e[-1] for e in spec.P().terms)
+    g = gcd(*spec.weights)
+    if zexps == [spec.d]:
+        torus = gcd(g, spec.d) == 1
+    else:
+        torus = gcd(*(e - zexps[0] for e in zexps)) == 1 and g == 1
+    return commutative, commutative and torus, solvable
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_presentations())
+def test_random_presentations_sound_maps_and_verdicts(spec):
+    """Every sample generator map is a verified automorphism, and the
+    verdicts follow the criteria, on small presentations in all three regimes."""
+    if spec.regime not in _REGIMES:  # e.g. an affine line after normalization
+        return
+    rep = aut_structure(spec)
+    maps = sample_generator_maps(rep)
+    assert maps, spec.equation_str()
+    for gm in maps:
+        assert verify_automorphism(spec, gm), (spec.equation_str(), gm.images)
+    v = rep.verdicts
+    assert (v.commutative, v.torus, v.solvable) == _reference_verdicts(spec, rep)
+
+
 def test_verify_rejects_non_automorphism():
     Y = variety([2, 3], False, "z^4")
     bad = GeneratorMap(

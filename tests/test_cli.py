@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,23 @@ def test_exact_coefficient_forms_accepted(tmp_path, capsys):
     code, out, err = _main_in_process(["analyze", str(f)], capsys)
     assert code == 0, err
     assert "equation: y1^2*y2^3 = z^5 + 3/4*z^2 + 1/4*z - 7\n" in out
+
+
+def test_large_decimal_exponent_rejected_before_it_is_built(tmp_path, capsys):
+    """A short coefficient such as 1e10000000 fails at once, with one line,
+    instead of building a ten-million-digit integer; 1e300 stays exact."""
+    f = tmp_path / "exponent.json"
+    for c in ("1e10000000", "-2.5E-0_10000000", "1e4301"):
+        f.write_text(json.dumps(_presentation([2, 3], [([0, 0], 4, "1"), ([0, 0], 0, c)])))
+        start = time.perf_counter()
+        result = _main_in_process(["analyze", str(f)], capsys)
+        assert time.perf_counter() - start < 5
+        line = f"error: coefficient {c!r} has a decimal exponent above 4300 in magnitude\n"
+        assert result == (1, "", line)
+    f.write_text(json.dumps(_presentation([2, 3], [([0, 0], 4, "1"), ([0, 0], 0, "1e300")])))
+    code, out, err = _main_in_process(["analyze", str(f)], capsys)
+    assert code == 0, err
+    assert f"equation: y1^2*y2^3 = z^4 + {10**300}\n" in out
 
 
 _IDENT = {"x": "x", "y1": "y1", "y2": "y2", "z": "z"}
@@ -457,6 +475,37 @@ def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "preserve the defining ideal" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (AssertionError("weight-monomial stabilizer\nhas the wrong type"), 3,
+         "internal check failed: weight-monomial stabilizer has the wrong type"),
+        (KeyError("y9"), 4, "unexpected error: KeyError: 'y9'"),
+    ],
+)
+def test_unexpected_errors_exit_with_one_line(exc, code, line, monkeypatch, capsys):
+    """main is the last resort: no traceback, one stderr line and a stated code."""
+    from danaut import cli
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", failing)
+    argv = ["analyze", fixture_path("s7_e4.json")]
+    assert _main_in_process(argv, capsys) == (code, "", line + "\n")
+
+
+def test_keyboard_interrupt_is_not_swallowed(monkeypatch):
+    from danaut import cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_genus", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["genus", fixture_path("s7_e4.json")])
 
 
 def test_huge_coefficient_has_no_float_overflow(tmp_path):
