@@ -48,18 +48,28 @@ class CliError(Exception):
 
 
 MAX_DECIMAL_EXPONENT = 4300  # CPython's default limit on the digits of an int read from text
+_TOO_MANY_DIGITS = 10**MAX_DECIMAL_EXPONENT  # the least int with more than 4300 digits
 
 
 def parse_coeff(text: str) -> Fraction:
+    """An exact rational coefficient with at most 4300 digits in its
+    numerator and in its denominator."""
     text = str(text)
+    shown = repr(text) if len(text) <= 40 else repr(text[:30]) + "..."
     exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", text)  # Fraction would build 10^exponent
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-        raise CliError(f"coefficient {text!r} has a decimal exponent above 4300 in magnitude")
+        raise CliError(f"coefficient {shown} has a decimal exponent above 4300 in magnitude")
     try:
-        return Fraction(text)
+        c = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"coefficient {text!r} is not an exact rational: {exc}")
+        runs = re.findall(r"\d+", text.replace("_", ""))
+        if max(map(len, runs), default=0) <= MAX_DECIMAL_EXPONENT:  # else int() refused a run
+            raise CliError(f"coefficient {shown} is not an exact rational: {exc}")
+        c = None
+    if c is None or abs(c.numerator) >= _TOO_MANY_DIGITS or c.denominator >= _TOO_MANY_DIGITS:
+        raise CliError(f"coefficient {shown} has more than 4300 digits")
+    return c
 
 
 def load_spec_file(path: str) -> tuple:

@@ -1,35 +1,104 @@
 """Sparse exact multivariate polynomials over Q and cyclotomic extensions.
 
 A polynomial carries a fixed variable context (an ordered tuple of names)
-and one stored form: a dict from exponent tuples to nonzero coefficients
-over one positive common denominator.  When every coefficient is rational
-they are integer numerators sharing no factor with the denominator (as in
-FLINT's fmpq_poly), so sums, products and rewriting run on ints with one
-gcd per result; otherwise they are canonical Fraction and CycElem scalars
-(rational-valued cyclotomics demoted) over 1.  Equal polynomials therefore
-store equal forms.  ``terms`` reads either kind as
-{exponents: Fraction | CycElem}.
+and one stored form: a dict from packed exponent keys to nonzero
+coefficients over one positive common denominator.
+
+A key packs an exponent vector into one int (Monagan & Pearce, CASC 2007).
+Each variable owns a 32-bit field, variable 0 the most significant, so the
+order of keys is the lexicographic order of exponent vectors.  The top bit
+of each field is a guard bit, so every exponent stays below 2^31: the
+product of two monomials is one int addition, divisibility is one
+subtraction against the guard mask, and a field that overflows sets its
+guard bit and raises ValueError instead of carrying into its neighbour.
+Keys never leave this module.
+
+When every coefficient is rational they are integer numerators sharing no
+factor with the denominator (as in FLINT's fmpq_poly), so sums, products
+and rewriting run on ints with one gcd per result; otherwise they are
+canonical Fraction and CycElem scalars (rational-valued cyclotomics
+demoted) over 1.  Equal polynomials therefore store equal forms.  ``terms``
+reads either kind as {exponent tuple: Fraction | CycElem}.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import CycElem, canonical_scalar
 from .dense import ext_gcd, mul
 from .fmt import scalar_str
 
+_BITS = 32  # width of one variable's field in a key
+_FIELD = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)  # every exponent is below this: the guard bit stays clear
+
+
+@functools.cache
+def _guard(n: int) -> int:
+    """The guard bits of an n-variable key."""
+    return (1 << _BITS * n) // _FIELD << (_BITS - 1)
+
+
+def _shift(n: int, i: int) -> int:
+    """Bit offset of variable i's field in an n-variable key."""
+    return _BITS * (n - 1 - i)
+
+
+def _too_large(name: str, e: int) -> ValueError:
+    return ValueError(f"exponent {e} of {name} is not below the limit 2^31")
+
+
+def _overflow(vars: tuple, key: int) -> ValueError:
+    """The error for a key whose largest field reached the limit."""
+    return _too_large(*max(zip(vars, _unpack(key, len(vars))), key=lambda ne: ne[1]))
+
+
+def _pack(vars: tuple, exps) -> int:
+    if len(exps) != len(vars):
+        raise ValueError("exponent tuple does not match variable context")
+    key = 0
+    for name, e in zip(vars, exps):
+        e = int(e)
+        if not 0 <= e < _LIMIT:
+            raise ValueError("negative exponent") if e < 0 else _too_large(name, e)
+        key = key << _BITS | e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    return struct.unpack(f">{n}I", key.to_bytes(4 * n, "big"))  # 32-bit fields
+
+
+def _support(keys) -> int:
+    """Bitwise or of the keys: a field is nonzero exactly when its variable occurs."""
+    return functools.reduce(or_, keys, 0)
+
+
+def _checked(vars: tuple, num: dict) -> dict:
+    """num, unless a sum of keys overflowed a field into its guard bit.
+
+    Sums of two valid keys stay below 2^32 in every field, so the guard bit
+    holds the overflow and the field still reads the exponent formed.
+    """
+    guard = _guard(len(vars))
+    if _support(num) & guard:
+        raise _overflow(vars, next(key for key in num if key & guard))
+    return num
+
 
 class MultiPoly:
     """Polynomial in a fixed ordered variable context.
 
-    ``_num`` maps exponents to nonzero coefficients over ``_den > 0``: ints
-    with gcd(_den, *_num) == 1 (``_den == 1`` for zero) when all are
-    rational, else Fraction and CycElem scalars with ``_den == 1``.
-    ``_terms`` caches the ``terms`` view once read.
+    ``_num`` maps packed exponent keys to nonzero coefficients over
+    ``_den > 0``: ints with gcd(_den, *_num) == 1 (``_den == 1`` for zero)
+    when all are rational, else Fraction and CycElem scalars with
+    ``_den == 1``.  ``_terms`` caches the ``terms`` view once read.
     """
 
     __slots__ = ("vars", "_num", "_den", "_terms")
@@ -37,18 +106,13 @@ class MultiPoly:
     def __init__(self, vars: tuple, terms: dict) -> None:
         vars = tuple(vars)
         clean = {}
-        n = len(vars)
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n:
-                raise ValueError("exponent tuple does not match variable context")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            c = canonical_scalar(c)
-            clean[exps] = clean[exps] + c if exps in clean else c
-        clean = {e: c for e, c in clean.items() if c}  # the terms view
-        self.vars, self._terms = vars, clean
-        self._num, self._den = MultiPoly._stored_scalars(clean)
+            key = _pack(vars, exps)
+            if type(c) is not int:
+                c = canonical_scalar(c)
+            clean[key] = clean[key] + c if key in clean else c
+        self.vars, self._terms = vars, None
+        self._num, self._den = MultiPoly._stored_scalars({e: c for e, c in clean.items() if c})
 
     # -- constructors ---------------------------------------------------
 
@@ -104,9 +168,7 @@ class MultiPoly:
         vars = tuple(vars)
         if name not in vars:
             return MultiPoly.monomial(vars, {name: 1}, 1)  # raises KeyError
-        i = vars.index(name)
-        exps = (0,) * i + (1,) + (0,) * (len(vars) - i - 1)
-        return MultiPoly._wrap(vars, {exps: 1}, 1)
+        return MultiPoly._wrap(vars, {1 << _shift(len(vars), vars.index(name)): 1}, 1)
 
     @staticmethod
     def monomial(vars: tuple, powers: dict, c=1) -> "MultiPoly":
@@ -123,12 +185,13 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict:
-        """{exponents: Fraction | CycElem}, built once from the stored form."""
+        """{exponent tuple: Fraction | CycElem}, built once from the stored form."""
         t = self._terms
         if t is None:
-            d = self._den
+            d, n = self._den, len(self.vars)
             t = self._terms = {
-                e: Fraction(n, d) if type(n) is int else n for e, n in self._num.items()
+                _unpack(e, n): Fraction(c, d) if type(c) is int else c
+                for e, c in self._num.items()
             }
         return t
 
@@ -154,20 +217,19 @@ class MultiPoly:
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self._num)
+        return max(sum(_unpack(e, len(self.vars))) for e in self._num)
 
     def degree_in(self, name: str) -> int:
         if self.is_zero():
             return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self._num)
+        s = _shift(len(self.vars), self.vars.index(name))
+        return max(e >> s & _FIELD for e in self._num)
 
     def depends_on(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return any(e[i] for e in self._num)
+        return bool(_support(self._num) >> _shift(len(self.vars), self.vars.index(name)) & _FIELD)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._num)
+        return not any(self._num)
 
     # -- ring operations --------------------------------------------------
 
@@ -212,9 +274,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ctx(other)
-        return MultiPoly._canonical(
-            self.vars, _convolve(self._num, other._num, {}), self._den * other._den
-        )
+        num = _checked(self.vars, _convolve(self._num, other._num, {}))
+        return MultiPoly._canonical(self.vars, num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -239,39 +300,40 @@ class MultiPoly:
         new_vars = tuple(new_vars)
         if new_vars == self.vars:
             return self
-        pos = []
-        for name in self.vars:
-            if name not in new_vars:
-                if self.depends_on(name):
+        n, support = len(self.vars), _support(self._num)
+        moves = []  # (field offset here, field offset in new_vars) of occurring variables
+        for i, name in enumerate(self.vars):
+            s = _shift(n, i)
+            if support >> s & _FIELD:
+                if name not in new_vars:
                     raise ValueError(f"cannot drop occurring variable {name!r}")
-                pos.append(None)
-            else:
-                pos.append(new_vars.index(name))
-        out: dict = {}
-        for exps, c in self._num.items():
-            new = [0] * len(new_vars)
-            for i, e in enumerate(exps):
-                if e:
-                    new[pos[i]] = e
-            out[tuple(new)] = c  # only absent variables drop: no collisions
+                moves.append((s, _shift(len(new_vars), new_vars.index(name))))
+        out = {sum((e >> s & _FIELD) << t for s, t in moves): c for e, c in self._num.items()}
         return MultiPoly._wrap(new_vars, out, self._den)
 
     # -- presentation -------------------------------------------------------
 
     def sorted_terms(self) -> list:
-        return sorted(
-            self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0]))
+        """(exponent tuple, coefficient) pairs, highest total degree first,
+        then lexicographically.  Keys are unique, so the sort never compares
+        exponent tuples or coefficients."""
+        n, d = len(self.vars), self._den
+        rows = sorted(
+            ((sum(exps), e, exps, c) for e, c in self._num.items() for exps in (_unpack(e, n),)),
+            reverse=True,
         )
+        return [(exps, Fraction(c, d) if type(c) is int else c) for _, _, exps, c in rows]
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)!r})"
 
 
 def _convolve(a: dict, b: dict, out: dict) -> dict:
-    """Add the product of two exponent-keyed coefficient dicts into out."""
+    """Add the product of two key-indexed coefficient dicts into out."""
+    b = list(b.items())
     for e1, x in a.items():
-        for e2, y in b.items():
-            e = tuple(map(add, e1, e2))
+        for e2, y in b:
+            e = e1 + e2
             if e in out:
                 out[e] += x * y
             else:
@@ -313,10 +375,11 @@ def substitute(
     built, and once to the final sum, so no power is ever expanded in full;
     the result equals reduce(substitute(f, images)).
 
-    Single-term images (c * monomial) fold into each term's exponents and
-    coefficient.  The terms of f are then grouped by the exponents of the
-    remaining variables, and each group's coefficient polynomial is
-    multiplied once by its product of image powers.
+    Single-term images (c * monomial) fold into each term's key and
+    coefficient; a monic one (such as y -> y) only moves exponents.  The
+    terms of f are then grouped by the exponents of the remaining variables
+    (one masked key), and each group's coefficient polynomial is multiplied
+    once by its product of image powers.
     """
     ctx = None
     for g in images.values():
@@ -326,53 +389,65 @@ def substitute(
             raise ValueError("substitution images have mismatched contexts")
     if ctx is None:
         ctx = f.vars
-    # folded: (index in f.vars, nonzero image exponents, image); rest: indices
+    n = len(f.vars)
+    support = _support(f._num)
+    # folded: (index in f.vars, field offset, image key, image); rest: (index, offset)
     folded, rest = [], []
-    occurs = [any(col) for col in zip(*f._num)]
+    rest_mask = 0
     for i, name in enumerate(f.vars):
-        if not (occurs and occurs[i]):
+        s = _shift(n, i)
+        if not support >> s & _FIELD:
             continue
         if name not in images:
             raise ValueError(f"no image supplied for occurring variable {name!r}")
         g = images[name]
         if len(g._num) == 1:
-            (e,) = g._num
-            folded.append((i, [(j, a) for j, a in enumerate(e) if a], g))
+            (key,) = g._num
+            folded.append((i, s, key, g))
         else:
-            rest.append(i)
+            rest.append((i, s))
+            rest_mask |= _FIELD << s
 
     # coefficients over den = f's denominator times b^K for each folded
     # image a/b * monomial, K the top power of its variable in f; a term
-    # with power k of that variable is scaled by a^k * b^(K - k)
+    # with power k of that variable is scaled by a^k * b^(K - k), read from
+    # a per-image table of the powers met so far.  K times the image's
+    # exponents must stay below the limit; then every k * (image key) fills
+    # its fields below 2^31, and a folded key, summed one image at a time,
+    # holds any overflow in its guard bits.
     den = f._den
-    tops = {}
-    for i, _, g in folded:
-        if g._den != 1:
-            tops[i] = f.degree_in(f.vars[i])
-            den *= g._den ** tops[i]
-
-    def scale(i, g, k):
+    scaled = []  # (field offset, {k: scaling}, a, b, K) of the non-monic folded images
+    for i, s, key, g in folded:
+        top = f.degree_in(f.vars[i])
+        for name, a in zip(ctx, _unpack(key, len(ctx))):
+            if a * top >= _LIMIT:
+                raise _too_large(name, a * top)
         (a,) = g._num.values()
-        return a**k * g._den ** (tops[i] - k) if i in tops else a**k
+        if a != 1 or g._den != 1:
+            den *= g._den**top
+            scaled.append((s, {}, a, g._den, top))
+    folds = [(s, key) for _, s, key, _ in folded]
+    guard = _guard(len(ctx))
 
-    # rest exponents -> {folded exponents: coefficient}
+    # rest exponents (one masked key) -> {folded key: coefficient}
     groups: dict = {}
-    scalings: dict = {}  # (index, k) -> scale(index, image, k)
-    for exps, c in f._num.items():
-        new = [0] * len(ctx)
-        for i, support, g in folded:
-            k = exps[i]
+    for e, c in f._num.items():
+        new = 0
+        for s, key in folds:
+            k = e >> s & _FIELD
             if k:
-                for j, a in support:
-                    new[j] += k * a
-            sk = scalings.get((i, k))
+                new += k * key
+                if new & guard:
+                    raise _overflow(ctx, new)
+        for s, table, a, b, top in scaled:
+            k = e >> s & _FIELD
+            sk = table.get(k)
             if sk is None:
-                sk = scalings[i, k] = scale(i, g, k)
+                sk = table[k] = a**k * b ** (top - k)
             if sk != 1:
                 c = c * sk
-        key = tuple(new)
-        group = groups.setdefault(tuple(exps[i] for i in rest), {})
-        group[key] = group[key] + c if key in group else c
+        group = groups.setdefault(e & rest_mask, {})
+        group[new] = group[new] + c if new in group else c
 
     powers: dict = {}  # index -> [image, image^2, ...]
 
@@ -385,13 +460,14 @@ def substitute(
         return seq[e - 1]
 
     parts = []
-    for rest_exps, group in groups.items():
+    for rest_key, group in groups.items():
         term = MultiPoly._canonical(ctx, group, den)
-        for i, k in zip(rest, rest_exps):
+        for i, s in rest:
+            k = rest_key >> s & _FIELD
             if k:
                 term = term * power(i, k)
         parts.append(term)
-    result = _sum(ctx, parts)
+    result = parts[0] if len(parts) == 1 else _sum(ctx, parts)
     return result if reduce is None else reduce(result)
 
 
@@ -404,14 +480,15 @@ def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPo
     """
     if f.vars != replacement.vars:
         raise ValueError("rule and polynomial contexts differ")
-    lead = tuple(lead)
-    support = [(i, b) for i, b in enumerate(lead) if b]
+    lead = _pack(f.vars, tuple(lead))
+    guard = _guard(len(f.vars))
     current = f
     while True:
         rest, quotient = {}, {}
         for e, c in current._num.items():
-            if all(e[i] >= b for i, b in support):
-                quotient[tuple(a - b for a, b in zip(e, lead))] = c
+            # no field borrows from its guard bit: e is divisible by lead
+            if ((e | guard) - lead) & guard == guard:
+                quotient[e - lead] = c
             else:
                 rest[e] = c
         if not quotient:
@@ -420,9 +497,8 @@ def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPo
         rd = replacement._den
         if rd != 1:
             rest = {e: n * rd for e, n in rest.items()}
-        current = MultiPoly._canonical(
-            f.vars, _convolve(quotient, replacement._num, rest), current._den * rd
-        )
+        num = _checked(f.vars, _convolve(quotient, replacement._num, rest))
+        current = MultiPoly._canonical(f.vars, num, current._den * rd)
 
 
 # -- univariate helpers ----------------------------------------------------
@@ -430,14 +506,12 @@ def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPo
 
 def as_univar(f: MultiPoly, name: str) -> list:
     """Dense coefficient list (low to high) of a polynomial univariate in name."""
-    i = f.vars.index(name)
-    for exps in f.terms:
-        if any(e for j, e in enumerate(exps) if j != i):
-            raise ValueError(f"polynomial is not univariate in {name!r}")
-    d = f.degree_in(name)
-    coeffs = [Fraction(0)] * (d + 1)
-    for exps, c in f.terms.items():
-        coeffs[exps[i]] = c
+    s = _shift(len(f.vars), f.vars.index(name))
+    if _support(f._num) & ~(_FIELD << s):
+        raise ValueError(f"polynomial is not univariate in {name!r}")
+    coeffs = [Fraction(0)] * (f.degree_in(name) + 1)
+    for e, c in f._num.items():
+        coeffs[e >> s] = Fraction(c, f._den) if type(c) is int else c
     return coeffs
 
 
@@ -453,27 +527,27 @@ def from_univar(vars: tuple, name: str, coeffs: Iterable) -> MultiPoly:
 
 
 def derivative(f: MultiPoly, name: str) -> MultiPoly:
-    i = f.vars.index(name)
+    s = _shift(len(f.vars), f.vars.index(name))
     out = {}
-    for exps, c in f._num.items():
-        e = exps[i]
-        if e:  # lowering exponent i is injective: no two terms collide
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+    for e, c in f._num.items():
+        k = e >> s & _FIELD
+        if k:  # lowering one exponent is injective: no two terms collide
+            out[e - (1 << s)] = c * k
     return MultiPoly._canonical(f.vars, out, f._den)
 
 
 def divide_by_monomial(f: MultiPoly, m: MultiPoly) -> MultiPoly:
     """Exact quotient f / m by a monic monomial m; AssertionError unless m divides f."""
     f._check_ctx(m)
-    if list(m.terms.values()) != [1]:
+    if list(m._num.values()) != [1] or m._den != 1:
         raise ValueError("divisor must be a monic monomial")
-    (lead,) = m.terms
+    (lead,) = m._num
+    guard = _guard(len(f.vars))
     out = {}
-    for exps, c in f._num.items():
-        q = tuple(a - b for a, b in zip(exps, lead))
-        if any(e < 0 for e in q):
+    for e, c in f._num.items():
+        if ((e | guard) - lead) & guard != guard:
             raise AssertionError("polynomial not divisible by the monomial")
-        out[q] = c  # shifting every exponent by lead is injective
+        out[e - lead] = c  # shifting every exponent by lead is injective
     return MultiPoly._wrap(f.vars, out, f._den)
 
 
@@ -561,11 +635,13 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
     """Parse expressions like "z^3 + (y1+1)*z - 3/2" in the given context.
 
     A product of numbers, variables and their powers is one monomial
-    (coefficient, exponents); only parenthesised factors are multiplied as
-    polynomials, and each sum is added up once from its summands.
+    (numerator, positive denominator, key); only parenthesised factors are
+    multiplied as polynomials, and each sum is added up once from its
+    summands over the lcm of their denominators.
     """
     vars = tuple(vars)
-    no_exps = (0,) * len(vars)
+    n = len(vars)
+    guard = _guard(n)
     tokens = _tokenize(text)
     pos = 0
 
@@ -580,15 +656,15 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
         pos += 1
         return tok
 
-    # a parsed value is a MultiPoly or a monomial (int | Fraction, exponents)
+    # a parsed value is a MultiPoly or a monomial (int, positive int, key)
     def as_poly(v):
         if isinstance(v, MultiPoly):
             return v
-        c, e = v
-        return MultiPoly._canonical(vars, {e: c.numerator}, c.denominator)
+        p, q, key = v
+        return MultiPoly._canonical(vars, {key: p}, q)
 
     def neg(v):
-        return -v if isinstance(v, MultiPoly) else (-v[0], v[1])
+        return -v if isinstance(v, MultiPoly) else (-v[0], v[1], v[2])
 
     def parse_sum():
         parts = [parse_product()]
@@ -596,7 +672,14 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             op = take()
             rhs = parse_product()
             parts.append(rhs if op == "+" else neg(rhs))
-        return _sum(vars, [as_poly(v) for v in parts])
+        polys = [v for v in parts if isinstance(v, MultiPoly)]
+        monomials = [v for v in parts if not isinstance(v, MultiPoly)]
+        den = lcm(*(q for _, q, _ in monomials))
+        num: dict = {}
+        for p, q, key in monomials:
+            p *= den // q
+            num[key] = num[key] + p if key in num else p
+        return _sum(vars, [MultiPoly._canonical(vars, num, den)] + polys)
 
     def parse_product():
         node = parse_power()
@@ -604,14 +687,24 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             tok = peek()
             if tok == "/":
                 take()
-                den = as_poly(parse_power())
-                if not den.is_constant():
-                    raise ValueError("division only by nonzero constants")
-                c = den.constant_term()
-                if not c:
+                d = parse_power()
+                if isinstance(d, MultiPoly):
+                    if not d.is_constant():
+                        raise ValueError("division only by nonzero constants")
+                    p, q = d.constant_term().as_integer_ratio()
+                else:
+                    p, q, key = d
+                    if key:
+                        raise ValueError("division only by nonzero constants")
+                if not p:
                     raise ValueError("division by zero")
-                inv = Fraction(1) / c
-                node = node * inv if isinstance(node, MultiPoly) else (node[0] * inv, node[1])
+                if p < 0:
+                    p, q = -p, -q
+                # node * q / p
+                if isinstance(node, MultiPoly):
+                    node = node * Fraction(q, p)
+                else:
+                    node = (node[0] * q, node[1] * p, node[2])
                 continue
             if tok == "*":
                 take()
@@ -623,7 +716,9 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             if isinstance(node, MultiPoly) or isinstance(rhs, MultiPoly):
                 node = as_poly(node) * as_poly(rhs)
             else:
-                node = (node[0] * rhs[0], tuple(map(add, node[1], rhs[1])))
+                node = (node[0] * rhs[0], node[1] * rhs[1], node[2] + rhs[2])
+                if node[2] & guard:
+                    raise _overflow(vars, node[2])
 
     def parse_power():
         base = parse_atom()
@@ -636,7 +731,11 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
                 raise ValueError("exponent must be an integer literal")
             if isinstance(base, MultiPoly):
                 return base**tok
-            return (base[0] ** tok, tuple(e * tok for e in base[1]))
+            p, q, key = base
+            for name, e in zip(vars, _unpack(key, n)):
+                if e * tok >= _LIMIT:
+                    raise _too_large(name, e * tok)
+            return (p**tok, q**tok, key * tok)
         return base
 
     def parse_atom():
@@ -655,14 +754,13 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             return parse_power()
         if isinstance(tok, int):
             take()
-            return (tok, no_exps)
+            return (tok, 1, 0)
         if isinstance(tok, tuple) and tok[0] == "name":
             take()
             name = tok[1]
             if name not in vars:
                 raise ValueError(f"unknown variable {name!r} (context {vars})")
-            i = vars.index(name)
-            return (1, no_exps[:i] + (1,) + no_exps[i + 1 :])
+            return (1, 1, 1 << _shift(n, vars.index(name)))
         raise ValueError("unexpected end of polynomial expression")
 
     result = parse_sum()
@@ -676,22 +774,18 @@ def poly_str(f: MultiPoly) -> str:
         return "0"
     parts = []
     for exps, c in f.sorted_terms():
-        factors = []
-        for name, e in zip(f.vars, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mono = "*".join(factors)
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(f.vars, exps) if e
+        )
+        text = scalar_str(c)
         if not mono:
-            text = scalar_str(c)
-        elif c == 1:
-            text = mono
-        elif c == -1:
-            text = f"-{mono}"
+            parts.append(text)
+        elif text == "1":
+            parts.append(mono)
+        elif text == "-1":
+            parts.append(f"-{mono}")
         else:
-            text = f"{scalar_str(c)}*{mono}"
-        parts.append(text)
+            parts.append(f"{text}*{mono}")
     out = parts[0]
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p

@@ -168,6 +168,52 @@ def test_large_decimal_exponent_rejected_before_it_is_built(tmp_path, capsys):
     assert f"equation: y1^2*y2^3 = z^4 + {10**300}\n" in out
 
 
+def test_coefficient_digits_are_bounded(tmp_path, capsys):
+    """A numerator or denominator of more than 4300 digits exits 1 with one
+    short line, whether it is written out or made by a decimal exponent
+    within bounds; 4300 digits still analyze."""
+    f = tmp_path / "digits.json"
+    long = "1" * 4301
+    for c, shown in (
+        ("1e4300", "'1e4300'"),
+        ("12e4299", "'12e4299'"),
+        ("-3e-4300", "'-3e-4300'"),
+        (long, f"{long[:30]!r}..."),
+        (f"-{long}", f"{'-' + long[:29]!r}..."),
+        (f"3/{long}", f"{'3/' + long[:28]!r}..."),
+    ):
+        f.write_text(json.dumps(_presentation([2, 3], [([0, 0], 4, "1"), ([0, 0], 0, c)])))
+        line = f"error: coefficient {shown} has more than 4300 digits\n"
+        assert _main_in_process(["analyze", str(f)], capsys) == (1, "", line)
+    f.write_text(json.dumps(_presentation([2, 3], [([0, 0], 4, "1"), ([0, 0], 0, "1e4299")])))
+    code, out, err = _main_in_process(["analyze", str(f)], capsys)
+    assert code == 0, err
+    assert f"equation: y1^2*y2^3 = z^4 + {10**4299}\n" in out
+
+
+@pytest.mark.parametrize("e", [2**31, 2**31 + 1])
+def test_exponent_limit_exits_one_with_one_line(tmp_path, capsys, e):
+    """Every exponent stays below 2^31: at the limit and above it, in a
+    presentation file or in a polynomial argument, the CLI exits 1 with one
+    stderr line instead of packing a key that overflows its field."""
+    f = tmp_path / "limit.json"
+    for ye, ze, name in (([0, 0], e, "z"), ([0, e], 4, "y2")):
+        f.write_text(json.dumps(_presentation([2, 3], [([0, 0], 4, "1"), (ye, ze, "1")])))
+        line = f"error: exponent {e} of {name} is not below the limit 2^31\n"
+        assert _main_in_process(["analyze", str(f)], capsys) == (1, "", line)
+    line = f"error: exponent {e} of z is not below the limit 2^31\n"
+    for text in (f"z^{e}", f"x*z^{e}", f"3/4*y1*z^{e}"):
+        argv = ["degree", fixture_path("bf08.json"), text]
+        assert _main_in_process(argv, capsys) == (1, "", line)
+    assert run_cli("gr", fixture_path("bf08.json"), f"z^{e}") == (1, "", line)
+
+
+def test_largest_exponent_still_parses(capsys):
+    """2^31 - 1 is the largest exponent, and degree reads it back."""
+    argv = ["degree", fixture_path("bf08.json"), f"z^{2**31 - 1}"]
+    assert _main_in_process(argv, capsys) == (0, f"{2**31 - 1}\n", "")
+
+
 _IDENT = {"x": "x", "y1": "y1", "y2": "y2", "z": "z"}
 _WRITTEN = {
     "curve_sq.json": _presentation([2], [([0], 4, "1"), ([0], 2, "-2"), ([0], 0, "1")]),

@@ -25,6 +25,7 @@ from danaut import (
     univar_gcd,
     zeta,
 )
+from danaut.poly import divide_by_monomial
 from conftest import random_poly, variety
 
 V2 = ("y1", "y2")
@@ -388,21 +389,35 @@ _REF_CTX = ("x", "y1", "z")
 _REF_WIDE = ("t", "z", "y1", "x")  # embed target: reordered, with an extra variable
 
 
+_FIELD_BITS = 32  # each variable's field in a packed key, variable 0 the most significant
+_LIMIT = 2**31  # every exponent is below this: the field's top (guard) bit stays clear
+
+
+def _decode(key, n):
+    """The exponent vector a packed key of an n-variable context stands for."""
+    assert type(key) is int and 0 <= key < 2 ** (_FIELD_BITS * n)
+    mask = 2**_FIELD_BITS - 1
+    return tuple(key >> (_FIELD_BITS * (n - 1 - i)) & mask for i in range(n))
+
+
 def _assert_canonical(p):
-    """The stored form of either kind, and its terms view."""
+    """The stored form of either kind, its packed keys, and its terms view."""
     assert all(
         (type(c) is Fraction or isinstance(c, CycElem)) and c != 0 for c in p.terms.values()
     )
+    decoded = {_decode(e, len(p.vars)): c for e, c in p._num.items()}
+    assert len(decoded) == len(p._num)
+    assert all(e < _LIMIT for exps in decoded for e in exps)  # every key decodes below the limit
     if all(type(c) is Fraction for c in p.terms.values()):
         num, den = p._num, p._den
         assert type(den) is int and den > 0
         assert all(type(n) is int and n != 0 for n in num.values())
         assert gcd(den, *num.values()) == 1
         assert num or den == 1
-        assert p.terms == {e: Fraction(n, den) for e, n in num.items()}
+        assert p.terms == {e: Fraction(n, den) for e, n in decoded.items()}
     else:
         assert p._den == 1
-        assert p._num == p.terms
+        assert decoded == p.terms
         assert any(isinstance(c, CycElem) for c in p._num.values())
 
 
@@ -718,3 +733,188 @@ def test_grouped_substitution_matches_naive_expansion(case):
     assert substitute(f, images) == expected
     assert substitute(f, images, nf) == nf(expected)
     assert substitute(f, images).vars == _SUB_CTX
+
+
+# -- packed keys at the exponent limit -------------------------------------------
+
+_LIMIT_ERROR = "is not below the limit 2\\^31"
+# exponents near 0, near half the limit (two of them reach it) and just below it
+_near_limit = st.one_of(
+    st.integers(0, 2),
+    st.integers(_LIMIT // 2 - 2, _LIMIT // 2 + 1),
+    st.integers(_LIMIT - 3, _LIMIT - 1),
+)
+_carry_coeffs = st.builds(
+    Fraction, st.integers(-(10**6), 10**6).filter(bool), st.sampled_from([1, 2, 3, 7])
+)
+
+
+def _carry_terms(exps, min_size=0, max_size=4):
+    return st.dictionaries(exps, _carry_coeffs, min_size=min_size, max_size=max_size)
+
+
+def _exps(n, values=_near_limit):
+    return st.tuples(*(values for _ in range(n)))
+
+
+def _carry_mul(a, b):
+    """Product of tuple-keyed dicts, and the largest exponent a term product forms."""
+    out, top = {}, 0
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            top = max(top, *e)
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref_clean(out), top
+
+
+def _carry_reduce(terms, lead, replacement):
+    """Rewrite every divisible term at once per round, as reduce_by_rule does;
+    returns the result and the largest exponent a round forms."""
+    top = 0
+    while True:
+        quotient = {}
+        for e in [e for e in terms if all(a >= b for a, b in zip(e, lead))]:
+            quotient[tuple(a - b for a, b in zip(e, lead))] = terms.pop(e)
+        if not quotient:
+            return terms, top
+        product, formed = _carry_mul(quotient, replacement)
+        top = max(top, formed)
+        terms = _ref_add(terms, product)
+
+
+def _carry_substitute(f, images, ctx):
+    """Term-by-term expansion, and the largest exponent any step forms."""
+    total, top = {}, 0
+    for exps, c in f.items():
+        term = {(0,) * len(ctx): c}
+        for name, k in zip(_REF_CTX, exps):
+            image = images[name]
+            if len(image) == 1:
+                ((m, a),) = image.items()
+                term = {tuple(x + k * y for x, y in zip(e, m)): t * a**k for e, t in term.items()}
+                top = max([top] + [x for e in term for x in e])
+            else:
+                for _ in range(k):
+                    term, formed = _carry_mul(term, image)
+                    top = max(top, formed)
+        total = _ref_add(total, term)
+    return total, top
+
+
+def _agrees(compute, expected, top, exact=True):
+    """compute() equals the tuple-keyed reference, or raises the limit error
+    because the reference formed an exponent at the limit (exactly then,
+    when both form the same term products)."""
+    try:
+        got = compute()
+    except ValueError as exc:
+        assert re.search(_LIMIT_ERROR, str(exc)), exc
+        assert top >= _LIMIT
+        return
+    _assert_canonical(got)
+    assert got.terms == expected
+    assert not exact or top < _LIMIT
+
+
+@st.composite
+def _carry_case(draw):
+    """f and g with exponents near the limit in every field; a rule variable
+    that f keeps small, its lead and replacement; an image of each variable.
+
+    Single-term images fold: monic ones and -1 times a monomial take any
+    exponent of f, other scaled ones (whose powers of the scale grow with
+    the exponent) and multi-term images of small exponents take small ones.
+    """
+    n = len(_REF_CTX)
+    kinds = [draw(st.sampled_from(["monic", "sign", "scaled", "multi"])) for _ in range(n)]
+    small = st.integers(0, 2)
+    f_exps = st.tuples(*(_near_limit if k in ("monic", "sign") else small for k in kinds))
+    f = draw(_carry_terms(f_exps))
+    g = draw(_carry_terms(_exps(n)))
+    rule = draw(st.integers(0, n - 1))
+    f_rule = draw(_carry_terms(st.tuples(*(small if i == rule else _near_limit for i in range(n)))))
+    lead = draw(_exps(n, st.one_of(st.just(0), _near_limit)))
+    lead = lead[:rule] + (1,) + lead[rule + 1:]
+    replacement = draw(_carry_terms(_exps(n), min_size=1))
+    replacement = _ref_clean({e[:rule] + (0,) + e[rule + 1:]: c for e, c in replacement.items()})
+    images = {}
+    for name, kind in zip(_REF_CTX, kinds):
+        if kind == "multi":
+            images[name] = draw(_carry_terms(_exps(len(_REF_WIDE), small), min_size=2))
+            continue
+        mono = draw(_exps(len(_REF_WIDE), st.one_of(st.integers(0, 4), _near_limit)))
+        scale = {"monic": Fraction(1), "sign": Fraction(-1)}.get(kind) or draw(_carry_coeffs)
+        images[name] = {mono: scale}
+    return f, g, (f_rule, lead, replacement), images
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_carry_case())
+def test_packed_keys_never_carry_between_fields(case):
+    """Every kernel operation on exponents near 2^31, in every field, matches
+    a tuple-keyed reference or raises the limit error: no field overflows
+    silently into its neighbour."""
+    tf, tg, (tr, lead, trep), timages = case
+    f, g = MultiPoly(_REF_CTX, tf), MultiPoly(_REF_CTX, tg)
+    _assert_canonical(f)
+    _agrees(lambda: f * g, *_carry_mul(tf, tg))
+    _agrees(lambda: g * f, *_carry_mul(tf, tg))
+    r, replacement = MultiPoly(_REF_CTX, tr), MultiPoly(_REF_CTX, trep)
+    _agrees(lambda: reduce_by_rule(r, lead, replacement), *_carry_reduce(dict(tr), lead, trep))
+    images = {name: MultiPoly(_REF_WIDE, t) for name, t in timages.items()}
+    expected, top = _carry_substitute(tf, timages, _REF_WIDE)
+    _agrees(lambda: substitute(f, images), expected, top, exact=False)
+    for divisor in (lead, next(iter(tg), lead)):
+        m = MultiPoly(_REF_CTX, {divisor: 1})
+        if all(all(a >= b for a, b in zip(e, divisor)) for e in tg):
+            quotient = divide_by_monomial(g, m)
+            _assert_canonical(quotient)
+            assert quotient.terms == {tuple(a - b for a, b in zip(e, divisor)): c for e, c in tg.items()}
+        else:
+            with pytest.raises(AssertionError):
+                divide_by_monomial(g, m)
+    for i, name in enumerate(_REF_CTX):
+        expected = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in tg.items() if e[i]}
+        result = derivative(g, name)
+        _assert_canonical(result)
+        assert result.terms == expected
+    wide = g.embed(_REF_WIDE)
+    _assert_canonical(wide)
+    assert wide.terms == {(0, e[2], e[1], e[0]): c for e, c in tg.items()}
+    assert wide.embed(_REF_CTX) == g
+
+
+def test_exponents_at_the_limit_raise_one_line_errors():
+    """2^31 - 1 is the largest exponent in any field; a product, power,
+    substitution, parse or constructor that reaches 2^31 raises ValueError."""
+    ctx = ("y", "z")
+    y, z = (MultiPoly.variable(ctx, name) for name in ctx)
+    y_top, z_top = (MultiPoly.monomial(ctx, {name: _LIMIT - 1}) for name in ctx)
+    assert (y_top * z_top).terms == {(_LIMIT - 1, _LIMIT - 1): 1}
+    assert parse_poly("z^2147483647", ctx) == z_top
+    # y's top power is 2^29, though the bitwise or of its powers is 2^30 - 1: 3 * 2^29 still folds
+    f = MultiPoly(ctx, {(2**29, 0): 1, (2**29 - 1, 0): 1})
+    assert substitute(f, {"y": z**3, "z": z}).terms == {(0, 3 * 2**29): 1, (0, 3 * 2**29 - 3): 1}
+    for compute, message in (
+        (lambda: y_top * y, "exponent 2147483648 of y"),  # the top field
+        (lambda: z * z_top, "exponent 2147483648 of z"),  # the bottom field, next to y's
+        (lambda: (y_top + z_top) * (y + z), "exponent 2147483648 of"),
+        (lambda: (z + 1) ** 2 * z_top, "exponent 2147483649 of z"),
+        (lambda: z ** (2**31), "exponent 2147483648 of z"),
+        (lambda: substitute(y_top, {"y": z**2, "z": z}), "exponent 4294967294 of z"),
+        (lambda: substitute(y_top * z, {"y": z, "z": z}), "exponent 2147483648 of z"),
+        # 4 * 2^30 = 2^32 would carry out of z's field into y's and clear its guard bit
+        (lambda: substitute(y ** (2**30), {"y": z**4, "z": z}), "exponent 4294967296 of z"),
+        (lambda: reduce_by_rule(y * z_top, (1, 0), z), "exponent 2147483648 of z"),
+        (lambda: MultiPoly.monomial(ctx, {"z": _LIMIT}), "exponent 2147483648 of z"),
+        (lambda: MultiPoly(ctx, {(_LIMIT + 1, 0): 1}), "exponent 2147483649 of y"),
+        (lambda: parse_poly("z^2147483648", ctx), "exponent 2147483648 of z"),
+        (lambda: parse_poly("y z^2147483647 z", ctx), "exponent 2147483648 of z"),
+        (lambda: parse_poly("(z)^2147483648", ctx), "exponent 2147483648 of z"),
+        (lambda: parse_poly("(y*z^1073741824)^2", ctx), "exponent 2147483648 of z"),
+    ):
+        with pytest.raises(ValueError, match=message) as info:
+            compute()
+        assert str(info.value).endswith("is not below the limit 2^31")
+        assert "\n" not in str(info.value)
