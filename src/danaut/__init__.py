@@ -29,7 +29,6 @@ from .lattice import (
     det_int,
     hermite_normal_form,
     left_kernel_basis,
-    normalize_invariant_factors,
     smith_normal_form,
     solve_torus_system,
 )

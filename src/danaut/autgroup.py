@@ -568,12 +568,6 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
     S = symmetric_group(spec)
     aq = additional_quasitorus(spec)
     quot = diag_group_quotient(H.subgroup, aq.Dbar.subgroup)
-    if quot.convention_differs:
-        warnings.append(
-            "listed-factor cancellation and the exact character-lattice "
-            f"computation disagree: reported {quot.reported.pretty()}, "
-            f"lattice-exact {quot.lattice_exact.pretty()}"
-        )
     if aq.Dbar.note:
         warnings.append("scaling family: " + aq.Dbar.note)
     special_family = spec.m == 1 and spec.weights[0] == 2 and spec.d == 2
@@ -603,7 +597,6 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
         verdicts=Verdicts(commutative, commutative and connected, _solvable(spec, "no")),
         groups={"H": H, "S": S, "D": aq.D, "Dbar": aq.Dbar, "Dhat": aq.Dhat,
                 "H_cap_Dbar": quot.intersection},
-        finite_part=_suspension_finite_part(spec, aq, quot),
         special_family=special_family,
         warnings=warnings,
         citations=[
@@ -616,27 +609,6 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
         ],
         quotient=quot,
     )
-
-
-def _suspension_finite_part(spec, aq, quot) -> Optional[FinitePart]:
-    """Element table of the finite generators surviving the cancellation."""
-    if quot.reported.torus_rank and not quot.reported.invariant_factors:
-        return None
-    m = spec.m
-    ident = tuple(range(m))
-    sources = {src for src, _ in quot.survivors} or {"H", "K"}
-    gens = []
-    if "H" in sources:
-        gens += [(ident, t) for t in h_scalings(spec)[0]]
-    if "K" in sources and aq.D.type.invariant_factors:  # finite unless P = z^d
-        t = zeta(aq.D.type.invariant_factors[-1])
-        gens.append((ident, scaling_family_element(aq.D, t, m)))
-    if not gens:
-        return None
-    try:
-        return finite_part_from_elements(gens, m)
-    except SpecError:
-        return None
 
 
 def _aut_one_unit(spec: VarietySpec) -> AutReport:

@@ -238,13 +238,6 @@ def lattice_intersect(L1: IntMat, L2: IntMat, ncols: int) -> IntMat:
 # -- diagonalizable group types ---------------------------------------------
 
 
-def normalize_invariant_factors(factors) -> tuple:
-    """Rewrite any multiset of moduli >= 2 as a divisibility chain."""
-    fs = [f for f in map(int, factors) if f >= 2]
-    diag = [[f if i == j else 0 for j in range(len(fs))] for i, f in enumerate(fs)]
-    return group_type_from_vanishing_lattice(diag, len(fs)).invariant_factors
-
-
 @dataclass(frozen=True)
 class DiagGroupType:
     """Isomorphism type (K^x)^rank x Z_d1 x ... x Z_ds with d1 | d2 | ...."""
@@ -348,51 +341,20 @@ class DiagSubgroup:
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Isomorphism type of (H x K)/(H cap K) plus bookkeeping.
+    """Isomorphism type of (H x K)/(H cap K): the subgroup H and K generate.
 
-    reported: the type with the intersection's invariant factors cancelled
-    out of the listed factors of H and K (the convention the source results
-    use); lattice_exact: the type of the subgroup generated by H and K,
-    straight from the character lattices.  They can differ; the report
-    carries both and flags the difference.
+    reported is read off the intersection of the two character lattices;
+    intersection is the type of H cap K, read off their sum.
     """
 
     reported: DiagGroupType
-    lattice_exact: DiagGroupType
     intersection: DiagGroupType
-    survivors: tuple
-    convention_differs: bool
 
 
 def diag_group_quotient(H: DiagSubgroup, K: DiagSubgroup) -> QuotientResult:
-    inter = H.intersection(K).group_type()
-    exact = H.generated_with(K).group_type()
-    tH, tK = H.group_type(), K.group_type()
-    pool = [("H", d) for d in tH.invariant_factors] + [
-        ("K", d) for d in tK.invariant_factors
-    ]
-    removable = True
-    for d in inter.invariant_factors:
-        for idx, (src, f) in enumerate(pool):
-            if f == d:
-                del pool[idx]
-                break
-        else:
-            removable = False
-            break
-    if removable and not inter.torus_rank:
-        factors = normalize_invariant_factors([f for _, f in pool])
-        reported = DiagGroupType(exact.torus_rank, factors)
-        survivors = tuple(pool)
-    else:
-        reported = exact
-        survivors = ()
     return QuotientResult(
-        reported=reported,
-        lattice_exact=exact,
-        intersection=inter,
-        survivors=survivors,
-        convention_differs=(reported != exact),
+        reported=H.generated_with(K).group_type(),
+        intersection=H.intersection(K).group_type(),
     )
 
 

@@ -471,16 +471,25 @@ def substitute(
     return result if reduce is None else reduce(result)
 
 
-def reduce_by_rule(f: MultiPoly, lead: tuple, replacement: MultiPoly) -> MultiPoly:
-    """Rewrite every monomial divisible by the lead monomial.
+def _monic_key(f: MultiPoly, m: MultiPoly) -> int:
+    """The packed key of a monic monomial m in f's context."""
+    f._check_ctx(m)
+    if len(m._num) != 1 or m._den != 1 or 1 not in m._num.values():
+        raise ValueError("divisor must be a monic monomial")
+    (key,) = m._num
+    return key
 
-    Each occurrence of the lead exponent vector is replaced by the
-    replacement polynomial; repeats until no monomial is divisible.  The
-    caller guarantees termination (each step drops a ranked degree).
+
+def reduce_by_rule(f: MultiPoly, lead: MultiPoly, replacement: MultiPoly) -> MultiPoly:
+    """Rewrite every monomial divisible by the monic lead monomial.
+
+    Each occurrence of the lead is replaced by the replacement polynomial;
+    repeats until no monomial is divisible.  The caller guarantees
+    termination (each step drops a ranked degree).
     """
     if f.vars != replacement.vars:
         raise ValueError("rule and polynomial contexts differ")
-    lead = _pack(f.vars, tuple(lead))
+    lead = _monic_key(f, lead)
     guard = _guard(len(f.vars))
     current = f
     while True:
@@ -538,10 +547,7 @@ def derivative(f: MultiPoly, name: str) -> MultiPoly:
 
 def divide_by_monomial(f: MultiPoly, m: MultiPoly) -> MultiPoly:
     """Exact quotient f / m by a monic monomial m; AssertionError unless m divides f."""
-    f._check_ctx(m)
-    if list(m._num.values()) != [1] or m._den != 1:
-        raise ValueError("divisor must be a monic monomial")
-    (lead,) = m._num
+    lead = _monic_key(f, m)
     guard = _guard(len(f.vars))
     out = {}
     for e, c in f._num.items():

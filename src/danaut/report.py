@@ -243,12 +243,8 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
         groups[key] = quasitorus_dict(q)
     groups["S"] = sym_dict(aut.groups["S"]) if "S" in aut.groups else None
     groups["G"] = canonical_dict(aut.canonical)
-    inter = aut.groups.get("H_cap_Dbar")
-    groups["H_cap_Dbar"] = type_dict(inter) if inter is not None else None
-    if aut.quotient is not None:
-        groups["structure_lattice_exact"] = type_dict(aut.quotient.lattice_exact)
-    else:
-        groups["structure_lattice_exact"] = None
+    groups["H_cap_Dbar"] = type_dict(aut.groups.get("H_cap_Dbar"))
+    groups["structure_lattice_exact"] = type_dict(aut.structure_group)
 
     generators: list = []
     if aut.regime in (REGIME_ALL_GE2, REGIME_ONE_UNIT):

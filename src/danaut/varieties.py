@@ -224,7 +224,7 @@ def normalize(spec: VarietySpec) -> VarietySpec:
 
 
 def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
-    """(lead exponents, replacement) rewriting the relation's lead monomial in ctx.
+    """(monic lead monomial, replacement) rewriting the relation's lead in ctx.
 
     With a unit-weight variable the lead is that variable times the weight
     monomial and the replacement is P; otherwise the lead is z^d.
@@ -235,19 +235,15 @@ def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
     for name in spec.vars:
         if name not in ctx:
             raise ValueError(f"polynomial context is missing variable {name!r}")
-    lead = [0] * len(ctx)
     P = spec.P().embed(ctx)
+    M = spec.weight_monomial().embed(ctx)
     if spec.x_role is not None:
-        for i, k in enumerate(spec.weights):
-            lead[ctx.index(f"y{i+1}")] = k
-        if spec.x_present:
-            lead[ctx.index("x")] = 1
+        lead = M * MultiPoly.variable(ctx, "x") if spec.x_present else M
         replacement = P
     else:
-        lead[ctx.index("z")] = spec.d
-        z = MultiPoly.variable(ctx, "z")
-        replacement = spec.weight_monomial().embed(ctx) - (P - z**spec.d)
-    rule = spec._memo[ctx] = (tuple(lead), replacement)
+        lead = MultiPoly.variable(ctx, "z") ** spec.d
+        replacement = M - (P - lead)
+    rule = spec._memo[ctx] = (lead, replacement)
     return rule
 
 

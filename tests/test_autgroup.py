@@ -158,8 +158,15 @@ def test_finite_part_splitting_case():
 
 
 def test_finite_part_cyclic_z12():
-    for weights, P, order in (([4, 2], "z^6+1", 12), ([2, 3], "z^60+1", 60)):
-        fp = aut_structure(variety(weights, False, P)).finite_part
+    ident, one = (0, 1), Fraction(1)
+    # one generator of order 12; then coprime orders 4, 3 and 5 on separate coordinates
+    z12 = (ident, (canonical_scalar(zeta(12)), one, canonical_scalar(zeta(12, 5))))
+    z4, z3, z5 = (
+        (ident, tuple(canonical_scalar(zeta(n)) if i == k else one for k in range(3)))
+        for i, n in enumerate((4, 3, 5))
+    )
+    for gens, order in (([z12], 12), ([z4, z3], 12), ([z4, z3, z5], 60)):
+        fp = finite_part_from_elements(gens, 2)
         assert fp.order == order
         assert fp.abelian and fp.invariant_factors == (order,)
 
@@ -340,10 +347,12 @@ def test_aut_structure_y14y22():
     assert rep.groups["H"].type == DiagGroupType(1, (2,))
     assert rep.groups["Dbar"].type == DiagGroupType(0, (12,))
     assert rep.groups["H_cap_Dbar"] == DiagGroupType(0, (2,))
-    assert rep.structure_group == DiagGroupType(1, (12,))
-    assert rep.structure_group != DiagGroupType(1, (2, 6))
-    assert rep.quotient.lattice_exact == DiagGroupType(1, (2, 6))
-    assert any("disagree" in w for w in rep.warnings)
+    # (±y1, ±y2, ±z) are 8 elements of order <= 2: K^x x Z12 has only 4
+    for signs in itertools.product((1, -1), repeat=3):
+        assert verify_automorphism(Y, group_element_map(Y, (0, 1), scalars(*signs)))
+    assert rep.structure_group == DiagGroupType(1, (2, 6))
+    assert rep.structure_pretty == "K^x x Z2 x Z6"
+    assert not any("disagree" in w for w in rep.warnings)
 
 
 def test_aut_structure_e4(e4):
@@ -352,6 +361,29 @@ def test_aut_structure_e4(e4):
     assert rep.structure["op"] == "semidirect"
     assert rep.structure["args"][1]["leaf"] == "unipotent"
     assert not rep.verdicts.commutative
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 8).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.dictionaries(st.integers(0, d - 2), st.sampled_from([-3, -2, -1, 1, 2, 5]), min_size=1),
+    )),
+)
+def test_m1_identity_branch_closed_form(n, case):
+    """x*y^n = P(z) with no z^(d-1) term (Makar-Limanov, Israel J. Math. 121,
+    2001): (x, y, z) -> (a x, b y, c z) preserves the relation iff
+    c^(d-e) = 1 for every exponent e of P, so the identity branch is
+    K^x x Z_g with g the gcd of those d - e."""
+    d, lower = case
+    P = " + ".join([f"z^{d}"] + [f"{c}*z^{e}" for e, c in lower.items()])
+    spec = variety([n], True, P)
+    assert spec.P() == parse_poly(P, spec.vars)  # already normalized
+    g = gcd(*(d - e for e in lower))
+    (branch,) = canonical_group(spec).branches
+    assert branch.sigma == (0,) and branch.feasible
+    assert branch.solutions.structure == DiagGroupType(1, (g,) if g > 1 else ())
 
 
 def test_aut_structure_one_unit():

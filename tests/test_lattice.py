@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import danaut
@@ -20,12 +20,11 @@ from danaut import (
     diag_group_quotient,
     hermite_normal_form,
     left_kernel_basis,
-    normalize_invariant_factors,
     smith_normal_form,
     solve_torus_system,
     zeta,
 )
-from danaut.lattice import mat_mul
+from danaut.lattice import group_type_from_vanishing_lattice, mat_mul
 
 
 def check_snf(A):
@@ -96,11 +95,17 @@ def test_hermite_canonical():
     assert L1 == L2
 
 
-def test_normalize_invariant_factors():
-    assert normalize_invariant_factors([2, 12]) == (2, 12)
-    assert normalize_invariant_factors([3, 2]) == (6,)
-    assert normalize_invariant_factors([4, 6]) == (2, 12)
-    assert normalize_invariant_factors([]) == ()
+def _chain(factors) -> tuple:
+    """Invariant factors of Z_f1 x ... x Z_fk, from the diagonal vanishing lattice."""
+    diag = [[f if i == j else 0 for j in range(len(factors))] for i, f in enumerate(factors)]
+    return group_type_from_vanishing_lattice(diag, len(factors)).invariant_factors
+
+
+def test_invariant_factors_of_diagonal_lattices():
+    assert _chain([2, 12]) == (2, 12)
+    assert _chain([3, 2]) == (6,)
+    assert _chain([4, 6]) == (2, 12)
+    assert _chain([]) == ()
 
 
 def _primary_chain(factors):
@@ -136,8 +141,8 @@ def _primary_chain(factors):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(1, 60), max_size=8))
-def test_normalize_invariant_factors_matches_primary_decomposition(factors):
-    chain = normalize_invariant_factors(factors)
+def test_invariant_factors_match_primary_decomposition(factors):
+    chain = _chain(factors)
     assert chain == _primary_chain(factors)
     assert DiagGroupType(0, chain).order() == prod(factors)
 
@@ -295,10 +300,8 @@ def test_quotient_y14y22_data():
     assert K.group_type() == DiagGroupType(0, (12,))
     q = diag_group_quotient(H, K)
     assert q.intersection == DiagGroupType(0, (2,))
-    assert q.reported == DiagGroupType(1, (12,))
-    # the exact lattice join is recorded alongside; here the convention differs
-    assert q.lattice_exact == DiagGroupType(1, (2, 6))
-    assert q.convention_differs
+    # the join, not Z12 from cancelling Z2 against the listed factors of H and K
+    assert q.reported == DiagGroupType(1, (2, 6))
 
 
 def test_quotient_z2_self():
@@ -306,7 +309,7 @@ def test_quotient_z2_self():
     H = DiagSubgroup.from_defining_characters(1, [[2]])
     q = diag_group_quotient(H, H)
     assert q.reported == DiagGroupType(0, (2,))
-    assert not q.convention_differs
+    assert q.intersection == DiagGroupType(0, (2,))
 
 
 def test_quotient_symmetry():
@@ -315,8 +318,28 @@ def test_quotient_symmetry():
     q1 = diag_group_quotient(H, K)
     q2 = diag_group_quotient(K, H)
     assert q1.reported == q2.reported
-    assert q1.lattice_exact == q2.lattice_exact
     assert q1.intersection == q2.intersection
+
+
+@st.composite
+def _finite_subgroup(draw, n):
+    """A finite subgroup of (K^x)^n: n small character rows of full rank, maybe one more."""
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n + 1))
+    assume(det_int(rows[:n]) != 0)
+    return DiagSubgroup.from_defining_characters(n, rows)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_finite_subgroup(n), _finite_subgroup(n))))
+def test_quotient_is_the_join_of_finite_subgroups(pair):
+    """|<H, K>| = |H| |K| / |H cap K|, and the quotient does not depend on the order."""
+    H, K = pair
+    q = diag_group_quotient(H, K)
+    join = H.generated_with(K).group_type()
+    assert q.reported == join and q.intersection == H.intersection(K).group_type()
+    assert join.order() * q.intersection.order() == H.group_type().order() * K.group_type().order()
+    assert diag_group_quotient(K, H) == q
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,18 @@ def test_context_mismatch_errors():
         MultiPoly.variable(V2, "y1") + MultiPoly.variable(VZ, "z")
 
 
+def test_monomial_divisors_are_monic_monomials():
+    y1 = MultiPoly.variable(V2, "y1")
+    f = y1**3
+    for bad in (y1 * 2, y1 + 1, y1 * Fraction(1, 2)):
+        with pytest.raises(ValueError, match="monic monomial"):
+            divide_by_monomial(f, bad)
+        with pytest.raises(ValueError, match="monic monomial"):
+            reduce_by_rule(f, bad, y1)
+    assert divide_by_monomial(f, y1) == y1**2
+    assert reduce_by_rule(f, y1**2, y1 + 1) == y1 * 2 + 1
+
+
 def test_substitution_examples():
     z = MultiPoly.variable(VZ, "z")
     assert substitute(z**2, {"z": z + 1}) == z**2 + 2 * z + 1
@@ -512,7 +524,7 @@ def test_reduce_by_rule_matches_fraction_reference(operands, lead):
     # the replacement has no x, so every rewrite lowers the x-degree
     tb = _ref_clean({(0,) + e[1:]: c for e, c in tb.items()})
     f, replacement = MultiPoly(_REF_CTX, ta), MultiPoly(_REF_CTX, tb)
-    result = reduce_by_rule(f, lead, replacement)
+    result = reduce_by_rule(f, MultiPoly(_REF_CTX, {lead: 1}), replacement)
     _assert_canonical(result)
     assert result.terms == _ref_reduce(ta, lead, tb)
 
@@ -861,7 +873,8 @@ def test_packed_keys_never_carry_between_fields(case):
     _agrees(lambda: f * g, *_carry_mul(tf, tg))
     _agrees(lambda: g * f, *_carry_mul(tf, tg))
     r, replacement = MultiPoly(_REF_CTX, tr), MultiPoly(_REF_CTX, trep)
-    _agrees(lambda: reduce_by_rule(r, lead, replacement), *_carry_reduce(dict(tr), lead, trep))
+    rule = MultiPoly(_REF_CTX, {lead: 1})
+    _agrees(lambda: reduce_by_rule(r, rule, replacement), *_carry_reduce(dict(tr), lead, trep))
     images = {name: MultiPoly(_REF_WIDE, t) for name, t in timages.items()}
     expected, top = _carry_substitute(tf, timages, _REF_WIDE)
     _agrees(lambda: substitute(f, images), expected, top, exact=False)
@@ -906,7 +919,7 @@ def test_exponents_at_the_limit_raise_one_line_errors():
         (lambda: substitute(y_top * z, {"y": z, "z": z}), "exponent 2147483648 of z"),
         # 4 * 2^30 = 2^32 would carry out of z's field into y's and clear its guard bit
         (lambda: substitute(y ** (2**30), {"y": z**4, "z": z}), "exponent 4294967296 of z"),
-        (lambda: reduce_by_rule(y * z_top, (1, 0), z), "exponent 2147483648 of z"),
+        (lambda: reduce_by_rule(y * z_top, y, z), "exponent 2147483648 of z"),
         (lambda: MultiPoly.monomial(ctx, {"z": _LIMIT}), "exponent 2147483648 of z"),
         (lambda: MultiPoly(ctx, {(_LIMIT + 1, 0): 1}), "exponent 2147483649 of y"),
         (lambda: parse_poly("z^2147483648", ctx), "exponent 2147483648 of z"),
