@@ -62,6 +62,7 @@ from .derivations import (
     exp_replica,
     gr_leading_form,
     homogeneous_decompose,
+    monomial_inverse,
     nilpotency_index,
     tilde_degree,
 )
@@ -78,7 +79,6 @@ from .autgroup import (
     identity_element,
     invert_element,
     stabilizer_permutations,
-    verify_automorphism,
 )
 from .report import build_report, sample_generator_maps
 

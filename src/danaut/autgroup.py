@@ -21,11 +21,10 @@ from math import gcd, lcm
 from typing import Callable, Optional
 
 from .cyclotomic import CycElem, zeta
-from .derivations import GeneratorMap, automorphism_defect
+from .derivations import GeneratorMap
 from .lattice import (
     ENUM_ORDER_BOUND,
     DiagGroupType,
-    QuotientResult,
     TorusSolutionSet,
     diag_group_quotient,
     group_type_from_vanishing_lattice,
@@ -461,7 +460,7 @@ class AutReport:
     canonical: Optional[CanonicalGroup] = None
     finite_part: Optional[FinitePart] = None
     special_family: bool = False
-    quotient: Optional[QuotientResult] = None
+    structure_group: Optional[DiagGroupType] = None  # all weights >= 2: the listed group
 
     @property
     def regime(self) -> str:
@@ -470,11 +469,6 @@ class AutReport:
     @property
     def structure_pretty(self) -> str:
         return pretty_structure(self.structure)
-
-    @property
-    def structure_group(self) -> Optional[DiagGroupType]:
-        """The diagonal quotient the structure lists, for all weights >= 2."""
-        return self.quotient.reported if self.quotient is not None else None
 
 
 def leaf_diag(t: DiagGroupType) -> dict:
@@ -607,7 +601,7 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
             "torus-criterion",
             "solvability-criterion",
         ],
-        quotient=quot,
+        structure_group=quot.reported,
     )
 
 
@@ -657,7 +651,7 @@ def _aut_danielewski(spec: VarietySpec, bound: int) -> AutReport:
         spec=spec,
         structure=tree,
         verdicts=Verdicts(G.is_trivial, False, _solvable(spec, "unknown")),
-        groups={"S": symmetric_group(spec), "G": G},
+        groups={"S": symmetric_group(spec)},
         canonical=G,
         finite_part=finite_part,
         warnings=warnings + ["the canonical group meets the exponential family "
@@ -669,46 +663,3 @@ def _aut_danielewski(spec: VarietySpec, bound: int) -> AutReport:
             "solvability-sufficiency",
         ],
     )
-
-
-# -- soundness oracle ------------------------------------------------------------
-
-
-def verify_automorphism(spec: VarietySpec, gm: GeneratorMap) -> bool:
-    """True iff the map preserves the defining ideal and has a two-sided inverse.
-
-    A map without inverse images gets one derived when it is monomial.
-    """
-    if any(name not in gm.images for name in spec.vars):
-        return False
-    inverse = gm.inverse_images
-    if inverse is None:
-        inverse = _derive_monomial_inverse(spec, gm)
-        if inverse is None:
-            return False
-    return automorphism_defect(spec, gm.images, inverse) is None
-
-
-def _derive_monomial_inverse(spec: VarietySpec, gm: GeneratorMap) -> Optional[dict]:
-    """Invert maps sending every generator to scalar * single variable."""
-    ctx = gm.context()
-    inverse_assign = {}
-    for name in spec.vars:
-        img = gm.images[name]
-        if len(img.terms) != 1:
-            return None
-        (exps, c), = img.terms.items()
-        if sum(exps) != 1:
-            return None
-        target = ctx[exps.index(1)]
-        inverse_assign[target] = (name, c)
-    if set(inverse_assign) != set(spec.vars):
-        return None
-    inverse = {}
-    for name in ctx:
-        if name in inverse_assign:
-            src, c = inverse_assign[name]
-            inverse[name] = MultiPoly.variable(ctx, src) * (Fraction(1) / c)
-        else:
-            inverse[name] = MultiPoly.variable(ctx, name)
-    return inverse

@@ -18,14 +18,9 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .autgroup import (
-    aut_structure,
-    canonical_group,
-    group_element_map,
-    verify_automorphism,
-)
+from .autgroup import aut_structure, canonical_group, group_element_map
 from .lattice import ENUM_ORDER_BOUND
-from .derivations import GeneratorMap, exp_replica, gr_leading_form, tilde_degree
+from .derivations import GeneratorMap, exp_replica, gr_leading_form, monomial_inverse, tilde_degree
 from .poly import MultiPoly, _tokenize, parse_poly, poly_str
 from .report import build_report, degenerate_report, element_signature
 from .varieties import (
@@ -73,7 +68,7 @@ def parse_coeff(text: str) -> Fraction:
 
 
 def load_spec_file(path: str) -> tuple:
-    """Parse and validate a presentation file; returns (spec, options)."""
+    """Parse and check a presentation file; returns (spec, options)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -337,9 +332,14 @@ def cmd_apply(args) -> int:
             if name not in mapping:
                 raise CliError(f"--map is missing an image for {name}")
             images[name] = parse_poly(mapping[name], spec.vars)
-        gm = GeneratorMap(spec, images, validate=False)
-        if not verify_automorphism(spec, gm):
-            raise CliError("the supplied map is not a verified automorphism")
+        rejected = CliError("the supplied map is not a verified automorphism")
+        inverse = monomial_inverse(spec, images)
+        if inverse is None:
+            raise rejected
+        try:
+            gm = GeneratorMap(spec, images, inverse)  # verified at construction
+        except ValueError:
+            raise rejected
     else:
         raise CliError("one of --element or --map is required")
     result = poly_str(gm.apply_to(f))

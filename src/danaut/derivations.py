@@ -11,7 +11,8 @@ parameter h) are treated as kernel constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .poly import (
@@ -113,21 +114,18 @@ def nilpotency_index(
 
 @dataclass
 class GeneratorMap:
-    """An algebra endomorphism by images of the coordinate generators.
+    """An algebra automorphism by images of the coordinate generators and
+    the images of its inverse.
 
     Construction checks that the defining polynomial maps into its own
-    ideal, and, when an inverse is supplied, that both compositions fix
-    every generator.
+    ideal and that both compositions fix every generator.
     """
 
     spec: VarietySpec
     images: dict
-    inverse_images: Optional[dict] = None
-    validate: bool = field(default=True, compare=False, repr=False)
+    inverse_images: dict
 
     def __post_init__(self):
-        if not self.validate:
-            return
         defect = automorphism_defect(self.spec, self.images, self.inverse_images)
         if defect is not None:
             raise ValueError(defect)
@@ -143,12 +141,10 @@ class GeneratorMap:
     def compose(self, other: "GeneratorMap") -> "GeneratorMap":
         """self after other (as ring maps: v -> self(other(v)))."""
         imgs = {v: self.apply_to(g) for v, g in other.images.items()}
-        inv = None
-        if self.inverse_images and other.inverse_images:
-            inv_other = GeneratorMap(self.spec, other.inverse_images)
-            inv = {
-                v: inv_other.apply_to(g) for v, g in self.inverse_images.items()
-            }
+        inv = {
+            v: substitute(g, other.inverse_images, lambda f: normal_form(f, self.spec))
+            for v, g in self.inverse_images.items()
+        }
         return GeneratorMap(self.spec, imgs, inv)
 
     def fixes_generators(self) -> bool:
@@ -160,14 +156,14 @@ class GeneratorMap:
 
 
 def automorphism_defect(
-    spec: VarietySpec, images: dict, inverse_images: Optional[dict]
+    spec: VarietySpec, images: dict, inverse_images: dict
 ) -> Optional[str]:
     """Why a generator map is not an automorphism of the quotient, or None.
 
-    The map must send the defining polynomial into its ideal and, when
-    inverse images are given, both compositions must fix every generator
-    modulo the ideal.  Every substitution is reduced to normal form as it
-    is built.  The result is the unique representative of its class (P is
+    The map must send the defining polynomial into its ideal, and both
+    compositions with the inverse images must fix every generator modulo
+    the ideal.  Every substitution is reduced to normal form as it is
+    built.  The result is the unique representative of its class (P is
     monic in z), so it is zero exactly when the fully expanded substitution
     lies in the ideal.
     """
@@ -177,14 +173,32 @@ def automorphism_defect(
     image = substitute(spec.defining_polynomial(), images, reduce)
     if not image.is_zero():
         return "map does not preserve the defining ideal"
-    if inverse_images is not None:
-        for name in spec.vars:
-            v = MultiPoly.variable(image.vars, name)
-            fwd = substitute(images[name], inverse_images, reduce) - v
-            bwd = substitute(inverse_images[name], images, reduce) - v
-            if not fwd.is_zero() or not bwd.is_zero():
-                return "supplied inverse is not a two-sided inverse"
+    for name in spec.vars:
+        v = MultiPoly.variable(image.vars, name)
+        fwd = substitute(images[name], inverse_images, reduce) - v
+        bwd = substitute(inverse_images[name], images, reduce) - v
+        if not fwd.is_zero() or not bwd.is_zero():
+            return "supplied inverse is not a two-sided inverse"
     return None
+
+
+def monomial_inverse(spec: VarietySpec, images: dict) -> Optional[dict]:
+    """Inverse images of a map sending each generator to a scalar times a
+    generator, one generator each; None for any other map."""
+    ctx = next(iter(images.values())).vars
+    inverse = {name: MultiPoly.variable(ctx, name) for name in ctx}
+    targets = set()
+    for name in spec.vars:
+        terms = images[name].terms
+        if len(terms) != 1:
+            return None
+        (exps, c), = terms.items()
+        if sum(exps) != 1:
+            return None
+        target = ctx[exps.index(1)]
+        targets.add(target)
+        inverse[target] = MultiPoly.variable(ctx, name) * (Fraction(1) / c)
+    return inverse if targets == set(spec.vars) else None
 
 
 def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:

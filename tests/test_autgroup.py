@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from danaut import (
@@ -23,13 +23,14 @@ from danaut import (
     identity_element,
     invert_element,
     make_variety,
+    monomial_inverse,
     normal_form,
     parse_poly,
     stabilizer_permutations,
-    verify_automorphism,
     zeta,
 )
 from danaut.cyclotomic import canonical_scalar
+from danaut.derivations import automorphism_defect
 from danaut.report import sample_generator_maps
 from conftest import random_kernel_poly, variety
 
@@ -108,7 +109,8 @@ def test_element_composition_and_inverse(e4):
 def test_element_maps_verify(e4):
     G = canonical_group(e4)
     for s, t in G.elements:
-        assert verify_automorphism(e4, group_element_map(e4, s, t))
+        gm = group_element_map(e4, s, t)
+        assert automorphism_defect(e4, gm.images, gm.inverse_images) is None
 
 
 def test_big_coefficients_keep_the_element_list():
@@ -117,7 +119,8 @@ def test_big_coefficients_keep_the_element_list():
     G = canonical_group(big)
     assert G.order == 36 and len(G.elements) == 36
     for s, t in G.elements:
-        assert verify_automorphism(big, group_element_map(big, s, t))
+        gm = group_element_map(big, s, t)
+        assert automorphism_defect(big, gm.images, gm.inverse_images) is None
     # a square c has no rational cube root, so no list; the note says why
     square = variety([2, 2], True, f"z^2 + y1^3 + {(10**20 + 1) ** 2}*y2^3 + 1")
     G = canonical_group(square)
@@ -349,7 +352,8 @@ def test_aut_structure_y14y22():
     assert rep.groups["H_cap_Dbar"] == DiagGroupType(0, (2,))
     # (±y1, ±y2, ±z) are 8 elements of order <= 2: K^x x Z12 has only 4
     for signs in itertools.product((1, -1), repeat=3):
-        assert verify_automorphism(Y, group_element_map(Y, (0, 1), scalars(*signs)))
+        gm = group_element_map(Y, (0, 1), scalars(*signs))
+        assert automorphism_defect(Y, gm.images, gm.inverse_images) is None
     assert rep.structure_group == DiagGroupType(1, (2, 6))
     assert rep.structure_pretty == "K^x x Z2 x Z6"
     assert not any("disagree" in w for w in rep.warnings)
@@ -450,7 +454,8 @@ def test_generator_soundness_all_regimes():
         maps = sample_generator_maps(rep)
         assert maps, spec.regime
         for gm in maps:
-            assert verify_automorphism(spec, gm), (spec.regime, gm.images)
+            defect = automorphism_defect(spec, gm.images, gm.inverse_images)
+            assert defect is None, (spec.regime, gm.images)
 
 
 _REGIMES = ("Danielewski", "LineSuspensionOneUnit", "LineSuspensionAllGe2")
@@ -517,33 +522,53 @@ def test_random_presentations_sound_maps_and_verdicts(spec):
     maps = sample_generator_maps(rep)
     assert maps, spec.equation_str()
     for gm in maps:
-        assert verify_automorphism(spec, gm), (spec.equation_str(), gm.images)
+        defect = automorphism_defect(spec, gm.images, gm.inverse_images)
+        assert defect is None, (spec.equation_str(), gm.images)
     v = rep.verdicts
     assert (v.commutative, v.torus, v.solvable) == _reference_verdicts(spec, rep)
 
 
+_SUSPENSIONS = ("LineSuspensionOneUnit", "LineSuspensionAllGe2")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_presentations().filter(lambda spec: spec.regime in _SUSPENSIONS))
+@example(variety([2], False, "z^2"))  # y^2 = z^2 and its special-family map
+def test_monomial_inverse_matches_element_inverse(spec):
+    """monomial_inverse gives the invert_element inverse of every
+    group-element map, and None for exponentials and the special family."""
+    rep = aut_structure(spec)
+    for gm in sample_generator_maps(rep):
+        inverse = monomial_inverse(spec, gm.images)
+        if all(len(g.terms) == 1 for g in gm.images.values()):
+            assert inverse == gm.inverse_images, (spec.equation_str(), gm.images)
+        else:  # an exp_replica map or the special family's (ay+bz, by+az)
+            assert inverse is None, (spec.equation_str(), gm.images)
+
+
 def test_verify_rejects_non_automorphism():
     Y = variety([2, 3], False, "z^4")
-    bad = GeneratorMap(
-        Y,
-        {
-            "y1": parse_poly("2*y1", Y.vars),
-            "y2": parse_poly("y2", Y.vars),
-            "z": parse_poly("z", Y.vars),
-        },
-        validate=False,
-    )
-    assert not verify_automorphism(Y, bad)
-    # eager construction without the opt-out rejects the same map
-    with pytest.raises(ValueError):
-        GeneratorMap(Y, dict(bad.images))
+    images = {
+        "y1": parse_poly("2*y1", Y.vars),
+        "y2": parse_poly("y2", Y.vars),
+        "z": parse_poly("z", Y.vars),
+    }
+    inverse = monomial_inverse(Y, images)
+    assert inverse["y1"] == parse_poly("y1/2", Y.vars)
+    defect = automorphism_defect(Y, images, inverse)
+    assert defect == "map does not preserve the defining ideal"
+    with pytest.raises(ValueError, match=defect):
+        GeneratorMap(Y, images, inverse)
+    with pytest.raises(TypeError):  # every map carries its inverse
+        GeneratorMap(Y, images)
 
 
 def test_verify_exponentials_random(e4):
     rng = random.Random(20240614)
     for _ in range(20):
         h = random_kernel_poly(rng, e4)
-        assert verify_automorphism(e4, exp_replica(e4, h))
+        gm = exp_replica(e4, h)
+        assert automorphism_defect(e4, gm.images, gm.inverse_images) is None
 
 
 def test_conjugation_stability(e4):
@@ -557,7 +582,7 @@ def test_conjugation_stability(e4):
         for g in gmaps:
             ginv = GeneratorMap(e4, g.inverse_images, g.images)
             conj = g.compose(u).compose(ginv)
-            assert verify_automorphism(e4, conj)
+            assert automorphism_defect(e4, conj.images, conj.inverse_images) is None
             for name in e4.yvars:
                 img = conj.images[name]
                 assert len(img.terms) == 1

@@ -335,6 +335,20 @@ def test_apply_inline_map_and_rejection():
         "apply", fixture_path("s7_e4.json"), "z", "--map", bad
     )
     assert code == 1 and "not a verified automorphism" in err
+    # not a bijection, a zero image, and a genuine but non-monomial automorphism
+    code, out, _ = run_cli("exp", fixture_path("s7_e4.json"), "1", "--json")
+    assert code == 0
+    for images in (
+        {"x": "x", "y1": "y2", "y2": "y2", "z": "z"},
+        {"x": "x", "y1": "0", "y2": "y2", "z": "z"},
+        json.loads(out)["images"],
+    ):
+        code, out, err = run_cli(
+            "apply", fixture_path("s7_e4.json"), "z", "--map", json.dumps(images)
+        )
+        assert code == 1 and out == "", images
+        lines = err.splitlines()
+        assert len(lines) == 1 and "not a verified automorphism" in lines[0], err
 
 
 def test_apply_defining_polynomial_to_zero():
@@ -474,7 +488,7 @@ def test_genus_subcommand(tmp_path):
 
 
 def test_each_map_verified_exactly_once(monkeypatch, capsys):
-    from danaut import autgroup, cli, derivations
+    from danaut import cli, derivations
 
     real = derivations.automorphism_defect
     calls = []
@@ -484,17 +498,18 @@ def test_each_map_verified_exactly_once(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(derivations, "automorphism_defect", counting)
-    monkeypatch.setattr(autgroup, "automorphism_defect", counting)
     e4 = fixture_path("s7_e4.json")
     scaling = json.dumps({"x": "-x", "y1": "y2", "y2": "y1", "z": "-z"})
-    for argv in (
-        ["exp", e4, "h*y1 + 1", "--json"],
-        ["apply", e4, "x*z", "--element", "e0"],
-        ["apply", e4, "x*z", "--map", scaling],
+    for argv, checks in (
+        (["exp", e4, "h*y1 + 1", "--json"], 1),
+        (["apply", e4, "x*z", "--element", "e0"], 1),
+        (["apply", e4, "x*z", "--map", scaling], 1),
+        (["analyze", e4, "--json"], 1),  # the report's exponential example
+        (["analyze", fixture_path("s5_y14y22.json"), "--json"], 0),
     ):
         calls.clear()
         assert cli.main(argv) == 0, capsys.readouterr().err
-        assert len(calls) == 1, argv
+        assert len(calls) == checks, argv
 
 
 def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):

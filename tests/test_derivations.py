@@ -26,7 +26,6 @@ from danaut import (
     parse_poly,
     substitute,
     tilde_degree,
-    verify_automorphism,
 )
 from danaut.autgroup import _element_images
 from danaut.derivations import automorphism_defect
@@ -112,7 +111,7 @@ def test_exp_replica_displayed_maps(e4):
         "x + (3z^2+1)*h + 3*z*y1^2*y2^2*h^2 + y1^4*y2^4*h^3", ctx
     )
     assert gm.images["y1"] == MultiPoly.variable(ctx, "y1")
-    assert verify_automorphism(e4, gm)
+    assert automorphism_defect(e4, gm.images, gm.inverse_images) is None
 
     e2 = variety([2], True, "z^3+(y1+1)z+1")
     ctx2 = e2.vars + ("h",)
@@ -121,7 +120,7 @@ def test_exp_replica_displayed_maps(e4):
     assert g2.images["x"] == parse_poly(
         "x + (3z^2+y1+1)*h + 3*z*y1^2*h^2 + y1^4*h^3", ctx2
     )
-    assert verify_automorphism(e2, g2)
+    assert automorphism_defect(e2, g2.images, g2.inverse_images) is None
 
 
 def test_exp_replica_zero_is_identity(e4):
@@ -305,12 +304,11 @@ def test_reduced_substitution_matches_full_expansion(case):
 
 @st.composite
 def _suspension_monomial_map(draw):
-    """y^k = P(z) with all weights >= 2, a monomial map, and an inverse or None.
+    """y^k = P(z) with all weights >= 2, a monomial map, and inverse images.
 
     The map is a signed weight-preserving permutation (an automorphism for
     some signs) or random scalar-times-monomial images (rarely one); the
-    inverse is the true one, that one with z negated, the map itself, or
-    absent.
+    inverse is the true one, that one with z negated, or the map itself.
     """
     weights = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
     d = draw(st.integers(2, 4))
@@ -338,7 +336,7 @@ def _suspension_monomial_map(draw):
         }
         inverse = images
     wrong = {**inverse, "z": -inverse["z"]}
-    inverse = draw(st.sampled_from([None, inverse, wrong, images]))
+    inverse = draw(st.sampled_from([inverse, wrong, images]))
     return spec, images, inverse
 
 
@@ -346,7 +344,7 @@ def _defect_by_full_expansion(spec, images, inverse):
     """automorphism_defect's answer from unreduced substitutions and ideal_member."""
     if not ideal_member(substitute(spec.defining_polynomial(), images), spec):
         return "map does not preserve the defining ideal"
-    for name in spec.vars if inverse is not None else ():
+    for name in spec.vars:
         v = MultiPoly.variable(spec.vars, name)
         fwd = substitute(images[name], inverse) - v
         bwd = substitute(inverse[name], images) - v
