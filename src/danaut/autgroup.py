@@ -23,7 +23,6 @@ from typing import Callable, Optional
 from .cyclotomic import CycElem, zeta
 from .derivations import GeneratorMap
 from .lattice import (
-    ENUM_ORDER_BOUND,
     DiagGroupType,
     TorusSolutionSet,
     diag_group_quotient,
@@ -196,7 +195,7 @@ def _branch_constraints(spec: VarietySpec, sigma):
     return rows, targets, ""
 
 
-def canonical_group(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND) -> CanonicalGroup:
+def canonical_group(spec: VarietySpec) -> CanonicalGroup:
     """Permutation-and-scaling stabilizer of the coordinate ring."""
     if spec.regime != REGIME_DANIELEWSKI:
         raise SpecError("canonical group requires the unit-weight regime")
@@ -209,9 +208,7 @@ def canonical_group(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND)
         if rows is None:
             branches.append(Branch(sigma, False, reason))
             continue
-        sol = solve_torus_system(
-            rows, targets, ncols=m + 1, enum_order_bound=enum_order_bound
-        )
+        sol = solve_torus_system(rows, targets, ncols=m + 1)
         if not sol.consistent:
             branches.append(
                 Branch(sigma, False, f"inconsistent targets: {sol.coset_note}", sol)
@@ -537,7 +534,7 @@ def scaling_family_element(D, t, m: int) -> tuple:
     return tuple(scalars)
 
 
-def aut_structure(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND) -> AutReport:
+def aut_structure(spec: VarietySpec) -> AutReport:
     """Assemble generators, structure, and verdicts for a normalized spec."""
     if not spec.is_normalized():
         raise SpecError("normalize the presentation first")
@@ -552,7 +549,7 @@ def aut_structure(spec: VarietySpec, enum_order_bound: int = ENUM_ORDER_BOUND) -
     if spec.regime == REGIME_ONE_UNIT:
         return _aut_one_unit(spec)
     if spec.regime == REGIME_DANIELEWSKI:
-        return _aut_danielewski(spec, enum_order_bound)
+        return _aut_danielewski(spec)
     raise SpecError(f"unsupported regime: {spec.regime_note}")
 
 
@@ -632,16 +629,15 @@ def _aut_one_unit(spec: VarietySpec) -> AutReport:
     )
 
 
-def _aut_danielewski(spec: VarietySpec, bound: int) -> AutReport:
-    warnings = []
-    G = canonical_group(spec, bound)
+def _aut_danielewski(spec: VarietySpec) -> AutReport:
+    G = canonical_group(spec)
     finite_part = None
     if G.elements is not None:
         finite_part = finite_part_from_elements(G.elements, spec.m)
-        if finite_part.order != (G.order or 0):
-            warnings.append(
-                "canonical-group table closure added elements beyond the "
-                "per-branch count; check constraints"
+        if finite_part.order != G.order:
+            raise AssertionError(
+                f"canonical-group table closes to {finite_part.order} elements, "
+                f"but the branches count {G.order}"
             )
     tree = node(
         "semidirect",
@@ -654,8 +650,7 @@ def _aut_danielewski(spec: VarietySpec, bound: int) -> AutReport:
         groups={"S": symmetric_group(spec)},
         canonical=G,
         finite_part=finite_part,
-        warnings=warnings + ["the canonical group meets the exponential family "
-                             "only in the identity"],
+        warnings=["the canonical group meets the exponential family only in the identity"],
         citations=[
             "danielewski-structure-theorem",
             "canonical-group-constraints",

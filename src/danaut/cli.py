@@ -19,7 +19,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .autgroup import aut_structure, canonical_group, group_element_map
-from .lattice import ENUM_ORDER_BOUND
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, monomial_inverse, tilde_degree
 from .poly import MultiPoly, _tokenize, parse_poly, poly_str
 from .report import build_report, degenerate_report, element_signature
@@ -67,8 +66,8 @@ def parse_coeff(text: str) -> Fraction:
     return c
 
 
-def load_spec_file(path: str) -> tuple:
-    """Parse and check a presentation file; returns (spec, options)."""
+def load_spec_file(path: str) -> VarietySpec:
+    """Parse and check a presentation file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -78,6 +77,8 @@ def load_spec_file(path: str) -> tuple:
         raise CliError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError("presentation file must be a JSON object")
+    if "options" in data:
+        raise CliError('presentation files take no "options" key; use the --no-normalize flag')
     weights = data.get("weights")
     # bool is an int subclass: JSON true/false is no weight, exponent or coefficient
     if not isinstance(weights, list) or not all(
@@ -118,35 +119,24 @@ def load_spec_file(path: str) -> tuple:
         exps[vars.index("z")] = ze
         key = tuple(exps)
         poly_terms[key] = poly_terms.get(key, Fraction(0)) + c
-    P = MultiPoly(vars, poly_terms)
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise CliError("options must be an object")
-    if not isinstance(options.get("normalize", True), bool):
-        raise CliError("options.normalize must be a boolean")
-    bound = options.get("enum_order_bound", ENUM_ORDER_BOUND)
-    if type(bound) is not int or bound < 1:
-        raise CliError("options.enum_order_bound must be a positive integer")
-    spec = make_variety(weights, x_present, P)
+    spec = make_variety(weights, x_present, MultiPoly(vars, poly_terms))
     if spec.d < 2:
         raise CliError("z-degree must be at least 2")
-    return spec, options
+    return spec
 
 
 def prepare(path: str, args) -> tuple:
-    """Load, optionally normalize, and gate on the regime."""
-    raw, options = load_spec_file(path)
-    do_normalize = options.get("normalize", True) and not args.no_normalize
-    if not do_normalize and not raw.is_normalized():
+    """Load, normalize, and gate on the regime; returns (raw, spec)."""
+    raw = load_spec_file(path)
+    if args.no_normalize and not raw.is_normalized():
         raise CliError(
             "presentation is not normalized (nonzero z^(d-1) coefficient) and "
             "--no-normalize was given"
         )
-    spec = normalize(raw) if do_normalize else raw
+    spec = normalize(raw)  # the identity on a normalized presentation
     if spec.regime == REGIME_UNSUPPORTED:
         raise CliError(f"unsupported presentation: {spec.regime_note}", code=2)
-    bound = args.max_enum_order or options.get("enum_order_bound", ENUM_ORDER_BOUND)
-    return raw, spec, bound
+    return raw, spec
 
 
 def _emit(args, payload: dict, text) -> int:
@@ -206,11 +196,11 @@ def _json_chunks(x, newline: str, out: list) -> None:
 
 
 def cmd_analyze(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     if spec.regime == REGIME_DEGENERATE:
         report = degenerate_report(raw, spec)
     else:
-        aut = aut_structure(spec, enum_order_bound=bound)
+        aut = aut_structure(spec)
         report = build_report(raw, spec, aut)
     if args.json:
         emit_json(report)
@@ -258,7 +248,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     names = {tok[1] for tok in _tokenize(args.h) if isinstance(tok, tuple)}
     h = parse_poly(args.h, spec.vars + tuple(sorted(names - set(spec.vars))))
     gm = exp_replica(spec, h)  # verified at construction
@@ -299,13 +289,13 @@ def _find_element(elements: list, name: str):
 
 
 def cmd_apply(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     f = parse_poly(args.poly, spec.vars)
     if args.element:
         if spec.regime == REGIME_DANIELEWSKI:
-            G = canonical_group(spec, bound)
+            G = canonical_group(spec)
         else:
-            G = aut_structure(spec, enum_order_bound=bound).canonical
+            G = aut_structure(spec).canonical
         if G is None or G.elements is None:
             raise CliError("no enumerated elements available for this presentation")
         element = _find_element(G.elements, args.element)
@@ -347,21 +337,21 @@ def cmd_apply(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     f = parse_poly(args.poly, spec.vars)
     deg = tilde_degree(f, spec)
     return _emit(args, {"degree": deg}, deg)
 
 
 def cmd_gr(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     f = parse_poly(args.poly, spec.vars)
     lead = poly_str(gr_leading_form(f, spec))
     return _emit(args, {"leading_form": lead}, lead)
 
 
 def cmd_irreducible(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     irr = irreducibility(spec)
     payload = {
         "irreducible": not irr.reducible,
@@ -377,17 +367,11 @@ def cmd_irreducible(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    raw, spec, bound = prepare(args.spec, args)
+    raw, spec = prepare(args.spec, args)
     if spec.m != 1 or spec.x_present:
         raise CliError("genus needs a curve presentation y1^k = P(z)")
     g = genus(spec.weights[0], spec.P().embed(("z",)))
     return _emit(args, {"genus": g}, g)
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,13 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("spec", help="presentation JSON file")
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument(
-            "--max-enum-order",
-            type=_positive_int,
-            default=None,
-            metavar="N",
-            help=f"enumeration bound for cyclotomic orders (default {ENUM_ORDER_BOUND})",
-        )
         p.add_argument(
             "--no-normalize",
             action="store_true",

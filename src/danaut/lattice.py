@@ -19,7 +19,7 @@ from .cyclotomic import CycElem, canonical_scalar, cyc_root_of_unity, zeta
 
 IntMat = list  # list of list of int
 
-# default bound on the cyclotomic orders whose roots are enumerated
+# bound on the cyclotomic orders whose roots are enumerated
 ENUM_ORDER_BOUND = 360
 
 
@@ -405,7 +405,6 @@ def solve_torus_system(
     A: IntMat,
     targets,
     ncols: Optional[int] = None,
-    enum_order_bound: int = ENUM_ORDER_BOUND,
 ) -> TorusSolutionSet:
     """Solve the monomial system t^{A_r} = lambda_r with exact arithmetic.
 
@@ -461,8 +460,8 @@ def solve_torus_system(
             if w is None:
                 failed = f"no exact {diag[p]}-th root of {mu[p]} in the restricted repertoire"
                 break
-            if isinstance(w, CycElem) and w.order > enum_order_bound:
-                failed = f"root order {w.order} exceeds enumeration bound {enum_order_bound}"
+            if isinstance(w, CycElem) and w.order > ENUM_ORDER_BOUND:
+                failed = f"root order {w.order} exceeds enumeration bound {ENUM_ORDER_BOUND}"
                 break
             roots.append(w)
         if failed is None:

@@ -19,8 +19,7 @@ def fixture_path(name: str) -> str:
 
 def load_fixture(name: str):
     """Classified, normalized spec from a fixture file."""
-    raw, options = load_spec_file(fixture_path(name))
-    return normalize(raw)
+    return normalize(load_spec_file(fixture_path(name)))
 
 
 @pytest.fixture

@@ -256,7 +256,7 @@ def test_unreadable_file_exit_one():
     assert code == 1 and "cannot read" in err
 
 
-def test_no_normalize_rejects_shifted(tmp_path):
+def test_no_normalize_rejects_shifted(tmp_path, capsys):
     f = tmp_path / "shifted.json"
     f.write_text(
         json.dumps(
@@ -275,6 +275,11 @@ def test_no_normalize_rejects_shifted(tmp_path):
     assert code == 1 and "not normalized" in err
     code, out, _ = run_cli("analyze", str(f))
     assert code == 0
+    # on a normalized presentation the switch changes nothing
+    e4 = fixture_path("s7_e4.json")
+    default = _main_in_process(["analyze", e4, "--json"], capsys)
+    assert default[0] == 0
+    assert _main_in_process(["analyze", e4, "--json", "--no-normalize"], capsys) == default
 
 
 def test_exp_subcommand():
@@ -450,7 +455,7 @@ def test_specfile_roundtrip():
     from danaut.report import spec_to_dict
 
     for name in ("s7_e4.json", "s5_y14y22.json", "s7_threevar.json"):
-        raw, _ = load_spec_file(fixture_path(name))
+        raw = load_spec_file(fixture_path(name))
         data = spec_to_dict(raw)
         import tempfile, os
 
@@ -460,7 +465,7 @@ def test_specfile_roundtrip():
             json.dump(data, fh)
             path = fh.name
         try:
-            again, _ = load_spec_file(path)
+            again = load_spec_file(path)
         finally:
             os.unlink(path)
         assert again.weights == raw.weights
@@ -651,30 +656,73 @@ def test_malformed_cli_input_exits_one_with_one_line(capsys):
         assert message in err, err
 
 
-def test_options_are_validated(tmp_path, capsys):
+def test_presentation_options_are_rejected(tmp_path, capsys):
+    """Normalization has one switch, --no-normalize, and the enumeration
+    bound is the constant ENUM_ORDER_BOUND: a file with an "options" key
+    exits 1, so one that asked for no normalization is never shifted."""
     with open(fixture_path("s7_e4.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    f = tmp_path / "opts.json"
     for options in (
         {"normalize": "no"},
         {"normalize": 1},
         {"enum_order_bound": "abc"},
         {"enum_order_bound": 0},
         {"enum_order_bound": True},
+        {},
+        {"normalize": False, "enum_order_bound": 12},
     ):
-        f = tmp_path / "opts.json"
         f.write_text(json.dumps({**spec, "options": options}))
-        code, _, err = _main_in_process(["analyze", str(f)], capsys)
-        assert code == 1 and err.startswith("error: options."), (options, err)
-    f.write_text(json.dumps({**spec, "options": {"normalize": False, "enum_order_bound": 12}}))
-    assert _main_in_process(["analyze", str(f)], capsys)[0] == 0
-    for bad in ("0", "-5", "abc"):
-        code, _, err = _main_in_process(
-            ["analyze", fixture_path("s7_e4.json"), "--max-enum-order", bad], capsys
-        )
-        assert code == 2 and "--max-enum-order" in err, bad
-    assert _main_in_process(
+        code, out, err = _main_in_process(["analyze", str(f)], capsys)
+        assert code == 1 and out == "", options
+        assert err.startswith("error: ") and err.count("\n") == 1, (options, err)
+        assert "--no-normalize" in err, err
+    code, out, err = _main_in_process(
         ["analyze", fixture_path("s7_e4.json"), "--max-enum-order", "4"], capsys
-    )[0] == 0
+    )
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_enumeration_bound_reaches_the_report(tmp_path, capsys):
+    """Branch (1,2) of x*y1^182*y2^182 = z^3 + y1^181 - y2^181 needs a root
+    of unity of order 362, above ENUM_ORDER_BOUND; branch id needs none."""
+    f = tmp_path / "w182.json"
+    f.write_text(json.dumps({
+        "weights": [182, 182],
+        "x_present": True,
+        "P": [
+            {"y_exponents": [0, 0], "z_exponent": 3, "coeff": "1"},
+            {"y_exponents": [181, 0], "z_exponent": 0, "coeff": "1"},
+            {"y_exponents": [0, 181], "z_exponent": 0, "coeff": "-1"},
+        ],
+    }))
+    code, out, err = _main_in_process(["analyze", str(f), "--json"], capsys)
+    assert code == 0, err
+    notes = {b["sigma"]: b["coset_note"] for b in json.loads(out)["groups"]["G"]["branches"]}
+    assert notes == {
+        "id": "",
+        "(1,2)": "root order 362 exceeds enumeration bound 360; "
+                 "solution set described structurally only",
+    }
+
+
+def test_failed_closure_check_exits_three(monkeypatch, capsys):
+    """A canonical table that closes to more elements than its branches
+    count is an internal fault, not a warning."""
+    import dataclasses
+
+    from danaut import autgroup
+
+    real = autgroup.canonical_group
+
+    def three_of_four(spec):
+        G = real(spec)
+        return dataclasses.replace(G, elements=G.elements[:3], order=3)
+
+    monkeypatch.setattr(autgroup, "canonical_group", three_of_four)
+    code, out, err = _main_in_process(["analyze", fixture_path("s7_e4.json")], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal check failed: ") and err.count("\n") == 1, err
 
 
 def test_map_goldens_stable(capsys):

@@ -179,6 +179,19 @@ def test_solve_validation():
         solve_torus_system([[1]], [Fraction(0)])
 
 
+def test_enumeration_bound():
+    """t^200 = -1 needs a root of unity of order 400, above ENUM_ORDER_BOUND;
+    t^180 = -1 needs one of order 360, at the bound."""
+    s = solve_torus_system([[200]], [Fraction(-1)])
+    assert s.consistent and s.particular is None
+    assert s.coset_note == (
+        "root order 400 exceeds enumeration bound 360; "
+        "solution set described structurally only"
+    )
+    s = solve_torus_system([[180]], [Fraction(-1)])
+    assert s.consistent and s.particular is not None and s.coset_note == ""
+
+
 def test_particular_verified_by_substitution():
     rng = random.Random(13)
     for _ in range(40):

@@ -76,8 +76,7 @@ def balanced_scalars(raw, s, signs) -> tuple:
 
 
 def _raw_fixture(name):
-    raw, _ = load_spec_file(str(FIXTURES / name))
-    return raw
+    return load_spec_file(str(FIXTURES / name))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
