@@ -23,11 +23,9 @@ from .poly import (
 )
 from .lattice import (
     DiagGroupType,
-    DiagSubgroup,
     TorusSolutionSet,
     diag_group_quotient,
     det_int,
-    hermite_normal_form,
     left_kernel_basis,
     smith_normal_form,
     solve_torus_system,

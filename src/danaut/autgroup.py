@@ -222,24 +222,13 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
     elements = None
     if finite:
         order = sum(b.solutions.structure.order() for b in feasible)
-        if order <= MAX_TABLE_ORDER:
-            elements = []
-            ok = True
-            for b in feasible:
-                sols = b.solutions.enumerate_solutions(MAX_TABLE_ORDER)
-                if sols is None:
-                    ok = False
-                    break
-                for t in sols:
-                    elements.append((b.sigma, t))
-            if not ok:
-                elements = None
+        if order <= MAX_TABLE_ORDER and all(b.solutions.particular is not None for b in feasible):
+            elements = [
+                (b.sigma, t)
+                for b in feasible
+                for t in b.solutions.enumerate_solutions(MAX_TABLE_ORDER)
+            ]
 
-    is_trivial = bool(
-        elements is not None
-        and len(elements) == 1
-        and elements[0] == identity_element(m)
-    )
     splits_note = ""
     if elements is not None:
         splits_note = _split_note(elements, m)
@@ -256,7 +245,7 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
         finite=finite,
         order=order,
         elements=elements,
-        is_trivial=is_trivial,
+        is_trivial=order == 1,
         splits_note=splits_note,
         summary=summary,
     )
@@ -515,16 +504,6 @@ def _solvable(spec: VarietySpec, with_five_equal: str) -> str:
     return with_five_equal if five_equal else "yes"
 
 
-def h_scalings(spec: VarietySpec) -> tuple:
-    """Torsion generators and torus directions of H, the diagonal scalings
-    fixing z and the weight monomial, solved on its defining characters."""
-    m = spec.m
-    sol = solve_torus_system(
-        [list(spec.weights) + [0], [0] * m + [1]], [Fraction(1), Fraction(1)], ncols=m + 1
-    )
-    return sol.torsion_generators, sol.torus_directions
-
-
 def scaling_family_element(D, t, m: int) -> tuple:
     """Scalars of the scaling-family element at parameter t, read from
     D.action: y_ref -> t^d*y_ref and z -> t^k_ref*z."""
@@ -558,7 +537,7 @@ def _aut_all_ge2(spec: VarietySpec) -> AutReport:
     H = proper_quasitorus(spec)
     S = symmetric_group(spec)
     aq = additional_quasitorus(spec)
-    quot = diag_group_quotient(H.subgroup, aq.Dbar.subgroup)
+    quot = diag_group_quotient(H.characters, aq.Dbar.characters, spec.m + 1)
     if aq.Dbar.note:
         warnings.append("scaling family: " + aq.Dbar.note)
     special_family = spec.m == 1 and spec.weights[0] == 2 and spec.d == 2

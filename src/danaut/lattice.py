@@ -1,10 +1,10 @@
 """Integer matrix normal forms and diagonalizable-group computations.
 
-Subgroups of an ambient torus (K^x)^n are handled through their vanishing
-lattices: the sublattice of Z^n of characters restricting trivially.
-Intersection of subgroups corresponds to lattice sum, the subgroup generated
-by two subgroups to lattice intersection, and the isomorphism type falls out
-of the Smith normal form of a lattice basis.
+A subgroup of an ambient torus (K^x)^n is given by character rows spanning
+its vanishing lattice: the sublattice of Z^n of characters restricting
+trivially.  Intersection of subgroups corresponds to lattice sum, the
+subgroup generated by two subgroups to lattice intersection, and the
+isomorphism type falls out of one Smith normal form of any spanning rows.
 """
 
 from __future__ import annotations
@@ -186,53 +186,15 @@ def left_kernel_basis(A: IntMat) -> IntMat:
     return [list(U[i]) for i in range(rank, r)]
 
 
-def hermite_normal_form(rows: IntMat, ncols: int) -> IntMat:
-    """Canonical row-style HNF basis of the lattice spanned by the rows."""
-    mat = [list(map(int, row)) for row in rows if any(row)]
-    pivot_row = 0
-    for col in range(ncols):
-        while True:
-            live = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                break
-            live.sort(key=lambda i: abs(mat[i][col]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = mat[i][col] // mat[i0][col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-        live = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
-        if not live:
-            continue
-        i0 = live[0]
-        mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-a for a in mat[pivot_row]]
-        for i in range(pivot_row):
-            q = mat[i][col] // mat[pivot_row][col]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
-        pivot_row += 1
-    return [row for row in mat[:pivot_row]]
-
-
 def lattice_intersect(L1: IntMat, L2: IntMat, ncols: int) -> IntMat:
     B1 = [list(r) for r in L1 if any(r)]
     B2 = [list(r) for r in L2 if any(r)]
     if not B1 or not B2:
         return []
-    stacked = B1 + [[-a for a in row] for row in B2]
-    kernel = left_kernel_basis(stacked)
-    vecs = []
-    for coeffs in kernel:
-        v = [0] * ncols
-        for x, row in zip(coeffs[: len(B1)], B1):
-            if x:
-                for j in range(ncols):
-                    v[j] += x * row[j]
-        vecs.append(v)
-    return hermite_normal_form(vecs, ncols)
+    kernel = left_kernel_basis(B1 + [[-a for a in row] for row in B2])
+    return [
+        [sum(x * row[j] for x, row in zip(coeffs, B1)) for j in range(ncols)] for coeffs in kernel
+    ]
 
 
 # -- diagonalizable group types ---------------------------------------------
@@ -280,6 +242,9 @@ class DiagGroupType:
 
 
 def group_type_from_vanishing_lattice(rows: IntMat, ncols: int) -> DiagGroupType:
+    """Type of the subgroup of (K^x)^ncols on which the character rows vanish."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"a character row does not have {ncols} entries")
     rows = [r for r in rows if any(r)]
     if not rows:
         return DiagGroupType(ncols, ())
@@ -290,53 +255,11 @@ def group_type_from_vanishing_lattice(rows: IntMat, ncols: int) -> DiagGroupType
     return DiagGroupType(ncols - rank, factors)
 
 
-@dataclass(frozen=True)
-class DiagSubgroup:
-    """Subgroup of (K^x)^ambient given by its vanishing character lattice."""
-
-    ambient: int
-    lattice: tuple
-
-    @staticmethod
-    def from_defining_characters(ambient: int, characters) -> "DiagSubgroup":
-        rows = hermite_normal_form([list(ch) for ch in characters], ambient)
-        return DiagSubgroup(ambient, tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def full_torus(ambient: int) -> "DiagSubgroup":
-        return DiagSubgroup(ambient, ())
-
-    @staticmethod
-    def image_of_parameter(ambient: int, weights, modulus: int) -> "DiagSubgroup":
-        """Image of t -> (t^w_1, ..., t^w_n) for t in mu_modulus (0: t in K^x)."""
-        column = [[int(w)] for w in weights]
-        if modulus:
-            column.append([int(modulus)])
-            kernel = left_kernel_basis(column)
-            rows = [row[:ambient] for row in kernel]
-        else:
-            rows = left_kernel_basis(column)
-        return DiagSubgroup(
-            ambient, tuple(tuple(r) for r in hermite_normal_form(rows, ambient))
-        )
-
-    def group_type(self) -> DiagGroupType:
-        return group_type_from_vanishing_lattice([list(r) for r in self.lattice], self.ambient)
-
-    def intersection(self, other: "DiagSubgroup") -> "DiagSubgroup":
-        self._check(other)
-        # the intersection vanishes on the sum of the two lattices
-        rows = hermite_normal_form(list(self.lattice) + list(other.lattice), self.ambient)
-        return DiagSubgroup(self.ambient, tuple(tuple(r) for r in rows))
-
-    def generated_with(self, other: "DiagSubgroup") -> "DiagSubgroup":
-        self._check(other)
-        rows = lattice_intersect(list(self.lattice), list(other.lattice), self.ambient)
-        return DiagSubgroup(self.ambient, tuple(tuple(r) for r in rows))
-
-    def _check(self, other: "DiagSubgroup") -> None:
-        if self.ambient != other.ambient:
-            raise ValueError("incompatible ambient torus dimensions")
+def image_characters(weights, modulus: int) -> tuple:
+    """Characters vanishing on the image of t -> (t^w_1, ..., t^w_n) for t in
+    mu_modulus (t in K^x when modulus is 0)."""
+    column = [[int(w)] for w in weights] + ([[int(modulus)]] if modulus else [])
+    return tuple(tuple(row[: len(weights)]) for row in left_kernel_basis(column))
 
 
 @dataclass(frozen=True)
@@ -351,10 +274,13 @@ class QuotientResult:
     intersection: DiagGroupType
 
 
-def diag_group_quotient(H: DiagSubgroup, K: DiagSubgroup) -> QuotientResult:
+def diag_group_quotient(H: IntMat, K: IntMat, ncols: int) -> QuotientResult:
+    """H and K are the character rows of two subgroups of (K^x)^ncols."""
+    # reading H cap K first checks every row's length before any Smith form
+    meet = group_type_from_vanishing_lattice(list(H) + list(K), ncols)
     return QuotientResult(
-        reported=H.generated_with(K).group_type(),
-        intersection=H.intersection(K).group_type(),
+        reported=group_type_from_vanishing_lattice(lattice_intersect(H, K, ncols), ncols),
+        intersection=meet,
     )
 
 

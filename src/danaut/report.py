@@ -10,12 +10,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .autgroup import (
-    AutReport, _sigma_str, group_element_map, h_scalings, scaling_family_element,
+    AutReport, _sigma_str, group_element_map, scaling_family_element,
 )
 from .cyclotomic import zeta
 from .derivations import GeneratorMap, canonical_lnd, exp_replica
 from .fmt import scalar_json, scalar_str
-from .lattice import DiagGroupType
+from .lattice import DiagGroupType, solve_torus_system
 from .poly import MultiPoly, poly_str
 from .varieties import (
     REGIME_ALL_GE2,
@@ -122,8 +122,9 @@ def sample_generator_maps(report: AutReport) -> list:
     m = spec.m
     ident, unit = tuple(range(m)), (Fraction(1),) * (m + 1)
     if report.regime in (REGIME_ALL_GE2, REGIME_ONE_UNIT):
-        torsion, directions = h_scalings(spec)
-        scalings = list(torsion) + [tuple(Fraction(2) ** w for w in d) for d in directions]
+        H = solve_torus_system(report.groups["H"].characters, [1, 1], ncols=m + 1)
+        scalings = list(H.torsion_generators)
+        scalings += [tuple(Fraction(2) ** w for w in d) for d in H.torus_directions]
         # scaling family: the image of a generating parameter value
         D = report.groups["D"]
         if D.type.torus_rank or D.type.invariant_factors:

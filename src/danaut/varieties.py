@@ -17,7 +17,7 @@ from math import gcd
 from typing import Optional
 
 from .cyclotomic import zeta
-from .lattice import DiagGroupType, DiagSubgroup
+from .lattice import DiagGroupType, group_type_from_vanishing_lattice, image_characters
 from .poly import (
     MultiPoly,
     as_univar,
@@ -364,10 +364,6 @@ def genus(k: int, P: MultiPoly) -> int:
         raise ValueError("need deg P >= 2")
     if not _is_squarefree(P):
         raise ValueError("P has a multiple root")
-    if coeffs[-1] == 1:
-        for l in range(2, k + 1):
-            if k % l == 0 and d % l == 0 and perfect_power_root(P, l) is not None:
-                raise ValueError("reducible pairing: P is an l-th power with l | k")
     return genus_formula(k, d)
 
 
@@ -383,13 +379,14 @@ class QuasitorusData:
     family of P the reported type follows the tabulated classification,
     while effective_type is the honest image in the automorphism group
     (the two can differ; downstream structure uses the image subgroup).
+    characters are the rows of its vanishing character lattice, when known.
     """
 
     which: str
     type: DiagGroupType
     action: tuple
     reference_index: Optional[int] = None
-    subgroup: Optional[DiagSubgroup] = None
+    characters: Optional[tuple] = None
     effective_type: Optional[DiagGroupType] = None
     note: str = ""
 
@@ -399,19 +396,17 @@ def proper_quasitorus(spec: VarietySpec) -> QuasitorusData:
     if spec.m == 0:
         raise SpecError("no y variables")
     n = spec.m + 1
-    chars = [list(spec.weights) + [0], [0] * spec.m + [1]]
-    sub = DiagSubgroup.from_defining_characters(n, chars)
+    chars = (tuple(spec.weights) + (0,), (0,) * spec.m + (1,))
     g = gcd(*spec.weights)
     typ = DiagGroupType(spec.m - 1, (g,) if g > 1 else ())
-    if sub.group_type() != typ:
-        raise AssertionError(
-            f"weight-monomial stabilizer has type {sub.group_type()}, expected {typ}"
-        )
+    found = group_type_from_vanishing_lattice(chars, n)
+    if found != typ:
+        raise AssertionError(f"weight-monomial stabilizer has type {found}, expected {typ}")
     return QuasitorusData(
         which="H",
         type=typ,
         action=tuple((f"y{i+1}", 1) for i in range(spec.m)),
-        subgroup=sub,
+        characters=chars,
         effective_type=typ,
         note="" if typ.invariant_factors else "connected: equals the proper torus",
     )
@@ -455,7 +450,8 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
 
     if support == [spec.d]:
         torus = DiagGroupType(1)
-        sub = DiagSubgroup.image_of_parameter(n, weight_vec, 0)
+        chars = image_characters(weight_vec, 0)
+        eff = group_type_from_vanishing_lattice(chars, n)
 
         def data(which):
             return QuasitorusData(
@@ -463,8 +459,8 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
                 type=torus,
                 action=action,
                 reference_index=ref,
-                subgroup=sub,
-                effective_type=sub.group_type(),
+                characters=chars,
+                effective_type=eff,
             )
 
         return AdditionalQuasitorus(
@@ -476,15 +472,14 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
     for e in support:
         v = gcd(v, e - u)
     order_D = v * k_ref
-    sub = DiagSubgroup.image_of_parameter(n, weight_vec, order_D)
-    eff = sub.group_type()
+    chars = image_characters(weight_vec, order_D)
+    eff = group_type_from_vanishing_lattice(chars, n)
     lcm_kv = k_ref * v // gcd(k_ref, v)
     D = QuasitorusData(
         which="D",
         type=DiagGroupType(0, (order_D,) if order_D > 1 else ()),
         action=action,
         reference_index=ref,
-        subgroup=None,
         effective_type=None,
     )
     mismatch = eff != DiagGroupType(0, (lcm_kv,) if lcm_kv > 1 else ())
@@ -493,7 +488,7 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
         type=DiagGroupType(0, (lcm_kv,) if lcm_kv > 1 else ()),
         action=action,
         reference_index=ref,
-        subgroup=sub,
+        characters=chars,
         effective_type=eff,
         note=(
             "tabulated type differs from the effective image; structure uses the image"

@@ -795,7 +795,7 @@ _LADDER_M5_SHA256 = "b7928e271b1d73fb05e5e5065c5e14e7c0a800f70002f968fbd2576cb5f
 
 
 def test_report_never_builds_a_cayley_table(capsys, monkeypatch, tmp_path):
-    """analyze reads the finite part's invariants, never its composition table."""
+    """analyze reads only the closure's order of the finite part, never its composition table."""
     from danaut.autgroup import FinitePart
 
     reads = []

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,16 +15,19 @@ from hypothesis import strategies as st
 import danaut
 from danaut import (
     DiagGroupType,
-    DiagSubgroup,
     det_int,
     diag_group_quotient,
-    hermite_normal_form,
     left_kernel_basis,
     smith_normal_form,
     solve_torus_system,
     zeta,
 )
-from danaut.lattice import group_type_from_vanishing_lattice, mat_mul
+from danaut.lattice import (
+    group_type_from_vanishing_lattice,
+    image_characters,
+    lattice_intersect,
+    mat_mul,
+)
 
 
 def check_snf(A):
@@ -86,13 +89,6 @@ def test_left_kernel_annihilates():
         for vec in left_kernel_basis(A):
             for j in range(c):
                 assert sum(vec[i] * A[i][j] for i in range(r)) == 0
-
-
-def test_hermite_canonical():
-    # same lattice, different generating sets -> same HNF
-    L1 = hermite_normal_form([[2, 0], [0, 3]], 2)
-    L2 = hermite_normal_form([[2, 3], [2, 0], [0, 3]], 2)
-    assert L1 == L2
 
 
 def _chain(factors) -> tuple:
@@ -298,20 +294,20 @@ def test_structure_against_bruteforce_small():
 
 
 def test_quotient_trivial_cases():
-    H = DiagSubgroup.full_torus(1)
-    K = DiagSubgroup.from_defining_characters(1, [[1]])  # trivial subgroup
-    q = diag_group_quotient(H, K)
+    H = []  # the full torus K^x
+    K = [[1]]  # the trivial subgroup
+    q = diag_group_quotient(H, K, 1)
     assert q.reported == DiagGroupType(1, ())
     assert q.intersection.is_trivial()
 
 
 def test_quotient_y14y22_data():
     # data of the variety y1^4 y2^2 = z^6 + 1 in the torus scaling (y1,y2,z)
-    H = DiagSubgroup.from_defining_characters(3, [[4, 2, 0], [0, 0, 1]])
-    K = DiagSubgroup.image_of_parameter(3, [6, 0, 4], 24)
-    assert H.group_type() == DiagGroupType(1, (2,))
-    assert K.group_type() == DiagGroupType(0, (12,))
-    q = diag_group_quotient(H, K)
+    H = [[4, 2, 0], [0, 0, 1]]
+    K = image_characters([6, 0, 4], 24)
+    assert group_type_from_vanishing_lattice(H, 3) == DiagGroupType(1, (2,))
+    assert group_type_from_vanishing_lattice(K, 3) == DiagGroupType(0, (12,))
+    q = diag_group_quotient(H, K, 3)
     assert q.intersection == DiagGroupType(0, (2,))
     # the join, not Z12 from cancelling Z2 against the listed factors of H and K
     assert q.reported == DiagGroupType(1, (2, 6))
@@ -319,19 +315,49 @@ def test_quotient_y14y22_data():
 
 def test_quotient_z2_self():
     # H = K = Z2 in the same embedding: (H x K)/(H cap K) = Z2
-    H = DiagSubgroup.from_defining_characters(1, [[2]])
-    q = diag_group_quotient(H, H)
+    H = [[2]]
+    q = diag_group_quotient(H, H, 1)
     assert q.reported == DiagGroupType(0, (2,))
     assert q.intersection == DiagGroupType(0, (2,))
 
 
 def test_quotient_symmetry():
-    H = DiagSubgroup.from_defining_characters(3, [[4, 2, 0], [0, 0, 1]])
-    K = DiagSubgroup.image_of_parameter(3, [6, 0, 4], 24)
-    q1 = diag_group_quotient(H, K)
-    q2 = diag_group_quotient(K, H)
+    H = [[4, 2, 0], [0, 0, 1]]
+    K = image_characters([6, 0, 4], 24)
+    q1 = diag_group_quotient(H, K, 3)
+    q2 = diag_group_quotient(K, H, 3)
     assert q1.reported == q2.reported
     assert q1.intersection == q2.intersection
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+    st.one_of(st.just(0), st.integers(1, 60)),
+)
+def test_image_characters_match_closed_form(weights, modulus):
+    """The image of t -> t^w is cyclic of order N / gcd(N, w) for t in mu_N,
+    and K^x for t in K^x unless w = 0."""
+    found = group_type_from_vanishing_lattice(image_characters(weights, modulus), len(weights))
+    if modulus:
+        order = modulus // gcd(modulus, *weights)
+        assert found == DiagGroupType(0, (order,) if order > 1 else ())
+    else:
+        assert found == DiagGroupType(1 if any(weights) else 0, ())
+
+
+def test_ragged_rows_are_rejected_before_any_smith_form(monkeypatch):
+    import danaut.lattice as L
+
+    def no_smith_form(A):
+        raise AssertionError("a Smith form ran")
+
+    monkeypatch.setattr(L, "smith_normal_form", no_smith_form)
+    with pytest.raises(ValueError, match="3 entries"):
+        group_type_from_vanishing_lattice([[1, 0, 0], [0, 2]], 3)
+    for H, K in (([[4, 2]], [[0, 0, 1]]), ([[4, 2, 0]], [[0, 1]])):
+        with pytest.raises(ValueError, match="3 entries"):
+            diag_group_quotient(H, K, 3)
 
 
 @st.composite
@@ -340,19 +366,24 @@ def _finite_subgroup(draw, n):
     row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=n, max_size=n + 1))
     assume(det_int(rows[:n]) != 0)
-    return DiagSubgroup.from_defining_characters(n, rows)
+    return rows
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_finite_subgroup(n), _finite_subgroup(n))))
-def test_quotient_is_the_join_of_finite_subgroups(pair):
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), _finite_subgroup(n), _finite_subgroup(n))
+    )
+)
+def test_quotient_is_the_join_of_finite_subgroups(case):
     """|<H, K>| = |H| |K| / |H cap K|, and the quotient does not depend on the order."""
-    H, K = pair
-    q = diag_group_quotient(H, K)
-    join = H.generated_with(K).group_type()
-    assert q.reported == join and q.intersection == H.intersection(K).group_type()
-    assert join.order() * q.intersection.order() == H.group_type().order() * K.group_type().order()
-    assert diag_group_quotient(K, H) == q
+    n, H, K = case
+    gtype = group_type_from_vanishing_lattice
+    q = diag_group_quotient(H, K, n)
+    join = gtype(lattice_intersect(H, K, n), n)
+    assert q.reported == join and q.intersection == gtype(H + K, n)
+    assert join.order() * q.intersection.order() == gtype(H, n).order() * gtype(K, n).order()
+    assert diag_group_quotient(K, H, n) == q
 
 
 @pytest.mark.parametrize(
@@ -363,7 +394,8 @@ def test_quotient_is_the_join_of_finite_subgroups(pair):
         "L.smith_normal_form([[2, 0], [0, 3]])\n",
         "import danaut.lattice as L\n"
         "from danaut import make_variety, parse_poly, proper_quasitorus\n"
-        "L.DiagSubgroup.group_type = lambda self: None\n"
+        "import danaut.varieties as V\n"
+        "V.group_type_from_vanishing_lattice = lambda *args: L.DiagGroupType(7, ())\n"
         "proper_quasitorus(make_variety((2, 3), False, parse_poly('z^2+1', ('y1', 'y2', 'z'))))\n",
     ],
 )

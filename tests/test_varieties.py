@@ -128,9 +128,11 @@ def test_genus_checks():
     with pytest.raises(ValueError):
         genus(2, bad)  # (z+1)^2 has a multiple root
     sq = from_univar(("z",), "z", [Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)])
-    with pytest.raises(ValueError):
-        genus(2, sq)  # (z^2+1)^2 not squarefree either; use an exact square pairing
-    # reducible pairing: P = Q^2 squarefree-free case needs squarefree P with l | k
+    with pytest.raises(ValueError, match="multiple root"):
+        genus(2, sq)  # (z^2+1)^2: a power Q^l, l >= 2, is never squarefree
+    Q = from_univar(("z",), "z", [Fraction(1), Fraction(1), Fraction(1)])
+    with pytest.raises(ValueError, match="multiple root"):
+        genus(3, Q * Q * Q)  # (z^2+z+1)^3 with l = k = 3
     # (z^2+1)*(z^2+2) is squarefree, not a power: fine for k=2
     P2 = from_univar(("z",), "z", [Fraction(2), Fraction(0), Fraction(3), Fraction(0), Fraction(1)])
     assert genus(2, P2) == 1
