@@ -14,11 +14,10 @@ evaluated (deterministically, in lexicographic order) one after another.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import Optional
 
 from .cyclotomic import CycElem, zeta
 from .derivations import GeneratorMap
@@ -143,7 +142,6 @@ class Branch:
 class CanonicalGroup:
     """Solution of the stabilizer constraints, branch by permutation."""
 
-    spec: VarietySpec
     branches: list
     finite: bool
     order: Optional[int]
@@ -240,7 +238,6 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
             parts.append(f"{_sigma_str(b.sigma)}: {b.solutions.structure.pretty()}")
         summary = "infinite; per-branch structure: " + "; ".join(parts)
     return CanonicalGroup(
-        spec=spec,
         branches=branches,
         finite=finite,
         order=order,
@@ -271,7 +268,7 @@ def _sigma_str(sigma) -> str:
 
 
 def _split_note(elements, m: int) -> str:
-    """Whether the table decomposes as (pure permutations) x (pure scalings).
+    """Whether the group decomposes as (pure permutations) x (pure scalings).
 
     A decomposition G = A * B with A a subgroup of pure permutations and B
     a subgroup of pure scalings exists if and only if the pure-permutation
@@ -288,7 +285,7 @@ def _split_note(elements, m: int) -> str:
     )
 
 
-# -- finite part tables ---------------------------------------------------------
+# -- finite part closure -------------------------------------------------------
 
 
 @dataclass
@@ -299,14 +296,6 @@ class FinitePart:
     order: int
     abelian: bool
     invariant_factors: tuple  # abelian invariants when abelian, else ()
-    splits_note: str
-    _product: Callable = field(repr=False, compare=False)  # (i, j) -> k
-
-    @cached_property
-    def table(self) -> dict:
-        """(i, j) -> k composition indices, built on first read."""
-        n = self.order
-        return {(i, j): self._product(i, j) for i in range(n) for j in range(n)}
 
 
 def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) -> FinitePart:
@@ -384,7 +373,7 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
             relations.add(tuple(a - b for a, b in itertools.zip_longest(w, w_j, fillvalue=0)))
             return
         if len(found) >= bound:
-            raise SpecError(f"finite part exceeds table bound {bound}")
+            raise SpecError(f"finite part exceeds element bound {bound}")
         index[y] = len(found)
         found.append(y)
         words.append(tuple(w))
@@ -418,8 +407,6 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
         order=len(found),
         abelian=abelian,
         invariant_factors=invariants,
-        splits_note=_split_note(elems, m),
-        _product=lambda i, j: index[compose(found[i], found[j])],
     )
 
 
@@ -612,10 +599,13 @@ def _aut_danielewski(spec: VarietySpec) -> AutReport:
     G = canonical_group(spec)
     finite_part = None
     if G.elements is not None:
-        finite_part = finite_part_from_elements(G.elements, spec.m)
+        try:
+            finite_part = finite_part_from_elements(G.elements, spec.m, bound=G.order + 1)
+        except SpecError as exc:
+            raise AssertionError(f"canonical-group elements do not close: {exc}") from exc
         if finite_part.order != G.order:
             raise AssertionError(
-                f"canonical-group table closes to {finite_part.order} elements, "
+                f"canonical-group elements close to {finite_part.order} elements, "
                 f"but the branches count {G.order}"
             )
     tree = node(

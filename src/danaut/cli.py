@@ -374,8 +374,14 @@ def cmd_genus(args) -> int:
     return _emit(args, {"genus": g}, g)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line exits 2 with one line, like every other error."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="danaut",
         description="Exact invariants and automorphism groups of "
         "unit-weight/suspension variety presentations",

@@ -297,7 +297,6 @@ class TorusSolutionSet:
 
     exponents: tuple
     targets: tuple
-    ncols: int
     consistent: bool
     structure: DiagGroupType
     particular: Optional[tuple]
@@ -405,7 +404,6 @@ def solve_torus_system(
     return TorusSolutionSet(
         exponents=tuple(tuple(r) for r in rows),
         targets=tuple(targets),
-        ncols=ncols,
         consistent=consistent,
         structure=structure,
         particular=particular,

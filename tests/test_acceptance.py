@@ -110,7 +110,7 @@ def test_criterion_04_e4():
     assert {(s, tuple(t)) for s, t in G.elements} == expected
     assert rep.finite_part.abelian
     assert rep.finite_part.invariant_factors == (2, 2)
-    assert "does not split" in rep.finite_part.splits_note
+    assert "does not split" in rep.canonical.splits_note
     ok(4, "x y1^2 y2^2 = z^3+z+y1-y2: the four listed elements, invariants (2,2), "
           "non-splitting note")
 

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, GOLDEN, fixture_path
@@ -707,7 +707,7 @@ def test_enumeration_bound_reaches_the_report(tmp_path, capsys):
 
 
 def test_failed_closure_check_exits_three(monkeypatch, capsys):
-    """A canonical table that closes to more elements than its branches
+    """A canonical element list that closes to more elements than its branches
     count is an internal fault, not a warning."""
     import dataclasses
 
@@ -723,6 +723,43 @@ def test_failed_closure_check_exits_three(monkeypatch, capsys):
     code, out, err = _main_in_process(["analyze", fixture_path("s7_e4.json")], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("internal check failed: ") and err.count("\n") == 1, err
+
+
+def test_canonical_elements_that_do_not_close_exit_three(monkeypatch, capsys):
+    """A listed element of infinite order is a solver fault: the closure
+    stops just past the branch count and exits 3, not with a bound error."""
+    import dataclasses
+
+    from danaut import autgroup
+
+    real = autgroup.canonical_group
+
+    def infinite_order(spec):
+        G = real(spec)
+        g = ((0, 1), (Fraction(2), Fraction(1), Fraction(1)))
+        return dataclasses.replace(G, elements=[g], order=1)
+
+    monkeypatch.setattr(autgroup, "canonical_group", infinite_order)
+    code, out, err = _main_in_process(["analyze", fixture_path("s7_e4.json")], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal check failed: canonical-group elements do not close: "), err
+    assert err.count("\n") == 1, err
+
+
+def test_source_has_no_assert_statements():
+    """Every correctness check raises AssertionError itself, so none
+    vanishes under python -O."""
+    import ast
+    from pathlib import Path
+
+    import danaut
+
+    found = []
+    for path in sorted(Path(danaut.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Assert):
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
 
 
 def test_map_goldens_stable(capsys):
@@ -794,13 +831,8 @@ _LADDER_M5 = {
 _LADDER_M5_SHA256 = "b7928e271b1d73fb05e5e5065c5e14e7c0a800f70002f968fbd2576cb5fa4350"
 
 
-def test_report_never_builds_a_cayley_table(capsys, monkeypatch, tmp_path):
-    """analyze reads only the closure's order of the finite part, never its composition table."""
-    from danaut.autgroup import FinitePart
-
-    reads = []
-    table = FinitePart.table
-    monkeypatch.setattr(FinitePart, "table", property(lambda fp: reads.append(1) or table.func(fp)))
+def test_report_never_builds_a_cayley_table(capsys, tmp_path):
+    """analyze reads only the closure's order of the finite part; no composition table is built."""
     spec = tmp_path / "ladder_m5.json"
     spec.write_text(json.dumps(_LADDER_M5))
     code, out, err = _main_in_process(["analyze", str(spec), "--json"], capsys)
@@ -811,7 +843,6 @@ def test_report_never_builds_a_cayley_table(capsys, monkeypatch, tmp_path):
     code, out, err = _main_in_process(["analyze", fixture_path("s7_e4.json"), "--json"], capsys)
     assert code == 0, err
     assert out == (GOLDEN / "s7_e4.golden.json").read_text()
-    assert reads == []
 
 
 # ASCII (quotes, backslash, control characters), non-ASCII text, the line and
@@ -888,3 +919,76 @@ def test_apply_element_by_id_or_signature(tmp_path, capsys):
     )
     code, _, err = _main_in_process(["apply", str(degenerate), "z", "--element", "e0"], capsys)
     assert code == 1 and err.startswith("error: degenerate presentation: the variety is an affine line")
+
+
+_fuzz_coeffs = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-2/3"])
+
+
+def _fuzz_poly(draw, names, max_terms=3):
+    """Text of a small polynomial in the given names."""
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        factors = [draw(_fuzz_coeffs)]
+        for name in names:
+            e = draw(st.integers(0, 2))
+            if e:
+                factors.append(f"{name}^{e}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def _fuzz_calls(draw):
+    """A presentation (P monic, m <= 3, weights <= 4, z-degree <= 6) and the
+    argument tail of one subcommand on it."""
+    m = draw(st.integers(1, 3))
+    weights = [draw(st.integers(1, 4)) for _ in range(m)]
+    x_present = draw(st.booleans())
+    d = draw(st.integers(2, 6))
+    terms = [([0] * m, d, "1")]
+    for _ in range(draw(st.integers(0, 3))):
+        ye = [draw(st.integers(0, 2)) if x_present else 0 for _ in range(m)]
+        terms.append((ye, draw(st.integers(0, d - 1)), draw(_fuzz_coeffs)))
+    spec = _presentation(weights, terms, x_present)
+    names = (["x"] if x_present else []) + [f"y{i+1}" for i in range(m)] + ["z"]
+    command = draw(st.sampled_from(["analyze", "exp", "apply", "degree", "gr", "irreducible", "genus"]))
+    tail = []
+    if command == "exp":
+        free = ["t"] if draw(st.booleans()) else []
+        tail = [_fuzz_poly(draw, [f"y{i+1}" for i in range(m)] + free)]
+    elif command == "apply":
+        tail = [_fuzz_poly(draw, names)]
+        if draw(st.booleans()):
+            tail += ["--element", f"e{draw(st.integers(0, 3))}"]
+        else:
+            images = {n: f"{draw(_fuzz_coeffs)}*{n}" if draw(st.booleans()) else n for n in names}
+            tail += ["--map", json.dumps(images)]
+    elif command in ("degree", "gr"):
+        tail = [_fuzz_poly(draw, names)]
+    return spec, command, tail, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_calls())
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys, case):
+    """Random presentations through every subcommand, in process: exit 0, 1
+    or 2, one stderr line and no stdout on failure, --json output that
+    parses, and a text Aut structure line equal to the JSON one.  Budget:
+    150 derandomized examples, about 2 s on a 2-vCPU host; keep it under 5 s."""
+    spec, command, tail, as_json = case
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, str(path), *tail] + (["--json"] if as_json else [])
+    code, out, err = _main_in_process(argv, capsys)
+    assert code in (0, 1, 2), (argv, spec, err)
+    if code:
+        assert out == "" and err.count("\n") == 1, (argv, spec, err)
+        return
+    if as_json:
+        json.loads(out)
+    code, text, _ = _main_in_process(["analyze", str(path)], capsys)
+    if code == 0:
+        _, out, _ = _main_in_process(["analyze", str(path), "--json"], capsys)
+        line = f"Aut structure: {json.loads(out)['structure_pretty']}"
+        assert line in text.splitlines(), (spec, text)

@@ -140,3 +140,64 @@ def test_random_answers_survive_relabelling_and_scaling(case):
     assert answers(transformed(raw, perm)) == want, (raw.equation_str(), perm)
     assert answers(transformed(raw, tuple(range(raw.m)), a, c)) == want, (
         raw.equation_str(), a, c)
+
+
+def plus_kernel_multiple(raw, g):
+    """x*M = P + M*g: the isomorphism x -> x - g takes it back to x*M = P."""
+    return make_variety(raw.weights, True, raw.P() + raw.weight_monomial() * g)
+
+
+def z_shifted(raw, c, h):
+    """P(y, z + c + h(y)): the isomorphism z -> z - c - h(y) takes it back.
+
+    Without x the relation M(y) = P stays in shape only for h = 0.
+    """
+    ctx = raw.vars
+    images = {name: MultiPoly.variable(ctx, name) for name in ctx}
+    images["z"] = MultiPoly.variable(ctx, "z") + c + h
+    return make_variety(raw.weights, raw.x_present, substitute(raw.P(), images))
+
+
+_coeffs = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 3)] + [Fraction(1, 2)])
+
+
+@st.composite
+def _yz_polys(draw, raw, zdeg):
+    """One or two terms c*y^e*z^j, y-exponents at most 2 and j < zdeg (no z when zdeg = 0)."""
+    f = MultiPoly.zero(raw.vars)
+    for _ in range(draw(st.integers(1, 2))):
+        powers = {f"y{i+1}": draw(st.integers(0, 2)) for i in range(raw.m)}
+        if zdeg:
+            powers["z"] = draw(st.integers(0, zdeg - 1))
+        f = f + MultiPoly.monomial(raw.vars, powers, draw(_coeffs))
+    return f
+
+
+@st.composite
+def _shifts(draw, raw):
+    """(g or None, c, h): a kernel multiple when x is present, and a z shift."""
+    g = draw(_yz_polys(raw, raw.d)) if raw.x_present else None
+    h = draw(_yz_polys(raw, 0)) if raw.x_present else MultiPoly.zero(raw.vars)
+    return g, draw(_scalars), h
+
+
+def _check_shifts(raw, shifts, want):
+    g, c, h = shifts
+    if g is not None:
+        assert answers(plus_kernel_multiple(raw, g)) == want, (raw.equation_str(), g)
+    assert answers(z_shifted(raw, c, h)) == want, (raw.equation_str(), c, h)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fixture_answers_survive_kernel_multiples_and_z_shifts(name, data):
+    raw = _raw_fixture(name)
+    _check_shifts(raw, data.draw(_shifts(raw)), answers(raw))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_random_answers_survive_kernel_multiples_and_z_shifts(data):
+    raw = data.draw(_presentations())[0]
+    _check_shifts(raw, data.draw(_shifts(raw)), answers(raw))
