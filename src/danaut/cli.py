@@ -66,6 +66,22 @@ def parse_coeff(text: str) -> Fraction:
     return c
 
 
+_SHORT = 10**40  # ints and "p" or "p/q" strings of at most 40 digits are read directly
+_RATIO = re.compile(r"([-+]?[0-9]{1,40})(?:/(?=0*[1-9])([0-9]{1,40}))?")  # q is nonzero
+
+
+def coeff_ratio(c) -> tuple:
+    """(numerator, positive denominator) of a coefficient read from JSON;
+    anything but a short int or a short "p" or "p/q" string goes through
+    parse_coeff, with its bounds and messages."""
+    if type(c) is int and -_SHORT < c < _SHORT:
+        return c, 1
+    match = type(c) is str and _RATIO.fullmatch(c)
+    if match:
+        return int(match[1]), int(match[2] or 1)
+    return parse_coeff(c).as_integer_ratio()
+
+
 def load_spec_file(path: str) -> VarietySpec:
     """Parse and check a presentation file."""
     try:
@@ -73,7 +89,7 @@ def load_spec_file(path: str) -> VarietySpec:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CliError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError("presentation file must be a JSON object")
@@ -92,8 +108,8 @@ def load_spec_file(path: str) -> VarietySpec:
     if not isinstance(terms, list) or not terms:
         raise CliError("P must be a nonempty list of term records")
     m = len(weights)
-    vars = presentation_vars(m, x_present)
-    poly_terms: dict = {}
+    x_part = (0,) * x_present  # the exponent of x: P is free of x
+    ratios = []
     for rec in terms:
         if not isinstance(rec, dict):
             raise CliError("each P term must be an object")
@@ -112,14 +128,9 @@ def load_spec_file(path: str) -> VarietySpec:
             raise CliError(
                 f"coefficient {c!r} must be an integer or a string such as \"3/4\""
             )
-        c = parse_coeff(c)
-        exps = [0] * len(vars)
-        for i, e in enumerate(ye):
-            exps[vars.index(f"y{i+1}")] = e
-        exps[vars.index("z")] = ze
-        key = tuple(exps)
-        poly_terms[key] = poly_terms.get(key, Fraction(0)) + c
-    spec = make_variety(weights, x_present, MultiPoly(vars, poly_terms))
+        ratios.append((x_part + tuple(ye) + (ze,), *coeff_ratio(c)))
+    P = MultiPoly.from_ratios(presentation_vars(m, x_present), ratios)
+    spec = make_variety(weights, x_present, P)
     if spec.d < 2:
         raise CliError("z-degree must be at least 2")
     return spec
@@ -308,7 +319,7 @@ def cmd_apply(args) -> int:
     elif args.map:
         try:
             mapping = json.loads(args.map)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"--map is not valid JSON: {exc}")
         if not isinstance(mapping, dict):
             raise CliError("--map must be a JSON object of generator images")

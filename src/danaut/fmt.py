@@ -7,9 +7,17 @@ full coordinate vector.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import CycElem
+
+
+def ratio_str(n: int, d: int) -> str:
+    """The rational n/d (d > 0) in lowest terms, as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def scalar_str(x) -> str:
@@ -22,11 +30,11 @@ def scalar_str(x) -> str:
                 return root
             if r == -1:
                 return "-" + root
-            return f"{r}*{root}"
+            return f"{scalar_str(r)}*{root}"
         return "(" + " + ".join(
-            f"{c}*zeta{x.order}^{j}" for j, c in enumerate(x.coords) if c
+            f"{scalar_str(c)}*zeta{x.order}^{j}" for j, c in enumerate(x.coords) if c
         ) + ")"
-    return str(x if type(x) is Fraction else Fraction(x))
+    return ratio_str(*x.as_integer_ratio())
 
 
 def scalar_json(x) -> dict:
@@ -36,7 +44,7 @@ def scalar_json(x) -> dict:
             r, a = rp
             out = {"zeta": [x.order, a]}
             if r != 1:
-                out["rat"] = str(r)
+                out["rat"] = scalar_str(r)
             return out
-        return {"order": x.order, "coords": [str(c) for c in x.coords]}
-    return {"rat": str(Fraction(x))}
+        return {"order": x.order, "coords": [scalar_str(c) for c in x.coords]}
+    return {"rat": scalar_str(x)}

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Optional
 
 from .cyclotomic import CycElem, canonical_scalar
 from .dense import ext_gcd, mul
-from .fmt import scalar_str
+from .fmt import ratio_str, scalar_str
 
 _BITS = 32  # width of one variable's field in a key
 _FIELD = (1 << _BITS) - 1
@@ -145,6 +145,12 @@ class MultiPoly:
         den = lcm(*(c.denominator for c in num.values()))
         return {e: c.numerator * (den // c.denominator) for e, c in num.items()}, den
 
+    @staticmethod
+    def from_ratios(vars: tuple, terms: list) -> "MultiPoly":
+        """The sum of p/q * monomial(exps) over (exps, p, q) with int p and q > 0."""
+        vars = tuple(vars)
+        return _monomial_sum(vars, [(p, q, _pack(vars, exps)) for exps, p, q in terms])
+
     @classmethod
     def _wrap(cls, vars: tuple, num: dict, den: int) -> "MultiPoly":
         """Wrap coefficients and a denominator that already are in the stored form."""
@@ -199,6 +205,8 @@ class MultiPoly:
         return not self._num
 
     def __eq__(self, other):
+        if type(other) is int:  # a rational constant is stored as itself over 1
+            return self._den == 1 and self._num == ({0: other} if other else {})
         if isinstance(other, (int, Fraction, CycElem)):
             other = MultiPoly.const(self.vars, other)
         if not isinstance(other, MultiPoly):
@@ -313,16 +321,17 @@ class MultiPoly:
 
     # -- presentation -------------------------------------------------------
 
-    def sorted_terms(self) -> list:
-        """(exponent tuple, coefficient) pairs, highest total degree first,
-        then lexicographically.  Keys are unique, so the sort never compares
+    def printed_terms(self) -> list:
+        """(exponent tuple, printed coefficient) pairs, highest total degree
+        first, then lexicographically; rational coefficients are printed
+        from their numerators.  Keys are unique, so the sort never compares
         exponent tuples or coefficients."""
         n, d = len(self.vars), self._den
         rows = sorted(
             ((sum(exps), e, exps, c) for e, c in self._num.items() for exps in (_unpack(e, n),)),
             reverse=True,
         )
-        return [(exps, Fraction(c, d) if type(c) is int else c) for _, _, exps, c in rows]
+        return [(exps, ratio_str(c, d) if type(c) is int else scalar_str(c)) for _, _, exps, c in rows]
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)!r})"
@@ -339,6 +348,17 @@ def _convolve(a: dict, b: dict, out: dict) -> dict:
             else:
                 out[e] = x * y
     return out
+
+
+def _monomial_sum(vars: tuple, monomials: list) -> MultiPoly:
+    """The sum of (int numerator, positive denominator, key) monomials over
+    the lcm of their denominators."""
+    den = lcm(*(q for _, q, _ in monomials))
+    num: dict = {}
+    for p, q, key in monomials:
+        p *= den // q
+        num[key] = num[key] + p if key in num else p
+    return MultiPoly._canonical(vars, num, den)
 
 
 def _sum(vars: tuple, polys) -> MultiPoly:
@@ -469,6 +489,16 @@ def substitute(
         parts.append(term)
     result = parts[0] if len(parts) == 1 else _sum(ctx, parts)
     return result if reduce is None else reduce(result)
+
+
+def last_variable_coefficients(f: MultiPoly) -> dict:
+    """{k: coefficient of v^k} for the last variable v of f's context, each a
+    polynomial in f's context free of v, read from the packed keys."""
+    slices: dict = {}
+    for e, c in f._num.items():
+        k = e & _FIELD  # the last variable owns the lowest field
+        slices.setdefault(k, {})[e - k] = c
+    return {k: MultiPoly._canonical(f.vars, num, f._den) for k, num in slices.items()}
 
 
 def _monic_key(f: MultiPoly, m: MultiPoly) -> int:
@@ -680,12 +710,7 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             parts.append(rhs if op == "+" else neg(rhs))
         polys = [v for v in parts if isinstance(v, MultiPoly)]
         monomials = [v for v in parts if not isinstance(v, MultiPoly)]
-        den = lcm(*(q for _, q, _ in monomials))
-        num: dict = {}
-        for p, q, key in monomials:
-            p *= den // q
-            num[key] = num[key] + p if key in num else p
-        return _sum(vars, [MultiPoly._canonical(vars, num, den)] + polys)
+        return _sum(vars, [_monomial_sum(vars, monomials)] + polys)
 
     def parse_product():
         node = parse_power()
@@ -769,7 +794,10 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
             return (1, 1, 1 << _shift(n, vars.index(name)))
         raise ValueError("unexpected end of polynomial expression")
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise ValueError("polynomial expression is nested too deeply") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens in polynomial expression")
     return result
@@ -779,11 +807,10 @@ def poly_str(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for exps, c in f.sorted_terms():
+    for exps, text in f.printed_terms():
         mono = "*".join(
             name if e == 1 else f"{name}^{e}" for name, e in zip(f.vars, exps) if e
         )
-        text = scalar_str(c)
         if not mono:
             parts.append(text)
         elif text == "1":

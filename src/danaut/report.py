@@ -162,7 +162,7 @@ def sample_generator_maps(report: AutReport) -> list:
 def spec_to_dict(spec: VarietySpec) -> dict:
     """Presentation-file form of a spec (round-trips through the parser)."""
     terms = []
-    for exps, c in spec.P().sorted_terms():
+    for exps, c in spec.P().printed_terms():
         ye = [0] * spec.m
         for i in range(spec.m):
             ye[i] = exps[spec.vars.index(f"y{i+1}")]
@@ -170,13 +170,23 @@ def spec_to_dict(spec: VarietySpec) -> dict:
             {
                 "y_exponents": ye,
                 "z_exponent": exps[spec.vars.index("z")],
-                "coeff": str(Fraction(c)),
+                "coeff": c,
             }
         )
     return {
         "weights": list(spec.weights),
         "x_present": spec.x_present,
         "P": terms,
+    }
+
+
+def _equations(raw: VarietySpec, spec: VarietySpec) -> dict:
+    """The report's equation entries; normalize returns a normalized spec itself."""
+    equation = raw.equation_str()
+    return {
+        "equation": equation,
+        "normalized_equation": equation if spec is raw else spec.equation_str(),
+        "normalization_shift": poly_str(spec.shift) if spec.shift is not None else None,
     }
 
 
@@ -190,9 +200,7 @@ def degenerate_report(raw: VarietySpec, spec: VarietySpec) -> dict:
         "schema": "danaut-report-v1",
         "regime": spec.regime,
         "regime_note": spec.regime_note,
-        "equation": raw.equation_str(),
-        "normalized_equation": spec.equation_str(),
-        "normalization_shift": poly_str(spec.shift) if spec.shift is not None else None,
+        **_equations(raw, spec),
         "invariants": {
             "irreducible": True,
             "reducibility_witness": None,
@@ -290,9 +298,7 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
         "schema": "danaut-report-v1",
         "regime": spec.regime,
         "regime_note": spec.regime_note,
-        "equation": raw.equation_str(),
-        "normalized_equation": spec.equation_str(),
-        "normalization_shift": poly_str(spec.shift) if spec.shift is not None else None,
+        **_equations(raw, spec),
         "invariants": inv,
         "groups": groups,
         "structure": aut.structure,

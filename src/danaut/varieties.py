@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 from typing import Optional
 
@@ -22,7 +23,9 @@ from .poly import (
     MultiPoly,
     as_univar,
     derivative,
+    last_variable_coefficients,
     perfect_power_root,
+    poly_str,
     reduce_by_rule,
     substitute,
     univar_gcd,
@@ -44,13 +47,28 @@ def presentation_vars(m: int, x_present: bool) -> tuple:
     return (("x",) if x_present else ()) + tuple(f"y{i+1}" for i in range(m)) + ("z",)
 
 
+def _memoized(method):
+    """A method without arguments whose value is built once and kept in the spec's _memo."""
+    name = method.__name__
+
+    @wraps(method)
+    def read(self):
+        try:
+            return self._memo[name]
+        except KeyError:
+            value = self._memo[name] = method(self)
+            return value
+
+    return read
+
+
 @dataclass(frozen=True)
 class VarietySpec:
     """A classified presentation.
 
     weights are the y-exponents k_1..k_m and _P, the polynomial P in the
     presentation's variables, is the only stored copy of the right-hand
-    side: P(), s and P_univar_coeffs read it.  shift records the
+    side: P(), s, is_normalized and P_univar_coeffs read it.  shift records the
     substitution z -> z - shift applied by normalize, so automorphisms can
     be pulled back to the original coordinates.
     """
@@ -64,12 +82,13 @@ class VarietySpec:
     regime_note: str = ""
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
-    # s, the canonical derivation and the reduction rule of each variable
-    # context, built on first use; kept on the spec so they live exactly as
-    # long as it does
+    # the coefficients of P in z, vars, the monomials of the relation, the
+    # canonical derivation and the reduction rule of each variable context,
+    # built on first use; kept on the spec so they live exactly as long as it does
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
+    @_memoized
     def vars(self) -> tuple:
         return presentation_vars(self.m, self.x_present)
 
@@ -77,18 +96,18 @@ class VarietySpec:
     def yvars(self) -> tuple:
         return self.vars[int(self.x_present):-1]
 
+    @_memoized
+    def z_coefficients(self) -> dict:
+        """{i: coefficient of z^i in P}, polynomials in the y variables."""
+        return last_variable_coefficients(self._P)
+
     @property
+    @_memoized
     def s(self) -> tuple:
         """s[i] is the coefficient of z^i in P (i < d), a polynomial in the y
         variables (constant in suspension regimes); built on first read."""
-        s = self._memo.get("s")
-        if s is None:
-            buckets: list = [{} for _ in range(self.d)]
-            for exps, c in self._P.terms.items():
-                if exps[-1] < self.d:
-                    buckets[exps[-1]][exps[:-1] + (0,)] = c
-            s = self._memo["s"] = tuple(MultiPoly(self.vars, b) for b in buckets)
-        return s
+        coeffs, zero = self.z_coefficients(), MultiPoly.zero(self.vars)
+        return tuple(coeffs.get(i, zero) for i in range(self.d))
 
     @property
     def x_role(self) -> Optional[str]:
@@ -99,10 +118,12 @@ class VarietySpec:
             return f"y{self.unit_index+1}"
         return None
 
+    @_memoized
     def weight_monomial(self) -> MultiPoly:
         powers = {f"y{i+1}": k for i, k in enumerate(self.weights)}
         return MultiPoly.monomial(self.vars, powers, 1)
 
+    @_memoized
     def kernel_monomial(self) -> MultiPoly:
         """The image of z under the canonical derivation: the y-part of the lead monomial."""
         powers = {f"y{i+1}": k for i, k in enumerate(self.weights)}
@@ -120,21 +141,21 @@ class VarietySpec:
         except ValueError:
             raise SpecError("P depends on y; univariate form unavailable") from None
 
+    @_memoized
     def lead_monomial(self) -> MultiPoly:
         lead = self.weight_monomial()
         if self.x_present:
             lead = lead * MultiPoly.variable(self.vars, "x")
         return lead
 
+    @_memoized
     def defining_polynomial(self) -> MultiPoly:
         return self.lead_monomial() - self.P()
 
     def is_normalized(self) -> bool:
-        return self.d < 1 or all(exps[-1] != self.d - 1 for exps in self._P.terms)
+        return self.d - 1 not in self.z_coefficients()
 
     def equation_str(self) -> str:
-        from .poly import poly_str
-
         return f"{poly_str(self.lead_monomial())} = {poly_str(self.P())}"
 
 
@@ -145,7 +166,7 @@ def make_variety(weights, x_present: bool, P: MultiPoly) -> VarietySpec:
         raise SpecError("weights must be positive integers")
     vars = presentation_vars(len(weights), x_present)
     for name in P.vars:
-        if P.depends_on(name) and name not in vars:
+        if name not in vars and P.depends_on(name):
             raise SpecError(f"P uses unknown variable {name!r}")
     if "x" in P.vars and P.depends_on("x"):
         raise SpecError("P must not involve x")
@@ -154,18 +175,18 @@ def make_variety(weights, x_present: bool, P: MultiPoly) -> VarietySpec:
 
 def _classified(weights: tuple, x_present: bool, P: MultiPoly, shift=None) -> VarietySpec:
     """The spec of P, given in the presentation's variables; checks P is monic in z."""
-    d = P.degree_in("z")
-    if d < 0:
+    coeffs = last_variable_coefficients(P)  # z is the last variable
+    if not coeffs:
         raise SpecError("P must be nonzero")
-    lead = (0,) * (len(P.vars) - 1) + (d,)  # z is the last variable
-    if P.coeff(lead) != 1 or any(e[-1] == d and e != lead for e in P.terms):
+    d = max(coeffs)
+    if coeffs[d] != 1:
         raise SpecError(
             "P must be monic in z (leading z-term with coefficient 1 and no y part)"
         )
     m = len(weights)
-    constant = not any(P.depends_on(f"y{i+1}") for i in range(m))
+    constant = all(c.is_constant() for c in coeffs.values())  # P is free of x
     regime, note, unit_index = _classify(weights, x_present, d, constant, m)
-    return VarietySpec(
+    spec = VarietySpec(
         m=m,
         weights=weights,
         d=d,
@@ -176,6 +197,8 @@ def _classified(weights: tuple, x_present: bool, P: MultiPoly, shift=None) -> Va
         unit_index=unit_index,
         shift=shift,
     )
+    spec._memo["z_coefficients"] = coeffs  # split once: what z_coefficients() would build
+    return spec
 
 
 def _classify(weights, x_present, d, constant_s, m):
@@ -215,8 +238,7 @@ def normalize(spec: VarietySpec) -> VarietySpec:
     """Shift z by s_{d-1}/d so the z^(d-1) coefficient vanishes (idempotent)."""
     if spec.is_normalized():
         return spec
-    top = {e[:-1] + (0,): c for e, c in spec.P().terms.items() if e[-1] == spec.d - 1}
-    b = MultiPoly(spec.vars, top) * Fraction(1, spec.d)
+    b = spec.z_coefficients()[spec.d - 1] * Fraction(1, spec.d)
     images = {name: MultiPoly.variable(spec.vars, name) for name in spec.vars}
     images["z"] = MultiPoly.variable(spec.vars, "z") - b
     newP = substitute(spec.P(), images)
@@ -440,7 +462,7 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
         raise SpecError("normalize the presentation first")
     ref = spec.unit_index if spec.regime == REGIME_ONE_UNIT else 0
     k_ref = spec.weights[ref]
-    support = sorted(exps[-1] for exps in spec.P().terms)  # P is free of y here
+    support = sorted(spec.z_coefficients())  # P is free of y here
     u = min(support)
     n = spec.m + 1
     weight_vec = [0] * n

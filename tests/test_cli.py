@@ -656,6 +656,23 @@ def test_malformed_cli_input_exits_one_with_one_line(capsys):
         assert message in err, err
 
 
+def test_deeply_nested_input_exits_one_with_one_line(tmp_path, capsys):
+    """JSON or a polynomial nested past the recursion limit is a parse error."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    e4 = fixture_path("s7_e4.json")
+    for argv, message in (
+        (["analyze", str(deep)], f"error: {deep} is not valid JSON: "),
+        (["apply", e4, "z", "--map", "[" * 100000], "error: --map is not valid JSON: "),
+        (["degree", e4, "(" * 3000 + "z" + ")" * 3000], "error: polynomial expression is nested too deeply"),
+        (["degree", e4, "--", "-" * 3000 + "z"], "error: polynomial expression is nested too deeply"),
+        (["exp", e4, "(" * 3000 + "y1" + ")" * 3000], "error: polynomial expression is nested too deeply"),
+    ):
+        code, out, err = _main_in_process(argv, capsys)
+        assert (code, out) == (1, ""), argv[:3]
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+
 def test_presentation_options_are_rejected(tmp_path, capsys):
     """Normalization has one switch, --no-normalize, and the enumeration
     bound is the constant ENUM_ORDER_BOUND: a file with an "options" key
@@ -760,6 +777,16 @@ def test_source_has_no_assert_statements():
             if isinstance(n, ast.Assert):
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
+
+
+def test_text_goldens_stable(capsys):
+    """The text form of analyze, byte for byte, for every fixture."""
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    assert len(fixtures) == 18
+    for fx in fixtures:
+        code, out, err = _main_in_process(["analyze", str(fx)], capsys)
+        assert code == 0, err
+        assert out == (GOLDEN / (fx.stem + ".golden.txt")).read_text(), fx.name
 
 
 def test_map_goldens_stable(capsys):
