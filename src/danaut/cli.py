@@ -82,15 +82,24 @@ def coeff_ratio(c) -> tuple:
     return parse_coeff(c).as_integer_ratio()
 
 
+def _parse_json(text: str, source: str):
+    """The value of a JSON text; every error is one line naming source."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise CliError(f"{source} is not valid JSON: {exc}")
+    except ValueError:  # the one other error of json.loads: int() refuses the literal
+        raise CliError(f"{source} has an integer literal of more than 4300 digits")
+
+
 def load_spec_file(path: str) -> VarietySpec:
     """Parse and check a presentation file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise CliError(f"{path} is not valid JSON: {exc}")
+    data = _parse_json(text, path)
     if not isinstance(data, dict):
         raise CliError("presentation file must be a JSON object")
     if "options" in data:
@@ -317,10 +326,7 @@ def cmd_apply(args) -> int:
         except ValueError as exc:
             raise CliError(f"element {args.element!r} failed verification: {exc}")
     elif args.map:
-        try:
-            mapping = json.loads(args.map)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CliError(f"--map is not valid JSON: {exc}")
+        mapping = _parse_json(args.map, "--map")
         if not isinstance(mapping, dict):
             raise CliError("--map must be a JSON object of generator images")
         for name, text in mapping.items():

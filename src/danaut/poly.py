@@ -350,9 +350,20 @@ def _convolve(a: dict, b: dict, out: dict) -> dict:
     return out
 
 
+def _mul_add(a: MultiPoly, b: MultiPoly, c: MultiPoly) -> MultiPoly:
+    """a * b + c over the lcm of the denominators of a * b and c, with one gcd."""
+    ab = a._den * b._den
+    den = lcm(ab, c._den)
+    s = den // c._den
+    out = dict(c._num) if s == 1 else {e: n * s for e, n in c._num.items()}
+    an = a._num if den == ab else {e: n * (den // ab) for e, n in a._num.items()}
+    return MultiPoly._canonical(a.vars, _checked(a.vars, _convolve(an, b._num, out)), den)
+
+
 def _monomial_sum(vars: tuple, monomials: list) -> MultiPoly:
-    """The sum of (int numerator, positive denominator, key) monomials over
-    the lcm of their denominators."""
+    """The sum of (numerator, positive int denominator, key) monomials over
+    the lcm of their denominators.  A numerator is an int, or a Fraction or
+    CycElem where substitute folds a cyclotomic term or image."""
     den = lcm(*(q for _, q, _ in monomials))
     num: dict = {}
     for p, q, key in monomials:
@@ -391,15 +402,19 @@ def substitute(
     must share one variable context, which becomes the result context.
 
     reduce, when given, must be a ring map such as reduction to normal form
-    modulo an ideal.  It is applied to each image power as that power is
-    built, and once to the final sum, so no power is ever expanded in full;
-    the result equals reduce(substitute(f, images)).
+    modulo an ideal.  It is applied after every Horner step except the last
+    one of each level, and once to the result, so no image power is ever
+    expanded in full; the result equals reduce(substitute(f, images)).
 
-    Single-term images (c * monomial) fold into each term's key and
-    coefficient; a monic one (such as y -> y) only moves exponents.  The
-    terms of f are then grouped by the exponents of the remaining variables
-    (one masked key), and each group's coefficient polynomial is multiplied
-    once by its product of image powers.
+    Single-term images (a/b * monomial) fold into each term: a term with
+    power k of the variable moves its key by k times the image's key and
+    scales its numerator by a^k and its denominator by b^k; a monic one
+    (such as y -> y) only moves exponents.  The folded terms that share the
+    exponents of the remaining, multi-term variables are summed into one
+    coefficient polynomial.  These are combined by Horner's rule in each
+    multi-term variable in turn, nested with the first one outermost: one
+    Horner step in variable v with image g turns the accumulated sum s into
+    s * g + c, c being the next lower coefficient in v (zero across a gap).
     """
     ctx = None
     for g in images.values():
@@ -409,11 +424,14 @@ def substitute(
             raise ValueError("substitution images have mismatched contexts")
     if ctx is None:
         ctx = f.vars
-    n = len(f.vars)
+    n, guard, zero = len(f.vars), _guard(len(ctx)), MultiPoly.zero(ctx)
     support = _support(f._num)
-    # folded: (index in f.vars, field offset, image key, image); rest: (index, offset)
-    folded, rest = [], []
-    rest_mask = 0
+    # K times a folded image's exponents, K the top power of its variable in
+    # f, must stay below the limit; then every k * (image key) fills its
+    # fields below 2^31, and a folded key, summed one image at a time, holds
+    # any overflow in its guard bits.
+    folds = []  # (field offset, image key, a, b) of each image a/b * monomial
+    rest, rest_mask = [], 0  # (field offset, image) of the other occurring variables
     for i, name in enumerate(f.vars):
         s = _shift(n, i)
         if not support >> s & _FIELD:
@@ -421,73 +439,51 @@ def substitute(
         if name not in images:
             raise ValueError(f"no image supplied for occurring variable {name!r}")
         g = images[name]
-        if len(g._num) == 1:
-            (key,) = g._num
-            folded.append((i, s, key, g))
-        else:
-            rest.append((i, s))
+        if len(g._num) != 1:
+            rest.append((s, g))
             rest_mask |= _FIELD << s
+            continue
+        ((key, a),) = g._num.items()
+        top = f.degree_in(name)
+        for var, e in zip(ctx, _unpack(key, len(ctx))):
+            if e * top >= _LIMIT:
+                raise _too_large(var, e * top)
+        folds.append((s, key, a, g._den))
 
-    # coefficients over den = f's denominator times b^K for each folded
-    # image a/b * monomial, K the top power of its variable in f; a term
-    # with power k of that variable is scaled by a^k * b^(K - k), read from
-    # a per-image table of the powers met so far.  K times the image's
-    # exponents must stay below the limit; then every k * (image key) fills
-    # its fields below 2^31, and a folded key, summed one image at a time,
-    # holds any overflow in its guard bits.
-    den = f._den
-    scaled = []  # (field offset, {k: scaling}, a, b, K) of the non-monic folded images
-    for i, s, key, g in folded:
-        top = f.degree_in(f.vars[i])
-        for name, a in zip(ctx, _unpack(key, len(ctx))):
-            if a * top >= _LIMIT:
-                raise _too_large(name, a * top)
-        (a,) = g._num.values()
-        if a != 1 or g._den != 1:
-            den *= g._den**top
-            scaled.append((s, {}, a, g._den, top))
-    folds = [(s, key) for _, s, key, _ in folded]
-    guard = _guard(len(ctx))
-
-    # rest exponents (one masked key) -> {folded key: coefficient}
+    # fold: rest exponents (one masked key) -> [(numerator, denominator, folded key)]
     groups: dict = {}
-    for e, c in f._num.items():
-        new = 0
-        for s, key in folds:
+    for e, p in f._num.items():
+        q, new = f._den, 0
+        for s, key, a, b in folds:
             k = e >> s & _FIELD
             if k:
                 new += k * key
                 if new & guard:
                     raise _overflow(ctx, new)
-        for s, table, a, b, top in scaled:
-            k = e >> s & _FIELD
-            sk = table.get(k)
-            if sk is None:
-                sk = table[k] = a**k * b ** (top - k)
-            if sk != 1:
-                c = c * sk
-        group = groups.setdefault(e & rest_mask, {})
-        group[new] = group[new] + c if new in group else c
+                if a != 1:
+                    p = p * a**k
+                if b != 1:
+                    q *= b**k
+        groups.setdefault(e & rest_mask, []).append((p, q, new))
+    parts = {rest_key: _monomial_sum(ctx, group) for rest_key, group in groups.items()}
 
-    powers: dict = {}  # index -> [image, image^2, ...]
-
-    def power(i: int, e: int) -> MultiPoly:
-        g = images[f.vars[i]]
-        seq = powers.setdefault(i, [g])
-        while len(seq) < e:
-            p = seq[-1] * g
-            seq.append(p if reduce is None else reduce(p))
-        return seq[e - 1]
-
-    parts = []
-    for rest_key, group in groups.items():
-        term = MultiPoly._canonical(ctx, group, den)
-        for i, s in rest:
-            k = rest_key >> s & _FIELD
-            if k:
-                term = term * power(i, k)
-        parts.append(term)
-    result = parts[0] if len(parts) == 1 else _sum(ctx, parts)
+    # expand: the innermost Horner level runs first, so each level's
+    # coefficients are the sums built by the level inside it
+    for s, g in reversed(rest):
+        levels: dict = {}  # exponents of the outer variables -> {k: coefficient of v^k}
+        for rest_key, part in parts.items():
+            levels.setdefault(rest_key & ~(_FIELD << s), {})[rest_key >> s & _FIELD] = part
+        parts = {}
+        for outer, coeffs in levels.items():
+            k = max(coeffs)
+            acc = coeffs[k]
+            while k:
+                k -= 1
+                acc = _mul_add(acc, g, coeffs.get(k, zero))
+                if k and reduce is not None:
+                    acc = reduce(acc)
+            parts[outer] = acc
+    result = parts.get(0, zero)  # only key 0 is left
     return result if reduce is None else reduce(result)
 
 
@@ -532,12 +528,9 @@ def reduce_by_rule(f: MultiPoly, lead: MultiPoly, replacement: MultiPoly) -> Mul
                 rest[e] = c
         if not quotient:
             return current
-        # rest + quotient * replacement over current._den * rd, one gcd
-        rd = replacement._den
-        if rd != 1:
-            rest = {e: n * rd for e, n in rest.items()}
-        num = _checked(f.vars, _convolve(quotient, replacement._num, rest))
-        current = MultiPoly._canonical(f.vars, num, current._den * rd)
+        d = current._den  # rest + quotient * replacement, one gcd
+        quotient, rest = (MultiPoly._wrap(f.vars, t, d) for t in (quotient, rest))
+        current = _mul_add(quotient, replacement, rest)
 
 
 # -- univariate helpers ----------------------------------------------------

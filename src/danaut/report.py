@@ -106,14 +106,6 @@ def canonical_dict(G) -> Optional[dict]:
     }
 
 
-def _exp_family_images(spec: VarietySpec) -> Optional[dict]:
-    if spec.x_role is None:
-        return None
-    h = MultiPoly.variable(spec.vars + ("h",), "h")
-    gm = exp_replica(spec, h)
-    return {name: poly_str(gm.images[name]) for name in spec.vars}
-
-
 def sample_generator_maps(report: AutReport) -> list:
     """Concrete automorphisms witnessing every listed generator family."""
     spec = report.spec
@@ -277,13 +269,14 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
             generators.append({"kind": "special-family", "relation": "a^2-b^2=1"})
     if aut.regime in (REGIME_ONE_UNIT, REGIME_DANIELEWSKI):
         der = canonical_lnd(spec)
+        exp_h = exp_replica(spec, MultiPoly.variable(spec.vars + ("h",), "h"))
         generators.append(
             {
                 "kind": "exponential-family",
                 "derivation": {
                     name: poly_str(g) for name, g in der.images.items() if not g.is_zero()
                 },
-                "images": _exp_family_images(spec),
+                "images": {name: poly_str(exp_h.images[name]) for name in spec.vars},
             }
         )
     G = groups["G"]

@@ -191,6 +191,33 @@ def test_coefficient_digits_are_bounded(tmp_path, capsys):
     assert f"equation: y1^2*y2^3 = z^4 + {10**4299}\n" in out
 
 
+def test_json_integer_literal_digits_are_bounded(tmp_path, capsys):
+    """A JSON integer literal of more than 4300 digits, as a coefficient, an
+    exponent, a weight or a --map value, exits 1 with one line naming the
+    file or --map and the bound, not the interpreter's int-conversion limit."""
+    f = tmp_path / "literal.json"
+    long = "1" * 4301
+    for ye, ze, c, weight in (
+        ([0, 0], 0, "BIG", 3),
+        ([0, 0], "BIG", 1, 3),
+        ([0, 0], 0, 1, "BIG"),
+        ([0, 0], 0, "-BIG", 3),
+    ):
+        spec = _presentation([2, weight], [([0, 0], 4, "1"), (ye, ze, c)])
+        f.write_text(json.dumps(spec).replace('"BIG"', long).replace('"-BIG"', f"-{long}"))
+        line = f"error: {f} has an integer literal of more than 4300 digits\n"
+        assert _main_in_process(["analyze", str(f)], capsys) == (1, "", line)
+    images = '{"x": "x", "y1": "y1", "y2": "y2", "z": "z", "w": %s}' % long
+    argv = ["apply", fixture_path("bf08.json"), "y1", "--map", images]
+    line = "error: --map has an integer literal of more than 4300 digits\n"
+    assert _main_in_process(argv, capsys) == (1, "", line)
+    # 4300 digits are read, and then rejected or used by the field's own rule
+    f.write_text(json.dumps(_presentation([2, 3], [([0, 0], 4, "1"), ([0, 0], 0, "BIG")]))
+                 .replace('"BIG"', long[1:]))
+    code, out, err = _main_in_process(["analyze", str(f)], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("e", [2**31, 2**31 + 1])
 def test_exponent_limit_exits_one_with_one_line(tmp_path, capsys, e):
     """Every exponent stays below 2^31: at the limit and above it, in a
@@ -841,6 +868,28 @@ def test_large_order_suspension_stays_in_exponents(capsys, monkeypatch):
     assert out == (GOLDEN / f"{name}.golden.json").read_text()
     assert not [n for n in orders if n >= 2000]
     assert len(built) < 50, len(built)
+
+
+def test_exponential_family_memory_follows_the_result(tmp_path, capsys):
+    """x*y1^2*y2^3 = z^200 + 3/2*z + y1 - 2*y2: the report's exponential
+    family substitutes z -> z + h*M into P and into the degree-199 x image.
+    Horner's rule keeps one running sum, so the traced peak of the whole
+    analysis stays near the size of the result (1.9 MiB) instead of holding
+    every power of the image at once (6 MiB)."""
+    import tracemalloc
+
+    f = tmp_path / "d200.json"
+    terms = [([0, 0], 200, "1"), ([0, 0], 1, "3/2"), ([1, 0], 0, "1"), ([0, 1], 0, "-2")]
+    f.write_text(json.dumps(_presentation([2, 3], terms, x_present=True)))
+    tracemalloc.start()
+    try:
+        code, out, err = _main_in_process(["analyze", str(f), "--json"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert json.loads(out)["regime"] == "Danielewski"
+    assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 # the ladder presentation with m = 5 equal weights: a canonical group of order

@@ -668,7 +668,8 @@ def test_parse_poly_error_messages():
 _SUB_SPEC = variety([2, 2], True, "z^3+z+y1-y2")
 _SUB_CTX = _SUB_SPEC.vars + ("t",)  # images may live in a larger context
 _sub_scalars = st.sampled_from(
-    [Fraction(1), Fraction(-1), Fraction(3, 7), zeta(3), zeta(3, 2) * 2, zeta(4)]
+    [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2), zeta(3), zeta(3, 2) * 2,
+     zeta(4), zeta(4) * Fraction(2, 3), zeta(6) * Fraction(-1, 5)]
 )
 _sub_exps = st.tuples(*(st.integers(0, 1) for _ in _SUB_CTX))
 # few single-term targets, so distinct terms of f often fold onto one monomial
@@ -679,11 +680,15 @@ _sub_monomials = st.sampled_from(
 
 @st.composite
 def _substitution(draw):
+    """f with exponents up to 6, so a multi-term variable's powers in f leave
+    gaps and Horner's rule runs several steps; each image is single-term
+    (scaled, with denominators and cyclotomic scalars), multi-term or zero,
+    so one draw may nest Horner's rule in two or more variables."""
     f = MultiPoly(
         _SUB_SPEC.vars,
         draw(
             st.dictionaries(
-                st.tuples(*(st.integers(0, 2) for _ in _SUB_SPEC.vars)),
+                st.tuples(*(st.integers(0, 6) for _ in _SUB_SPEC.vars)),
                 _sub_scalars,
                 max_size=4,
             )
@@ -724,6 +729,16 @@ def _naive_substitute(f, images):
     return MultiPoly(_SUB_CTX, total)
 
 
+def _nested_horner():
+    """Two multi-term images whose powers in f leave gaps, and scaled
+    single-term images with a denominator and a cyclotomic scalar."""
+    f = parse_poly("x^6*z^5 - 2/3*x^2*z + x*y1^3 + 7*z^4*y2^2 + 3", _SUB_SPEC.vars)
+    y1, y2, t = (MultiPoly.variable(_SUB_CTX, n) for n in ("y1", "y2", "t"))
+    images = {"x": y2 - t, "y1": y2 * zeta(4) * Fraction(2, 3), "y2": t * Fraction(-5, 2),
+              "z": y1 * t + 2 * y2 - 1}
+    return f, images
+
+
 def _folding_collision():
     """y1 and y2 both fold onto y2 while x and z stay multi-term."""
     f = parse_poly("x*y1*z + 2*x*y2*z + y1^2 - y2^2 + x", _SUB_SPEC.vars)
@@ -735,6 +750,7 @@ def _folding_collision():
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(_substitution())
 @example(_folding_collision())
+@example(_nested_horner())
 def test_grouped_substitution_matches_naive_expansion(case):
     f, images = case
 
