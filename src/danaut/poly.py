@@ -529,8 +529,8 @@ def reduce_by_rule(f: MultiPoly, lead: MultiPoly, replacement: MultiPoly) -> Mul
         if not quotient:
             return current
         d = current._den  # rest + quotient * replacement, one gcd
-        quotient, rest = (MultiPoly._wrap(f.vars, t, d) for t in (quotient, rest))
-        current = _mul_add(quotient, replacement, rest)
+        current = _mul_add(MultiPoly._wrap(f.vars, quotient, d), replacement,
+                           MultiPoly._wrap(f.vars, rest, d))
 
 
 # -- univariate helpers ----------------------------------------------------
