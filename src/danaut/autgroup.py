@@ -26,6 +26,7 @@ from .lattice import (
     TorusSolutionSet,
     diag_group_quotient,
     group_type_from_vanishing_lattice,
+    power_product,
     solve_torus_system,
 )
 from .poly import MultiPoly, divide_by_monomial, substitute
@@ -95,23 +96,17 @@ def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
 
     y_i maps to t_i*y_{sigma(i)} and z to tau*z.  When x is present, the
     relation x*M = P fixes its image: phi(M) = mu*M with mu = prod t_i^k_i,
-    so x maps to (tau^d*x + (phi(P) - tau^d*P)/M) / mu.
+    so x maps to (phi(P) + tau^d*(x*M - P))/(mu*M).
     """
     m = spec.m
     ctx = spec.vars
-    tau = scalars[m]
-    images = {}
-    for i in range(m):
-        images[f"y{i+1}"] = MultiPoly.variable(ctx, f"y{sigma[i]+1}") * scalars[i]
-    images["z"] = MultiPoly.variable(ctx, "z") * tau
+    images = {f"y{i+1}": MultiPoly.variable(ctx, f"y{sigma[i]+1}") * scalars[i] for i in range(m)}
+    images["z"] = MultiPoly.variable(ctx, "z") * scalars[m]
     if not spec.x_present:
         return images
-    mu = Fraction(1)
-    for i, k in enumerate(spec.weights):
-        mu = mu * scalars[i] ** k
-    P, taud = spec.P(), tau**spec.d
-    R = divide_by_monomial(substitute(P, images) - P * taud, spec.kernel_monomial())
-    images["x"] = (MultiPoly.variable(ctx, "x") * taud + R) * (Fraction(1) / mu)
+    shifted = substitute(spec.P(), images) + spec.defining_polynomial() * scalars[m] ** spec.d
+    mu = power_product(scalars, spec.weights)
+    images["x"] = divide_by_monomial(shifted, spec.kernel_monomial()) * (1 / mu)
     return images
 
 
@@ -154,41 +149,36 @@ class CanonicalGroup:
         return [b for b in self.branches if b.feasible]
 
 
-def _branch_constraints(spec: VarietySpec, sigma):
+def _y_supports(spec: VarietySpec) -> list:
+    """{y exponents: coefficient} of each s_i."""
+    yidx = [spec.vars.index(f"y{i+1}") for i in range(spec.m)]
+    supports = []
+    for si in spec.s:
+        if not all(isinstance(c, Fraction) for c in si.terms.values()):
+            raise SpecError("constraint extraction needs rational coefficients")
+        supports.append({tuple(exps[j] for j in yidx): c for exps, c in si.terms.items()})
+    return supports
+
+
+def _branch_constraints(spec: VarietySpec, sigma, supports):
     """Rows, targets, and a kill reason (if a zero pairs with a nonzero)."""
-    m = spec.m
+    inverse = [sigma.index(p) for p in range(spec.m)]
     rows, targets = [], []
-    yidx = [spec.vars.index(f"y{i+1}") for i in range(m)]
-    for i, si in enumerate(spec.s):
-        supp = {}
-        for exps, c in si.terms.items():
-            key = tuple(exps[j] for j in yidx)
-            if not isinstance(c, Fraction):
-                raise SpecError("constraint extraction needs rational coefficients")
-            supp[key] = c
-        candidates = set(supp)
-        for b in supp:
-            e = tuple(b[sigma.index(p)] for p in range(m))
-            candidates.add(e)
+    for i, supp in enumerate(supports):
+        # every candidate e is in supp or is the image of its source b in supp
+        candidates = set(supp).union(tuple(b[j] for j in inverse) for b in supp)
         for e in sorted(candidates):
             if all(a >= k for a, k in zip(e, spec.weights)):
                 continue  # divisible by the weight monomial: no condition
-            b = tuple(e[sigma[j]] for j in range(m))
-            c_src = supp.get(b, Fraction(0))
-            c_dst = supp.get(e, Fraction(0))
-            if c_src == 0 and c_dst == 0:
-                continue
-            if c_src == 0 or c_dst == 0:
+            b = tuple(e[j] for j in sigma)
+            c_src, c_dst = supp.get(b), supp.get(e)
+            if c_src is None or c_dst is None:
                 return (
                     None,
                     None,
                     f"coefficient of y^{e} pairs zero with nonzero in s_{i}",
                 )
-            row = [0] * (m + 1)
-            for j in range(m):
-                row[j] += e[sigma[j]]
-            row[m] = -(spec.d - i)
-            rows.append(row)
+            rows.append(list(b) + [-(spec.d - i)])
             targets.append(c_dst / c_src)
     return rows, targets, ""
 
@@ -201,8 +191,9 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
         raise SpecError("normalize the presentation before the canonical group")
     m = spec.m
     branches = []
+    supports = _y_supports(spec)
     for sigma in stabilizer_permutations(spec):
-        rows, targets, reason = _branch_constraints(spec, sigma)
+        rows, targets, reason = _branch_constraints(spec, sigma, supports)
         if rows is None:
             branches.append(Branch(sigma, False, reason))
             continue

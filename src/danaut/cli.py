@@ -97,7 +97,7 @@ def load_spec_file(path: str) -> VarietySpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     data = _parse_json(text, path)
     if not isinstance(data, dict):

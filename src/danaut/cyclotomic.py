@@ -401,4 +401,4 @@ def canonical_scalar(x):
     """Demote rational-valued cyclotomic elements to Fraction."""
     if isinstance(x, CycElem):
         return x.to_fraction() if x.is_rational() else x
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)

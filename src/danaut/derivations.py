@@ -165,7 +165,8 @@ def automorphism_defect(
     the ideal.  Every substitution is reduced to normal form as it is
     built.  The result is the unique representative of its class (P is
     monic in z), so it is zero exactly when the fully expanded substitution
-    lies in the ideal.
+    lies in the ideal, and a composite equals its generator exactly when
+    the two store equal forms.
     """
     def reduce(g: MultiPoly) -> MultiPoly:
         return normal_form(g, spec)
@@ -175,9 +176,8 @@ def automorphism_defect(
         return "map does not preserve the defining ideal"
     for name in spec.vars:
         v = MultiPoly.variable(image.vars, name)
-        fwd = substitute(images[name], inverse_images, reduce) - v
-        bwd = substitute(inverse_images[name], images, reduce) - v
-        if not fwd.is_zero() or not bwd.is_zero():
+        if (substitute(images[name], inverse_images, reduce) != v
+                or substitute(inverse_images[name], images, reduce) != v):
             return "supplied inverse is not a two-sided inverse"
     return None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from operator import mul
 from typing import Optional
 
 from .cyclotomic import CycElem, canonical_scalar, cyc_root_of_unity, zeta
@@ -28,13 +28,8 @@ def identity_matrix(n: int) -> IntMat:
 
 
 def mat_mul(A: IntMat, B: IntMat) -> IntMat:
-    if not A:
-        return []
-    inner = len(B)
-    return [
-        [sum(row[k] * B[k][j] for k in range(inner)) for j in range(len(B[0]) if B else 0)]
-        for row in A
-    ]
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def det_int(A: IntMat) -> int:
@@ -158,7 +153,7 @@ def smith_normal_form(A: IntMat) -> tuple:
 
 
 def _snf_postconditions(A, U, D, V) -> bool:
-    if mat_mul(mat_mul(U, [list(r) for r in A]), V) != D:
+    if mat_mul(mat_mul(U, A), V) != D:
         return False
     if abs(det_int(U)) != 1 or abs(det_int(V)) != 1:
         return False
@@ -287,6 +282,28 @@ def diag_group_quotient(H: IntMat, K: IntMat, ncols: int) -> QuotientResult:
 # -- monomial equation systems over a torus -----------------------------------
 
 
+def power_product(bases, exponents):
+    """The product of b**e over paired bases and integer exponents.
+
+    Zero exponents are skipped.  Rational bases contribute integer powers
+    of their numerators and denominators, so the rational part is one
+    Fraction; CycElem bases are multiplied in as scalars.
+    """
+    num = den = 1
+    cyc = None
+    for b, e in zip(bases, exponents):
+        if not e:
+            continue
+        if isinstance(b, CycElem):
+            cyc = b**e if cyc is None else cyc * b**e
+            continue
+        p, q = (b.numerator, b.denominator) if e > 0 else (b.denominator, b.numerator)
+        num *= p ** abs(e)
+        den *= q ** abs(e)
+    r = Fraction(num, den)
+    return r if cyc is None else cyc * r
+
+
 @dataclass
 class TorusSolutionSet:
     """Solutions of t^{A_r} = lambda_r over the algebraic torus.
@@ -339,7 +356,7 @@ def solve_torus_system(
     substitution before being returned.
     """
     rows = [list(map(int, r)) for r in A]
-    targets = [Fraction(t) for t in targets]
+    targets = [t if type(t) is Fraction else Fraction(t) for t in targets]
     if len(rows) != len(targets):
         raise ValueError("row count does not match number of targets")
     if any(t == 0 for t in targets):
@@ -371,7 +388,7 @@ def solve_torus_system(
     )
 
     # rows rank.. of U span the left kernel of A: consistent iff lambda^U[p] = 1 there
-    mu = [prod((lam**q for q, lam in zip(u, targets)), start=Fraction(1)) for u in U]
+    mu = [power_product(targets, u) for u in U]
     bad = next((p for p in range(rank, len(rows)) if mu[p] != 1), None)
     consistent = bad is None
     note = "" if consistent else f"kernel relation {tuple(U[bad])} forces {mu[bad]} = 1"
@@ -388,14 +405,11 @@ def solve_torus_system(
             if isinstance(w, CycElem) and w.order > ENUM_ORDER_BOUND:
                 failed = f"root order {w.order} exceeds enumeration bound {ENUM_ORDER_BOUND}"
                 break
-            roots.append(w)
+            roots.append(canonical_scalar(w))  # -1 rather than zeta_2
         if failed is None:
-            t = [
-                prod((w ** V[j][p] for p, w in enumerate(roots) if V[j][p]), start=Fraction(1))
-                for j in range(ncols)
-            ]
+            t = [power_product(roots, V[j]) for j in range(ncols)]
             for row, lam in zip(rows, targets):
-                if prod((tj**e for tj, e in zip(t, row) if e), start=Fraction(1)) != lam:
+                if power_product(t, row) != lam:
                     raise AssertionError("particular solution failed verification")
             particular = tuple(t)
         else:

@@ -120,7 +120,7 @@ class MultiPoly:
     def _canonical(cls, vars: tuple, num: dict, den: int = 1) -> "MultiPoly":
         """num / den in the stored form, for int, Fraction or CycElem values
         (zeros allowed) and a positive int den."""
-        if 0 in num.values():
+        if not all(num.values()):
             num = {e: c for e, c in num.items() if c}
         try:
             g = gcd(den, *num.values())
@@ -327,10 +327,10 @@ class MultiPoly:
         from their numerators.  Keys are unique, so the sort never compares
         exponent tuples or coefficients."""
         n, d = len(self.vars), self._den
-        rows = sorted(
-            ((sum(exps), e, exps, c) for e, c in self._num.items() for exps in (_unpack(e, n),)),
-            reverse=True,
-        )
+        unpack = struct.Struct(f">{n}I").unpack  # as _unpack does, parsed once per call
+        rows = [(sum(x), e, x, c) for e, c in self._num.items()
+                for x in (unpack(e.to_bytes(4 * n, "big")),)]
+        rows.sort(reverse=True)
         return [(exps, ratio_str(c, d) if type(c) is int else scalar_str(c)) for _, _, exps, c in rows]
 
     def __repr__(self):
@@ -364,10 +364,11 @@ def _monomial_sum(vars: tuple, monomials: list) -> MultiPoly:
     """The sum of (numerator, positive int denominator, key) monomials over
     the lcm of their denominators.  A numerator is an int, or a Fraction or
     CycElem where substitute folds a cyclotomic term or image."""
-    den = lcm(*(q for _, q, _ in monomials))
+    den = lcm(*[q for _, q, _ in monomials])
     num: dict = {}
     for p, q, key in monomials:
-        p *= den // q
+        if q != den:
+            p *= den // q
         num[key] = num[key] + p if key in num else p
     return MultiPoly._canonical(vars, num, den)
 
@@ -424,16 +425,16 @@ def substitute(
             raise ValueError("substitution images have mismatched contexts")
     if ctx is None:
         ctx = f.vars
-    n, guard, zero = len(f.vars), _guard(len(ctx)), MultiPoly.zero(ctx)
+    guard, zero = _guard(len(ctx)), MultiPoly._wrap(ctx, {}, 1)
     support = _support(f._num)
     # K times a folded image's exponents, K the top power of its variable in
-    # f, must stay below the limit; then every k * (image key) fills its
-    # fields below 2^31, and a folded key, summed one image at a time, holds
-    # any overflow in its guard bits.
+    # f, must stay below the limit (as it does for one variable to the first
+    # power); then every k * (image key) fills its fields below 2^31, and a
+    # folded key, summed one image at a time, holds any overflow in its
+    # guard bits.
     folds = []  # (field offset, image key, a, b) of each image a/b * monomial
     rest, rest_mask = [], 0  # (field offset, image) of the other occurring variables
-    for i, name in enumerate(f.vars):
-        s = _shift(n, i)
+    for name, s in zip(f.vars, range(_BITS * (len(f.vars) - 1), -1, -_BITS)):
         if not support >> s & _FIELD:
             continue
         if name not in images:
@@ -444,10 +445,11 @@ def substitute(
             rest_mask |= _FIELD << s
             continue
         ((key, a),) = g._num.items()
-        top = f.degree_in(name)
-        for var, e in zip(ctx, _unpack(key, len(ctx))):
-            if e * top >= _LIMIT:
-                raise _too_large(var, e * top)
+        if key & (key - 1) or (key.bit_length() - 1) % _BITS:  # not a variable to the first power
+            top = f.degree_in(name)
+            for var, e in zip(ctx, _unpack(key, len(ctx))):
+                if e * top >= _LIMIT:
+                    raise _too_large(var, e * top)
         folds.append((s, key, a, g._den))
 
     # fold: rest exponents (one masked key) -> [(numerator, denominator, folded key)]
@@ -519,15 +521,15 @@ def reduce_by_rule(f: MultiPoly, lead: MultiPoly, replacement: MultiPoly) -> Mul
     guard = _guard(len(f.vars))
     current = f
     while True:
+        # no field borrows from its guard bit: e is divisible by lead
+        if not any(((e | guard) - lead) & guard == guard for e in current._num):
+            return current
         rest, quotient = {}, {}
         for e, c in current._num.items():
-            # no field borrows from its guard bit: e is divisible by lead
             if ((e | guard) - lead) & guard == guard:
                 quotient[e - lead] = c
             else:
                 rest[e] = c
-        if not quotient:
-            return current
         d = current._den  # rest + quotient * replacement, one gcd
         current = _mul_add(MultiPoly._wrap(f.vars, quotient, d), replacement,
                            MultiPoly._wrap(f.vars, rest, d))
@@ -799,20 +801,11 @@ def parse_poly(text: str, vars: tuple) -> MultiPoly:
 def poly_str(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"
-    parts = []
+    out = []
     for exps, text in f.printed_terms():
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}" for name, e in zip(f.vars, exps) if e
-        )
-        if not mono:
-            parts.append(text)
-        elif text == "1":
-            parts.append(mono)
-        elif text == "-1":
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{text}*{mono}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+        mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(f.vars, exps) if e])
+        sign, text = (" - ", text[1:]) if text[0] == "-" else (" + ", text)
+        if mono:
+            text = mono if text == "1" else f"{text}*{mono}"
+        out += (sign, text)
+    return ("-" if out[0] == " - " else "") + "".join(out[1:])

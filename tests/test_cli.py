@@ -283,6 +283,16 @@ def test_unreadable_file_exit_one():
     assert code == 1 and "cannot read" in err
 
 
+def test_file_that_is_not_utf8_exits_one_naming_it(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b"\xff" + json.dumps({"weights": [2], "P": []}).encode())
+    for argv in (["analyze", str(f)], ["apply", str(f), "z", "--element", "e0", "--json"]):
+        code, out, err = _main_in_process(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1, err
+
+
 def test_no_normalize_rejects_shifted(tmp_path, capsys):
     f = tmp_path / "shifted.json"
     f.write_text(
@@ -542,6 +552,57 @@ def test_each_map_verified_exactly_once(monkeypatch, capsys):
         calls.clear()
         assert cli.main(argv) == 0, capsys.readouterr().err
         assert len(calls) == checks, argv
+
+
+def test_element_map_counter_pins(monkeypatch, capsys):
+    """apply --element on bf08 checks its map with 1 + 2n substitutions (n = 4
+    generators) and no subtraction, and canonical_group(bf08) builds 66
+    Fractions.  Before composites were compared by != and the torus solver
+    took integer power products, the check subtracted 9 times (8 composites
+    and the first build of the defining polynomial) and canonical_group
+    built 160 Fractions."""
+    from danaut import autgroup, cli, derivations
+    from danaut.poly import MultiPoly
+
+    counts = {"substitute": 0, "__sub__": 0}
+    checking = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += bool(checking)
+            return real(*args, **kwargs)
+        return wrapper
+
+    def defect(*args):
+        checking.append(True)
+        try:
+            return real_defect(*args)
+        finally:
+            checking.pop()
+
+    real_defect = derivations.automorphism_defect
+    monkeypatch.setattr(derivations, "automorphism_defect", defect)
+    monkeypatch.setattr(derivations, "substitute", counted("substitute", derivations.substitute))
+    monkeypatch.setattr(MultiPoly, "__sub__", counted("__sub__", MultiPoly.__sub__))
+    bf08 = fixture_path("bf08.json")
+    argv = ["apply", bf08, "x*z + y1^2", "--element", "e1", "--json"]
+    code, out, err = _main_in_process(argv, capsys)
+    assert code == 0, err
+    assert counts == {"substitute": 1 + 2 * 4, "__sub__": 0}
+
+    spec = cli.prepare(bf08, cli.build_parser().parse_args(["analyze", bf08]))[1]
+    built = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: built.append(1) or real_new(cls, *a, **k))
+    if hasattr(Fraction, "_from_coprime_ints"):  # what the arithmetic builds with from 3.12 on
+        real_coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(lambda cls, n, d: built.append(1) or real_coprime(cls, n, d)))
+    group = autgroup.canonical_group(spec)
+    monkeypatch.undo()
+    assert len(group.elements) == 4
+    assert len(built) == 66
 
 
 def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):

@@ -22,11 +22,14 @@ from danaut import (
     solve_torus_system,
     zeta,
 )
+from danaut.cyclotomic import CycElem, cyc_root_of_unity
 from danaut.lattice import (
+    ENUM_ORDER_BOUND,
     group_type_from_vanishing_lattice,
     image_characters,
     lattice_intersect,
     mat_mul,
+    power_product,
 )
 
 
@@ -360,6 +363,85 @@ def test_ragged_rows_are_rejected_before_any_smith_form(monkeypatch):
             diag_group_quotient(H, K, 3)
 
 
+# -- power products and the torus solver against a Fraction/math.prod reference --
+
+
+def _reference_power_product(bases, exponents):
+    """prod(b**e) over Fraction and CycElem powers by math.prod: power_product's reference."""
+    return prod((b**e for b, e in zip(bases, exponents) if e), start=Fraction(1))
+
+
+_big = 10**39  # numerators of up to 40 digits
+_rational_bases = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-10 * _big, 10 * _big)).filter(bool),
+    st.one_of(st.integers(1, 9), st.integers(1, 10 * _big)),
+)
+_cyclotomic_bases = st.builds(
+    lambda r, n, a: r * zeta(n, a),
+    _rational_bases, st.sampled_from([2, 3, 4, 6, 12]), st.integers(0, 11),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_rational_bases, _rational_bases, _cyclotomic_bases),
+                  st.integers(-5, 5)),
+        max_size=5,
+    )
+)
+def test_power_product_matches_fraction_reference(pairs):
+    """Negative and zero exponents, negative and 40-digit bases, cyclotomic bases."""
+    bases = [b for b, _ in pairs]
+    exponents = [e for _, e in pairs]
+    got = power_product(bases, exponents)
+    want = _reference_power_product(bases, exponents)
+    assert got == want
+    if not any(isinstance(b, CycElem) for b, e in pairs if e):
+        assert type(got) is Fraction
+
+
+def _reference_solve(rows, targets, ncols):
+    """(consistent, coset note, particular) by the solver's algorithm over
+    Fraction powers and math.prod."""
+    U, D, V = smith_normal_form(rows)
+    diag = [D[i][i] for i in range(min(len(rows), ncols))]
+    rank = sum(1 for d in diag if d != 0)
+    mu = [_reference_power_product(targets, u) for u in U]
+    bad = next((p for p in range(rank, len(rows)) if mu[p] != 1), None)
+    if bad is not None:
+        return False, f"kernel relation {tuple(U[bad])} forces {mu[bad]} = 1", None
+    roots = [cyc_root_of_unity(mu[p], diag[p]) for p in range(rank)]
+    if any(w is None or isinstance(w, CycElem) and w.order > ENUM_ORDER_BOUND for w in roots):
+        return True, None, None
+    t = tuple(_reference_power_product(roots, V[j]) for j in range(ncols))
+    for row, lam in zip(rows, targets):
+        assert _reference_power_product(t, row) == lam
+    return True, "", t
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_solve_matches_fraction_reference(nrows, ncols, data):
+    """Targets from a rational or cyclotomic point (consistent, roots of any
+    kind) or drawn at random (often inconsistent), negative and 40-digit."""
+    rows = [[data.draw(st.integers(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
+    if data.draw(st.booleans()):
+        point = [data.draw(st.one_of(_rational_bases, _cyclotomic_bases)) for _ in range(ncols)]
+        targets = [_reference_power_product(point, row) for row in rows]
+        assume(all(isinstance(lam, Fraction) for lam in targets))
+    else:
+        units = st.sampled_from([Fraction(-1), Fraction(4)])
+        targets = [data.draw(st.one_of(_rational_bases, units)) for _ in rows]
+    s = solve_torus_system(rows, targets, ncols=ncols)
+    consistent, note, particular = _reference_solve(rows, targets, ncols)
+    assert s.consistent == consistent
+    if note is not None:
+        assert s.coset_note == note
+    assert s.particular == particular
+
+
 @st.composite
 def _finite_subgroup(draw, n):
     """A finite subgroup of (K^x)^n: n small character rows of full rank, maybe one more."""
@@ -397,6 +479,15 @@ def test_quotient_is_the_join_of_finite_subgroups(case):
         "import danaut.varieties as V\n"
         "V.group_type_from_vanishing_lattice = lambda *args: L.DiagGroupType(7, ())\n"
         "proper_quasitorus(make_variety((2, 3), False, parse_poly('z^2+1', ('y1', 'y2', 'z'))))\n",
+        # a wrong root of t^2 = 4 fails the particular solution's verification
+        "import danaut.lattice as L\n"
+        "L.cyc_root_of_unity = lambda c, n: c + 1\n"
+        "L.solve_torus_system([[2]], [4])\n",
+        # a product that drops the last column fails the Smith form's postconditions
+        "import danaut.lattice as L\n"
+        "real = L.mat_mul\n"
+        "L.mat_mul = lambda A, B: [row[:-1] + [0] for row in real(A, B)]\n"
+        "L.solve_torus_system([[2, 1], [0, 3]], [4, 9])\n",
     ],
 )
 def test_internal_checks_survive_optimize_flag(script):
@@ -407,3 +498,6 @@ def test_internal_checks_survive_optimize_flag(script):
     )
     assert proc.returncode != 0
     assert "AssertionError" in proc.stderr
+    if "solve_torus_system" in script:
+        failed = "Smith normal form failed" if "mat_mul" in script else "particular solution failed"
+        assert f"AssertionError: {failed}" in proc.stderr
