@@ -151,12 +151,12 @@ class CanonicalGroup:
 
 def _y_supports(spec: VarietySpec) -> list:
     """{y exponents: coefficient} of each s_i."""
-    yidx = [spec.vars.index(f"y{i+1}") for i in range(spec.m)]
-    supports = []
+    supports, yvars = [], spec.yvars
     for si in spec.s:
-        if not all(isinstance(c, Fraction) for c in si.terms.values()):
+        supp = si.embed(yvars).terms
+        if not all(isinstance(c, Fraction) for c in supp.values()):
             raise SpecError("constraint extraction needs rational coefficients")
-        supports.append({tuple(exps[j] for j in yidx): c for exps, c in si.terms.items()})
+        supports.append(supp)
     return supports
 
 

@@ -380,9 +380,9 @@ def cyc_root_of_unity(c, n: int):
         raise ValueError("root index must be positive")
     c = Fraction(c)
     if c == 1:
-        return Fraction(1) if n == 1 else zeta(n)
+        return canonical_scalar(zeta(n))
     if c == -1:
-        return Fraction(-1) if n == 1 else zeta(2 * n, 1)
+        return canonical_scalar(zeta(2 * n, 1))
     return rational_nth_root(c, n)
 
 

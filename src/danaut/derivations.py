@@ -21,6 +21,7 @@ from .poly import (
     derivative,
     divide_by_monomial,
     substitute,
+    weighted_parts,
 )
 from .varieties import (
     REGIME_DANIELEWSKI,
@@ -244,70 +245,32 @@ def homogeneous_decompose(
     for name in spec.vars:
         if name not in weights:
             raise ValueError(f"missing weight for variable {name!r}")
-
-    def mono_weight(exps) -> int:
-        return sum(e * weights[name] for e, name in zip(exps, spec.vars))
-
-    rel = spec.defining_polynomial()
-    rel_weights = {mono_weight(e) for e in rel.terms}
-    if len(rel_weights) > 1:
+    if len(weighted_parts(spec.defining_polynomial(), weights)) > 1:
         raise ValueError("weights do not make the defining polynomial homogeneous")
 
-    pieces: dict = {}
+    pieces: dict = {}  # degree -> {variable: part of its image}
     for name in spec.vars:
-        img = der.images[name]
-        w0 = weights[name]
-        for exps, c in img.terms.items():
-            deg = mono_weight(exps) - w0
-            pieces.setdefault(deg, {}).setdefault(name, {})[exps] = c
-    out = []
-    for deg in sorted(pieces):
-        images = {
-            name: MultiPoly(spec.vars, terms) for name, terms in pieces[deg].items()
-        }
-        out.append((deg, Derivation(spec, images)))
-    return out
+        for w, part in weighted_parts(der.images[name], weights).items():
+            pieces.setdefault(w - weights[name], {})[name] = part
+    return [(deg, Derivation(spec, pieces[deg])) for deg in sorted(pieces)]
+
+
+def _filtration_parts(f: MultiPoly, spec: VarietySpec, what: str) -> dict:
+    """Parts of f's normal form by filtration degree (as in tilde_degree)."""
+    if spec.x_role is None:
+        raise SpecError("filtration degree needs the canonical derivation")
+    parts = weighted_parts(normal_form(f, spec), {spec.x_role: spec.d, "z": 1})
+    if not parts:
+        raise ValueError(f"the zero class has no {what}")
+    return parts
 
 
 def tilde_degree(f: MultiPoly, spec: VarietySpec) -> int:
     """Nilpotency filtration degree: y's weigh 0, z weighs 1, x weighs d."""
-    _require_filtration(spec)
-    nf = normal_form(f, spec)
-    if nf.is_zero():
-        raise ValueError("the zero class has no degree (sentinel -infinity)")
-    return max(_filtration_weight(e, nf.vars, spec) for e in nf.terms)
-
-
-def _require_filtration(spec: VarietySpec) -> None:
-    if spec.x_role is None:
-        raise SpecError("filtration degree needs the canonical derivation")
-
-
-def _filtration_weight(exps, ctx, spec: VarietySpec) -> int:
-    x_role = spec.x_role
-    w = 0
-    for e, name in zip(exps, ctx):
-        if e == 0:
-            continue
-        if name == x_role:
-            w += e * spec.d
-        elif name == "z":
-            w += e
-    return w
+    return max(_filtration_parts(f, spec, "degree (sentinel -infinity)"))
 
 
 def gr_leading_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     """Top filtration part of f, i.e. its image in the associated graded ring."""
-    _require_filtration(spec)
-    nf = normal_form(f, spec)
-    if nf.is_zero():
-        raise ValueError("the zero class has no leading form")
-    top = max(_filtration_weight(e, nf.vars, spec) for e in nf.terms)
-    return MultiPoly(
-        nf.vars,
-        {
-            e: c
-            for e, c in nf.terms.items()
-            if _filtration_weight(e, nf.vars, spec) == top
-        },
-    )
+    parts = _filtration_parts(f, spec, "leading form")
+    return parts[max(parts)]

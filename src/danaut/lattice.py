@@ -405,7 +405,7 @@ def solve_torus_system(
             if isinstance(w, CycElem) and w.order > ENUM_ORDER_BOUND:
                 failed = f"root order {w.order} exceeds enumeration bound {ENUM_ORDER_BOUND}"
                 break
-            roots.append(canonical_scalar(w))  # -1 rather than zeta_2
+            roots.append(w)
         if failed is None:
             t = [power_product(roots, V[j]) for j in range(ncols)]
             for row, lam in zip(rows, targets):

@@ -18,7 +18,7 @@ factor with the denominator (as in FLINT's fmpq_poly), so sums, products
 and rewriting run on ints with one gcd per result; otherwise they are
 canonical Fraction and CycElem scalars (rational-valued cyclotomics
 demoted) over 1.  Equal polynomials therefore store equal forms.  ``terms``
-reads either kind as {exponent tuple: Fraction | CycElem}.
+builds {exponent tuple: Fraction | CycElem} from either kind on each read.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class MultiPoly:
     ``_num`` maps packed exponent keys to nonzero coefficients over
     ``_den > 0``: ints with gcd(_den, *_num) == 1 (``_den == 1`` for zero)
     when all are rational, else Fraction and CycElem scalars with
-    ``_den == 1``.  ``_terms`` caches the ``terms`` view once read.
+    ``_den == 1``.
     """
 
-    __slots__ = ("vars", "_num", "_den", "_terms")
+    __slots__ = ("vars", "_num", "_den")
 
     def __init__(self, vars: tuple, terms: dict) -> None:
         vars = tuple(vars)
@@ -111,7 +111,7 @@ class MultiPoly:
             if type(c) is not int:
                 c = canonical_scalar(c)
             clean[key] = clean[key] + c if key in clean else c
-        self.vars, self._terms = vars, None
+        self.vars = vars
         self._num, self._den = MultiPoly._stored_scalars({e: c for e, c in clean.items() if c})
 
     # -- constructors ---------------------------------------------------
@@ -158,7 +158,6 @@ class MultiPoly:
         f.vars = vars
         f._num = num
         f._den = den
-        f._terms = None
         return f
 
     @staticmethod
@@ -191,15 +190,9 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: Fraction | CycElem}, built once from the stored form."""
-        t = self._terms
-        if t is None:
-            d, n = self._den, len(self.vars)
-            t = self._terms = {
-                _unpack(e, n): Fraction(c, d) if type(c) is int else c
-                for e, c in self._num.items()
-            }
-        return t
+        """{exponent tuple: Fraction | CycElem}, built from the stored form on each read."""
+        d, n = self._den, len(self.vars)
+        return {_unpack(e, n): Fraction(c, d) if type(c) is int else c for e, c in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
@@ -497,6 +490,17 @@ def last_variable_coefficients(f: MultiPoly) -> dict:
         k = e & _FIELD  # the last variable owns the lowest field
         slices.setdefault(k, {})[e - k] = c
     return {k: MultiPoly._canonical(f.vars, num, f._den) for k, num in slices.items()}
+
+
+def weighted_parts(f: MultiPoly, weights: dict) -> dict:
+    """{w: the part of f of weighted degree w}, read from the packed keys; a
+    variable missing from weights weighs 0, and weights may be negative."""
+    n = len(f.vars)
+    fields = [(_shift(n, i), weights[name]) for i, name in enumerate(f.vars) if weights.get(name)]
+    slices: dict = {}
+    for e, c in f._num.items():
+        slices.setdefault(sum([(e >> s & _FIELD) * k for s, k in fields]), {})[e] = c
+    return {w: MultiPoly._canonical(f.vars, num, f._den) for w, num in slices.items()}
 
 
 def _monic_key(f: MultiPoly, m: MultiPoly) -> int:

@@ -881,7 +881,7 @@ def test_map_goldens_stable(capsys):
     """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 26
+    assert len(calls) == 29
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)

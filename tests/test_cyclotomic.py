@@ -102,6 +102,21 @@ def test_root_of_unity_examples():
     assert cyc_root_of_unity(Fraction(-8), 3) == -2
 
 
+def test_rational_roots_of_plus_minus_one_are_fractions():
+    """zeta_1 and zeta_2 are rational, so a root of +-1 that equals +-1 is a
+    Fraction, as every other scalar result is; the primitive roots stay
+    CycElem."""
+    for c, n, root in ((1, 1, 1), (1, 2, -1), (-1, 1, -1)):
+        w = cyc_root_of_unity(c, n)
+        assert type(w) is Fraction and w == root
+    for c, n in ((1, 2), (1, 4), (1, 6), (-1, 1), (-1, 3)):
+        roots = all_nth_roots(c, n)
+        assert len(roots) == n and all(x**n == c for x in roots)
+        assert all(type(x) is Fraction for x in roots if x in (1, -1))
+        assert all(isinstance(x, CycElem) for x in roots if x not in (1, -1))
+    assert isinstance(cyc_root_of_unity(1, 3), CycElem)
+
+
 def test_root_of_unity_refusals():
     assert cyc_root_of_unity(Fraction(2), 2) is None
     assert cyc_root_of_unity(Fraction(-4), 2) is None

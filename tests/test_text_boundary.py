@@ -265,6 +265,19 @@ def test_source_has_no_floating_point():
     assert found == []
 
 
+def test_stored_form_is_read_only_in_poly():
+    """No module but poly touches a polynomial's ._num or ._den, so the
+    packed keys and the stored numerators never leave it."""
+    found = []
+    for path in sorted(Path(danaut.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Attribute) and n.attr in ("_num", "_den"):
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
+
+
 # -- printing ----------------------------------------------------------------------
 
 
@@ -334,6 +347,24 @@ def test_prepare_reads_no_terms_view(monkeypatch):
     specs = [cli.prepare(str(fx), args) for fx in fixtures]
     assert reads == []
     assert specs[0][1].P().terms and len(reads) == 1  # the count is live
+
+
+def test_degree_and_gr_read_no_terms_view(monkeypatch, capsys):
+    """degree and gr split the normal form by weight straight from the
+    packed keys; walking the terms view, they read it once and twice."""
+    reads = []
+    terms = MultiPoly.terms
+    monkeypatch.setattr(MultiPoly, "terms", property(lambda f: reads.append(f) or terms.fget(f)))
+    bf08 = str(FIXTURES / "bf08.json")
+    f = "3*x*y1^2*y2^2*z - 1/2*x*z^2 + 2/3*y2*z^3 + y1"
+    counts = {}
+    for command in ("degree", "gr"):
+        reads.clear()
+        assert cli.main([command, bf08, f]) == 0
+        counts[command] = len(reads)
+    assert capsys.readouterr().out == "5\n-1/2*x*z^2\n"
+    assert counts == {"degree": 0, "gr": 0}
+    assert MultiPoly.zero(("z",)).terms == {} and len(reads) == 1  # the count is live
 
 
 def test_normalized_analyze_renders_the_equation_once(monkeypatch, capsys):
