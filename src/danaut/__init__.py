@@ -2,7 +2,6 @@
 
 from .cyclotomic import (
     CycElem,
-    all_nth_roots,
     cyc_root_of_unity,
     cyclotomic_polynomial,
     euler_phi,
@@ -41,14 +40,12 @@ from .varieties import (
     additional_quasitorus,
     genus,
     genus_formula,
-    ideal_member,
     irreducibility,
     make_variety,
     ml_invariant,
     normal_form,
     normalize,
     proper_quasitorus,
-    reconstruct_reducible_product,
     rigidity,
     symmetric_group,
 )
@@ -59,9 +56,7 @@ from .derivations import (
     canonical_lnd,
     exp_replica,
     gr_leading_form,
-    homogeneous_decompose,
     monomial_inverse,
-    nilpotency_index,
     tilde_degree,
 )
 from .autgroup import (
@@ -71,14 +66,13 @@ from .autgroup import (
     Verdicts,
     aut_structure,
     canonical_group,
-    compose_elements,
     finite_part_from_elements,
     group_element_map,
     identity_element,
     invert_element,
     stabilizer_permutations,
 )
-from .report import build_report, sample_generator_maps
+from .report import build_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

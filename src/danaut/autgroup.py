@@ -19,13 +19,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .cyclotomic import CycElem, zeta
+from .cyclotomic import CycElem
 from .derivations import GeneratorMap
+from .fmt import sigma_str
 from .lattice import (
     DiagGroupType,
     TorusSolutionSet,
     diag_group_quotient,
-    group_type_from_vanishing_lattice,
     power_product,
     solve_torus_system,
 )
@@ -66,16 +66,6 @@ def stabilizer_permutations(spec: VarietySpec) -> list:
         sigmas.append(tuple(sigma))
     sigmas.sort()
     return sigmas
-
-
-def compose_elements(g, gp, m: int):
-    """(sigma, t) * (sigma', t'): the map of g applied after the map of gp."""
-    sig, t = g
-    sigp, tp = gp
-    sig2 = tuple(sig[sigp[i]] for i in range(m))
-    t2 = tuple(tp[i] * t[sigp[i]] for i in range(m))
-    tau2 = t[m] * tp[m]
-    return (sig2, t2 + (tau2,))
 
 
 def invert_element(g, m: int):
@@ -145,9 +135,6 @@ class CanonicalGroup:
     splits_note: str
     summary: str
 
-    def feasible_branches(self) -> list:
-        return [b for b in self.branches if b.feasible]
-
 
 def _y_supports(spec: VarietySpec) -> list:
     """{y exponents: coefficient} of each s_i."""
@@ -215,7 +202,7 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
             elements = [
                 (b.sigma, t)
                 for b in feasible
-                for t in b.solutions.enumerate_solutions(MAX_TABLE_ORDER)
+                for t in b.solutions.enumerate_solutions()
             ]
 
     splits_note = ""
@@ -226,7 +213,7 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
     else:
         parts = []
         for b in feasible:
-            parts.append(f"{_sigma_str(b.sigma)}: {b.solutions.structure.pretty()}")
+            parts.append(f"{sigma_str(b.sigma)}: {b.solutions.structure.pretty()}")
         summary = "infinite; per-branch structure: " + "; ".join(parts)
     return CanonicalGroup(
         branches=branches,
@@ -237,25 +224,6 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
         splits_note=splits_note,
         summary=summary,
     )
-
-
-def _sigma_str(sigma) -> str:
-    """Cycle notation on 1-based indices."""
-    seen = set()
-    cycles = []
-    for start in range(len(sigma)):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = sigma[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = sigma[nxt]
-        if len(cycle) > 1:
-            cycles.append("(" + ",".join(str(i + 1) for i in cycle) + ")")
-    return "".join(cycles) if cycles else "id"
 
 
 def _split_note(elements, m: int) -> str:
@@ -281,28 +249,20 @@ def _split_note(elements, m: int) -> str:
 
 @dataclass
 class FinitePart:
-    """elements in breadth-first discovery order, the identity at index 0."""
+    """The closure of the canonical-group element list under composition."""
 
-    elements: list  # (sigma, scalars)
     order: int
-    abelian: bool
-    invariant_factors: tuple  # abelian invariants when abelian, else ()
 
 
 def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) -> FinitePart:
-    """Close a finite element list under composition and analyze it.
+    """Close a finite element list under composition and count the closure.
 
     Every scalar is r * zeta_L^a with r > 0 rational, where L is the lcm of
     2 and the cyclotomic orders met.  An element is encoded once as
     (sigma, ids of the r's, exponents mod L), so composition works on
     integer tuples.  The closure is a breadth-first search from the
     identity that right-multiplies by each input element it has not yet
-    reached, recording a generator-exponent word for each element found.
-    Each product found[k] * gens[i] = found[j] met again gives the relation
-    w_k + e_i - w_j; when the generators commute these span the relation
-    lattice of the group (Schreier's lemma; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005), whose Smith form gives
-    the invariant factors.
+    reached; it stops with a SpecError past ``bound`` elements.
     """
     L = 2
     for _, t in elements:
@@ -340,7 +300,8 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
         return (tuple(g[0]) + (m,), *zip(*(encode_scalar(x) for x in g[1])))
 
     def compose(g, h) -> tuple:
-        """compose_elements on encodings; sigma fixes index m (the z scalar)."""
+        """The map of g applied after the map of h, on encodings; sigma
+        fixes index m (the z scalar)."""
         sig, r, e = g
         sigh, rh, eh = h
         return (
@@ -350,55 +311,29 @@ def finite_part_from_elements(elements, m: int, bound: int = MAX_TABLE_ORDER) ->
         )
 
     found = [encode(identity_element(m))]
-    index = {found[0]: 0}
-    words = [()]  # words[j]: generator exponents of a path to found[j]
-    relations = set()
+    seen = {found[0]}
     gens = []
 
-    def visit(k: int, gi: int) -> None:
-        y = compose(found[k], gens[gi])
-        w = list(words[k]) + [0] * (len(gens) - len(words[k]))
-        w[gi] += 1
-        if y in index:
-            w_j = words[index[y]]
-            relations.add(tuple(a - b for a, b in itertools.zip_longest(w, w_j, fillvalue=0)))
-            return
-        if len(found) >= bound:
-            raise SpecError(f"finite part exceeds element bound {bound}")
-        index[y] = len(found)
-        found.append(y)
-        words.append(tuple(w))
+    def visit(g, h) -> None:
+        y = compose(g, h)
+        if y not in seen:
+            if len(found) >= bound:
+                raise SpecError(f"finite part exceeds element bound {bound}")
+            seen.add(y)
+            found.append(y)
 
     done = 0  # found[:done] have their products with every generator
     for g in elements:
         x = encode(g)
-        if x not in index:
+        if x not in seen:
             gens.append(x)
             for k in range(done):
-                visit(k, len(gens) - 1)
+                visit(found[k], x)
             while done < len(found):
-                for gi in range(len(gens)):
-                    visit(done, gi)
+                for h in gens:
+                    visit(found[done], h)
                 done += 1
-
-    scalars = {}  # (r id, a) -> rats[r] * zeta_L^a, at its least order
-    for _, r, e in found:
-        for rid, a in zip(r, e):
-            if (rid, a) not in scalars:
-                g = gcd(a, L)
-                scalars[(rid, a)] = rats[rid] * zeta(L // g, a // g)
-    elems = [(sig[:m], tuple(scalars[c] for c in zip(r, e))) for sig, r, e in found]
-    abelian = all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(gens, 2))
-    invariants = ()
-    if abelian:
-        rows = sorted({rel + (0,) * (len(gens) - len(rel)) for rel in relations})
-        invariants = group_type_from_vanishing_lattice(rows, len(gens)).invariant_factors
-    return FinitePart(
-        elements=elems,
-        order=len(found),
-        abelian=abelian,
-        invariant_factors=invariants,
-    )
+    return FinitePart(order=len(found))
 
 
 # -- structure assembly ----------------------------------------------------------
@@ -480,15 +415,6 @@ def _solvable(spec: VarietySpec, with_five_equal: str) -> str:
     """The solvability verdict: "yes", or with_five_equal when five y's share a weight."""
     five_equal = any(spec.weights.count(k) >= 5 for k in set(spec.weights))
     return with_five_equal if five_equal else "yes"
-
-
-def scaling_family_element(D, t, m: int) -> tuple:
-    """Scalars of the scaling-family element at parameter t, read from
-    D.action: y_ref -> t^d*y_ref and z -> t^k_ref*z."""
-    scalars = [Fraction(1)] * (m + 1)
-    for name, e in D.action:
-        scalars[m if name == "z" else int(name[1:]) - 1] = t**e
-    return tuple(scalars)
 
 
 def aut_structure(spec: VarietySpec) -> AutReport:

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 
 from .autgroup import aut_structure, canonical_group, group_element_map
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, monomial_inverse, tilde_degree
-from .poly import MultiPoly, _tokenize, parse_poly, poly_str
+from .poly import MultiPoly, free_symbols, parse_poly, poly_str
 from .report import build_report, degenerate_report, element_signature
 from .varieties import (
     REGIME_DANIELEWSKI,
@@ -269,8 +269,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_exp(args) -> int:
     raw, spec = prepare(args.spec, args)
-    names = {tok[1] for tok in _tokenize(args.h) if isinstance(tok, tuple)}
-    h = parse_poly(args.h, spec.vars + tuple(sorted(names - set(spec.vars))))
+    extra = free_symbols(args.h) - set(spec.vars)
+    h = parse_poly(args.h, spec.vars + tuple(sorted(extra)))
     gm = exp_replica(spec, h)  # verified at construction
     images = {name: poly_str(gm.images[name]) for name in spec.vars}
     inverse = {name: poly_str(gm.inverse_images[name]) for name in spec.vars}

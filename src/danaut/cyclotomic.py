@@ -386,14 +386,6 @@ def cyc_root_of_unity(c, n: int):
     return rational_nth_root(c, n)
 
 
-def all_nth_roots(c, n: int) -> Optional[list]:
-    """The full set of n-th roots of c reachable from cyc_root_of_unity."""
-    w = cyc_root_of_unity(c, n)
-    if w is None:
-        return None
-    return [w * zeta(n, j) for j in range(n)]
-
-
 # -- scalar protocol: Fraction | CycElem ------------------------------
 
 

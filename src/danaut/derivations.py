@@ -17,7 +17,6 @@ from typing import Optional
 
 from .poly import (
     MultiPoly,
-    _sum,
     derivative,
     divide_by_monomial,
     substitute,
@@ -73,7 +72,7 @@ def apply_derivation(der: Derivation, f: MultiPoly) -> MultiPoly:
         img = der.images[name].embed(ctx)
         if not img.is_zero() and f.depends_on(name):
             parts.append(derivative(f, name) * img)
-    return normal_form(_sum(ctx, parts), der.spec)
+    return normal_form(sum(parts, MultiPoly.zero(ctx)), der.spec)
 
 
 def canonical_lnd(spec: VarietySpec) -> Derivation:
@@ -97,22 +96,6 @@ def _require_canonical_regime(spec: VarietySpec) -> None:
         )
 
 
-def nilpotency_index(
-    der: Derivation, f: MultiPoly, bound: int = 64
-) -> int:
-    """Least n with der^n(f) = 0 in the quotient; errors past the bound."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    g = normal_form(f.embed(der.spec.vars) if f.vars != der.spec.vars else f, der.spec)
-    n = 0
-    while not g.is_zero():
-        if n >= bound:
-            raise ValueError(f"derivation not nilpotent on input within bound {bound}")
-        g = apply_derivation(der, g)
-        n += 1
-    return n
-
-
 @dataclass
 class GeneratorMap:
     """An algebra automorphism by images of the coordinate generators and
@@ -131,29 +114,8 @@ class GeneratorMap:
         if defect is not None:
             raise ValueError(defect)
 
-    def context(self) -> tuple:
-        for g in self.images.values():
-            return g.vars
-        return self.spec.vars
-
     def apply_to(self, f: MultiPoly) -> MultiPoly:
         return substitute(f, self.images, lambda g: normal_form(g, self.spec))
-
-    def compose(self, other: "GeneratorMap") -> "GeneratorMap":
-        """self after other (as ring maps: v -> self(other(v)))."""
-        imgs = {v: self.apply_to(g) for v, g in other.images.items()}
-        inv = {
-            v: substitute(g, other.inverse_images, lambda f: normal_form(f, self.spec))
-            for v, g in self.inverse_images.items()
-        }
-        return GeneratorMap(self.spec, imgs, inv)
-
-    def fixes_generators(self) -> bool:
-        ctx = self.context()
-        for name in self.spec.vars:
-            if self.images[name] != MultiPoly.variable(ctx, name):
-                return False
-        return True
 
 
 def automorphism_defect(
@@ -230,29 +192,6 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
         images[x_role] = images[x_role] + divide_by_monomial(substitute(P, images) - P, M)
         maps.append(images)
     return GeneratorMap(spec, *maps)
-
-
-def homogeneous_decompose(
-    der: Derivation, weights: dict
-) -> list:
-    """Split a derivation into graded components for a weight grading.
-
-    weights must grade the quotient (the defining polynomial has to be
-    homogeneous); returns (degree, component) pairs with nonzero components
-    summing back to the derivation.
-    """
-    spec = der.spec
-    for name in spec.vars:
-        if name not in weights:
-            raise ValueError(f"missing weight for variable {name!r}")
-    if len(weighted_parts(spec.defining_polynomial(), weights)) > 1:
-        raise ValueError("weights do not make the defining polynomial homogeneous")
-
-    pieces: dict = {}  # degree -> {variable: part of its image}
-    for name in spec.vars:
-        for w, part in weighted_parts(der.images[name], weights).items():
-            pieces.setdefault(w - weights[name], {})[name] = part
-    return [(deg, Derivation(spec, pieces[deg])) for deg in sorted(pieces)]
 
 
 def _filtration_parts(f: MultiPoly, spec: VarietySpec, what: str) -> dict:

@@ -1,8 +1,8 @@
-"""Lossless rendering of exact scalars for reports.
+"""Lossless rendering of exact scalars and permutations for reports.
 
 Roots of unity are printed as (order, exponent) pairs meaning zeta_N^a,
 with rational multipliers kept separate; anything else falls back to the
-full coordinate vector.
+full coordinate vector.  Permutations are printed in cycle notation.
 """
 
 from __future__ import annotations
@@ -48,3 +48,22 @@ def scalar_json(x) -> dict:
             return out
         return {"order": x.order, "coords": [scalar_str(c) for c in x.coords]}
     return {"rat": scalar_str(x)}
+
+
+def sigma_str(sigma) -> str:
+    """A permutation of 0-based indices in cycle notation on 1-based indices."""
+    seen = set()
+    cycles = []
+    for start in range(len(sigma)):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        nxt = sigma[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen.add(nxt)
+            nxt = sigma[nxt]
+        if len(cycle) > 1:
+            cycles.append("(" + ",".join(str(i + 1) for i in cycle) + ")")
+    return "".join(cycles) if cycles else "id"

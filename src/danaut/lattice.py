@@ -321,16 +321,8 @@ class TorusSolutionSet:
     torsion_generators: tuple
     torus_directions: tuple
 
-    def is_finite(self) -> bool:
-        return self.consistent and self.structure.is_finite()
-
-    def enumerate_solutions(self, limit: int = 512) -> Optional[list]:
-        """All solutions as scalar tuples, when finite, small, and explicit."""
-        if not self.is_finite() or self.particular is None:
-            return None
-        order = self.structure.order()
-        if order is None or order > limit:
-            return None
+    def enumerate_solutions(self) -> list:
+        """All solutions as scalar tuples, for a finite set with a particular solution."""
         sols = []
         ranges = [range(d) for d in self.structure.invariant_factors]
         for powers in itertools.product(*ranges):

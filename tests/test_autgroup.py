@@ -13,10 +13,10 @@ from danaut import (
     CycElem,
     DiagGroupType,
     GeneratorMap,
+    MultiPoly,
     SpecError,
     aut_structure,
     canonical_group,
-    compose_elements,
     exp_replica,
     finite_part_from_elements,
     group_element_map,
@@ -26,14 +26,21 @@ from danaut import (
     monomial_inverse,
     normal_form,
     parse_poly,
+    solve_torus_system,
     stabilizer_permutations,
     zeta,
 )
 from danaut.autgroup import _split_note
 from danaut.cyclotomic import canonical_scalar
 from danaut.derivations import automorphism_defect
-from danaut.report import sample_generator_maps
-from conftest import random_kernel_poly, variety
+from conftest import (
+    brute_force_closure,
+    compose_elements,
+    compose_maps,
+    element_value,
+    random_kernel_poly,
+    variety,
+)
 
 
 @pytest.fixture
@@ -75,7 +82,7 @@ def test_canonical_group_threevar():
     X = variety([2, 2, 3], True, "z^2 + y1^2*y2^3*y3^4 + y3^3 + 1")
     G = canonical_group(X)
     assert not G.finite
-    feas = G.feasible_branches()
+    feas = [b for b in G.branches if b.feasible]
     assert [b.sigma for b in feas] == [(0, 1, 2), (1, 0, 2)]
     for b in feas:
         assert b.solutions.structure == DiagGroupType(2, (6,))
@@ -102,7 +109,7 @@ def test_element_composition_and_inverse(e4):
             ga = group_element_map(e4, *a)
             gb = group_element_map(e4, *b)
             gc = group_element_map(e4, *c)
-            comp = ga.compose(gb)
+            comp = compose_maps(ga, gb)
             for name in e4.vars:
                 assert comp.images[name] == gc.images[name]
 
@@ -145,10 +152,7 @@ def test_element_application(e4):
 
 def test_finite_part_e4(e4):
     rep = aut_structure(e4)
-    fp = rep.finite_part
-    assert fp.order == 4
-    assert fp.abelian
-    assert fp.invariant_factors == (2, 2)
+    assert rep.finite_part.order == 4
     assert "does not split" in rep.canonical.splits_note
 
 
@@ -170,9 +174,7 @@ def test_finite_part_cyclic_z12():
         for i, n in enumerate((4, 3, 5))
     )
     for gens, order in (([z12], 12), ([z4, z3], 12), ([z4, z3, z5], 60)):
-        fp = finite_part_from_elements(gens, 2)
-        assert fp.order == order
-        assert fp.abelian and fp.invariant_factors == (order,)
+        assert finite_part_from_elements(gens, 2).order == order
 
 
 def test_finite_part_bound_and_bad_scalars():
@@ -190,82 +192,6 @@ def test_finite_part_bound_and_bad_scalars():
 # -- differential check of the finite-part closure against brute force ----------
 
 _BOUND = 24
-
-
-def _scalar_value(x):
-    """(r > 0, turn fraction of the root of unity), independent of the order used."""
-    if isinstance(x, CycElem):
-        r, a = x.as_root_power()
-        turn = Fraction(a, x.order)
-    else:
-        r, turn = Fraction(x), Fraction(0)
-    if r < 0:
-        r, turn = -r, turn + Fraction(1, 2)
-    return r, turn % 1
-
-
-def _value(g):
-    return g[0], tuple(_scalar_value(x) for x in g[1])
-
-
-def _brute_force(gens, m):
-    """All-pairs closure over compose_elements, each pair composed once.
-
-    Returns (elements, product table by index), or None past _BOUND elements.
-    """
-    elems = [identity_element(m)]
-    index = {_value(elems[0]): 0}
-    for g in gens:
-        if _value(g) not in index:
-            index[_value(g)] = len(elems)
-            elems.append(g)
-    table = {}
-    while len(table) < len(elems) ** 2:
-        for i in range(len(elems)):
-            for j in range(len(elems)):
-                if (i, j) in table:
-                    continue
-                c = compose_elements(elems[i], elems[j], m)
-                k = index.get(_value(c))
-                if k is None:
-                    if len(elems) == _BOUND:
-                        return None
-                    k = index[_value(c)] = len(elems)
-                    elems.append(c)
-                table[(i, j)] = k
-    return elems, table
-
-
-def _brute_invariants(table, n, ident):
-    """The divisor chain whose solution counts of g^k = e match the table's."""
-
-    def power(i, k):
-        result = ident
-        for _ in range(k):
-            result = table[(result, i)]
-        return result
-
-    def chains(rest, low):
-        if rest == 1:
-            yield ()
-        for d in range(low, rest + 1):
-            if rest % d == 0:
-                for tail in chains(rest // d, d):
-                    if all(t % d == 0 for t in tail):
-                        yield (d,) + tail
-
-    divisors = [k for k in range(1, n + 1) if n % k == 0]
-    counts = [sum(power(i, k) == ident for i in range(n)) for k in divisors]
-    for chain in chains(n, 2):
-        expected = []
-        for k in divisors:
-            c = 1
-            for d in chain:
-                c *= gcd(k, d)
-            expected.append(c)
-        if expected == counts:
-            return chain
-    raise AssertionError("no abelian group matches the order counts")
 
 
 @st.composite
@@ -299,26 +225,17 @@ def _generators(draw):
 @given(_generators())
 def test_finite_part_matches_brute_force_closure(case):
     m, gens = case
-    ref = _brute_force(gens, m)
+    ref = brute_force_closure(gens, m, _BOUND)
     if ref is None:
         with pytest.raises(SpecError):
             finite_part_from_elements(gens, m, bound=_BOUND)
         return
-    elems, ref_table = ref
-    fp = finite_part_from_elements(gens, m, bound=_BOUND)
-    n = len(elems)
-    assert fp.order == n == len(fp.elements)
-    assert fp.elements[0] == identity_element(m)
-    ref_index = {_value(g): i for i, g in enumerate(elems)}
-    to_ref = [ref_index[_value(g)] for g in fp.elements]
-    assert sorted(to_ref) == list(range(n))  # the same elements, by value
-    abelian = all(ref_table[(i, j)] == ref_table[(j, i)] for i in range(n) for j in range(n))
-    assert fp.abelian == abelian
-    assert fp.invariant_factors == (_brute_invariants(ref_table, n, 0) if abelian else ())
+    elems, _ = ref
+    assert finite_part_from_elements(gens, m, bound=_BOUND).order == len(elems)
     one = (Fraction(1), Fraction(0))
-    pure = {g[0] for g in elems if all(v == one for v in _value(g)[1])}
+    pure = {g[0] for g in elems if all(v == one for v in element_value(g)[1])}
     splits = pure == {g[0] for g in elems}
-    assert _split_note(fp.elements, m).startswith("splits") == splits
+    assert _split_note(elems, m).startswith("splits") == splits
 
 
 def test_aut_structure_s5_family():
@@ -427,6 +344,60 @@ def test_verdict_consistency():
             assert rep.verdicts.commutative
         if rep.verdicts.commutative:
             assert rep.verdicts.solvable == "yes"
+
+
+def scaling_family_element(D, t, m: int) -> tuple:
+    """Scalars of the scaling-family element at parameter t, read from
+    D.action: y_ref -> t^d*y_ref and z -> t^k_ref*z."""
+    scalars = [Fraction(1)] * (m + 1)
+    for name, e in D.action:
+        scalars[m if name == "z" else int(name[1:]) - 1] = t**e
+    return tuple(scalars)
+
+
+def sample_generator_maps(report) -> list:
+    """Concrete automorphisms witnessing every listed generator family."""
+    spec = report.spec
+    maps = []
+    ctx = spec.vars
+    m = spec.m
+    ident, unit = tuple(range(m)), (Fraction(1),) * (m + 1)
+    if report.regime in ("LineSuspensionAllGe2", "LineSuspensionOneUnit"):
+        H = solve_torus_system(report.groups["H"].characters, [1, 1], ncols=m + 1)
+        scalings = list(H.torsion_generators)
+        scalings += [tuple(Fraction(2) ** w for w in d) for d in H.torus_directions]
+        # scaling family: the image of a generating parameter value
+        D = report.groups["D"]
+        if D.type.torus_rank or D.type.invariant_factors:
+            t = Fraction(3) if D.type.torus_rank else zeta(D.type.invariant_factors[-1])
+            scalings.append(scaling_family_element(D, t, m))
+        maps += [group_element_map(spec, ident, scal) for scal in scalings]
+        for block in report.groups["S"].blocks:
+            if len(block) > 1:
+                i, j = block[0] - 1, block[1] - 1
+                sigma = list(ident)
+                sigma[i], sigma[j] = j, i
+                maps.append(group_element_map(spec, tuple(sigma), unit))
+        if report.special_family:
+            a, b = Fraction(5, 4), Fraction(3, 4)
+            y, z = MultiPoly.variable(ctx, "y1"), MultiPoly.variable(ctx, "z")
+            maps.append(
+                GeneratorMap(
+                    spec,
+                    {"y1": y * a + z * b, "z": y * b + z * a},
+                    {"y1": y * a - z * b, "z": y * (-b) + z * a},
+                )
+            )
+    if report.regime == "LineSuspensionOneUnit":
+        h = MultiPoly.variable(ctx, spec.yvars[1 if spec.unit_index == 0 else 0])
+        maps.append(exp_replica(spec, h))
+    if report.regime == "Danielewski":
+        for sigma, t in (report.canonical.elements or []):
+            maps.append(group_element_map(spec, sigma, t))
+        h = MultiPoly.variable(ctx, "y1")
+        maps.append(exp_replica(spec, h))
+        maps.append(exp_replica(spec, MultiPoly.const(ctx, Fraction(1))))
+    return maps
 
 
 def test_generator_soundness_all_regimes():
@@ -571,7 +542,7 @@ def test_conjugation_stability(e4):
         u = exp_replica(e4, h)
         for g in gmaps:
             ginv = GeneratorMap(e4, g.inverse_images, g.images)
-            conj = g.compose(u).compose(ginv)
+            conj = compose_maps(compose_maps(g, u), ginv)
             assert automorphism_defect(e4, conj.images, conj.inverse_images) is None
             for name in e4.yvars:
                 img = conj.images[name]

@@ -489,7 +489,7 @@ def test_degenerate_reported_not_rejected(tmp_path):
 
 def test_specfile_roundtrip():
     from danaut.cli import load_spec_file
-    from danaut.report import spec_to_dict
+    from conftest import spec_to_dict
 
     for name in ("s7_e4.json", "s5_y14y22.json", "s7_threevar.json"):
         raw = load_spec_file(fixture_path(name))
@@ -603,6 +603,41 @@ def test_element_map_counter_pins(monkeypatch, capsys):
     monkeypatch.undo()
     assert len(group.elements) == 4
     assert len(built) == 66
+
+
+def test_one_smith_form_per_branch(monkeypatch, capsys):
+    """analyze --json on s7_e4 and bf08 takes one Smith form per permutation
+    branch (two each) and none for the finite part, which only counts its
+    closure."""
+    from danaut import lattice
+
+    calls = []
+    real = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda A: calls.append(1) or real(A))
+    for name in ("s7_e4.json", "bf08.json"):
+        calls.clear()
+        code, _, err = _main_in_process(["analyze", fixture_path(name), "--json"], capsys)
+        assert code == 0, err
+        assert len(calls) == 2, name
+
+
+def test_coordinate_form_scalars_reach_the_map_goldens(monkeypatch, capsys):
+    """The cyc_coords map goldens go through CycElem elements known only by
+    their coordinates: the image of x under (id; 1, zeta3^2) carries
+    zeta3^2 - 1, which is no rational times a root of unity."""
+    from danaut.cyclotomic import CycElem
+
+    built = []
+    real = CycElem._trusted.__func__
+    monkeypatch.setattr(CycElem, "_trusted",
+                        classmethod(lambda cls, order, coords: built.append(1) or real(cls, order, coords)))
+    calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
+    argv = [str(GOLDEN.parent.parent / a) if a.startswith("tests/") else a
+            for a in calls["cyc_coords.apply_e1.json"]]
+    code, out, err = _main_in_process(argv, capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / "maps" / "cyc_coords.apply_e1.json").read_text()
+    assert built
 
 
 def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):
@@ -881,7 +916,7 @@ def test_map_goldens_stable(capsys):
     """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 29
+    assert len(calls) == 31
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)

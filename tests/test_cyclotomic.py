@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from danaut import (
     CycElem,
-    all_nth_roots,
     cyc_root_of_unity,
     cyclotomic_polynomial,
     euler_phi,
@@ -88,7 +87,7 @@ def test_root_of_unity_examples():
     # fourth roots of 1: a generator plus the full set
     w = cyc_root_of_unity(Fraction(1), 4)
     assert w == zeta(4)
-    roots = all_nth_roots(Fraction(1), 4)
+    roots = [w * zeta(4, j) for j in range(4)]
     assert len(roots) == 4
     for r in (Fraction(1), Fraction(-1)):
         assert any(x == r for x in roots)
@@ -110,7 +109,8 @@ def test_rational_roots_of_plus_minus_one_are_fractions():
         w = cyc_root_of_unity(c, n)
         assert type(w) is Fraction and w == root
     for c, n in ((1, 2), (1, 4), (1, 6), (-1, 1), (-1, 3)):
-        roots = all_nth_roots(c, n)
+        w = cyc_root_of_unity(c, n)
+        roots = [w * zeta(n, j) for j in range(n)]
         assert len(roots) == n and all(x**n == c for x in roots)
         assert all(type(x) is Fraction for x in roots if x in (1, -1))
         assert all(isinstance(x, CycElem) for x in roots if x not in (1, -1))
@@ -125,7 +125,8 @@ def test_root_of_unity_refusals():
 
 def test_all_roots_verify():
     for c, n in [(Fraction(1), 6), (Fraction(-1), 3), (Fraction(8), 3)]:
-        for w in all_nth_roots(c, n):
+        root = cyc_root_of_unity(c, n)
+        for w in [root * zeta(n, j) for j in range(n)]:
             if isinstance(w, CycElem):
                 assert w**n == c
             else:

@@ -39,7 +39,7 @@ def _draw_corpus(n: int = 100) -> list:
     `python -c "import test_text_boundary as t; t.write_corpus()"` from tests/
     rewrites it together with its digest.
     """
-    from danaut.report import spec_to_dict
+    from conftest import spec_to_dict
     from test_metamorphic import _presentations
 
     drawn = []
@@ -276,6 +276,43 @@ def test_stored_form_is_read_only_in_poly():
             if isinstance(n, ast.Attribute) and n.attr in ("_num", "_den"):
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
+
+
+def test_no_module_imports_a_private_name():
+    """Underscored names stay in their module: no `from .mod import _name`."""
+    found = []
+    for path in sorted(Path(danaut.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.ImportFrom) and (n.level or n.module.startswith("danaut")):
+                found += [f"{path.name}:{n.lineno} {a.name}" for a in n.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_every_public_function_is_named_in_the_library():
+    """Each public top-level function, and each public method of a public
+    class, is named in the library outside its own definition.  The match is
+    by name alone; re-exports in __init__ do not count, and main and the
+    cmd_* subcommands are reached through the parser's dispatch."""
+    defined, named = [], set()
+    for path in sorted(Path(danaut.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defined.append((path.stem, top.name))
+            elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                defined += [(f"{path.stem}.{top.name}", f.name) for f in top.body
+                            if isinstance(f, ast.FunctionDef)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+    unused = [f"{owner}.{name}" for owner, name in defined
+              if not name.startswith("_") and name != "main" and not name.startswith("cmd_")
+              and name not in named]
+    assert unused == []
 
 
 # -- printing ----------------------------------------------------------------------

@@ -19,14 +19,13 @@ from danaut import (
     normalize,
     parse_poly,
     proper_quasitorus,
-    reconstruct_reducible_product,
     rigidity,
     substitute,
     symmetric_group,
     zeta,
 )
-from danaut.poly import from_univar
-from conftest import variety
+from danaut.poly import as_univar, from_univar
+from conftest import reconstruct_reducible_product, variety
 
 
 def test_classify_examples():
@@ -184,7 +183,7 @@ def test_additional_quasitorus_membership_probe():
     k1, d = spec.weights[0], spec.d
     order = aq.v * k1
     zv = ("z",)
-    P = from_univar(zv, "z", spec.P_univar_coeffs())
+    P = from_univar(zv, "z", as_univar(spec.P().embed(("z",)), "z"))
     z = MultiPoly.variable(zv, "z")
 
     def stabilizes(eps):
