@@ -50,9 +50,7 @@ from .varieties import (
     symmetric_group,
 )
 from .derivations import (
-    Derivation,
     GeneratorMap,
-    apply_derivation,
     canonical_lnd,
     exp_replica,
     gr_leading_form,

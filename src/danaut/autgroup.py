@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .cyclotomic import CycElem
-from .derivations import GeneratorMap
+from .derivations import GeneratorMap, unit_variable_image
 from .fmt import sigma_str
 from .lattice import (
     DiagGroupType,
@@ -29,7 +29,7 @@ from .lattice import (
     power_product,
     solve_torus_system,
 )
-from .poly import MultiPoly, divide_by_monomial, substitute
+from .poly import MultiPoly, substitute
 from .varieties import (
     REGIME_ALL_GE2,
     REGIME_DANIELEWSKI,
@@ -94,9 +94,8 @@ def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
     images["z"] = MultiPoly.variable(ctx, "z") * scalars[m]
     if not spec.x_present:
         return images
-    shifted = substitute(spec.P(), images) + spec.defining_polynomial() * scalars[m] ** spec.d
-    mu = power_product(scalars, spec.weights)
-    images["x"] = divide_by_monomial(shifted, spec.kernel_monomial()) * (1 / mu)
+    c, mu = scalars[m] ** spec.d, power_product(scalars, spec.weights)
+    images["x"] = unit_variable_image(spec, substitute(spec.P(), images), c, mu)
     return images
 
 

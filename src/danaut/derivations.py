@@ -1,12 +1,10 @@
-"""Derivations of the coordinate ring, given by generator images.
+"""The canonical derivation, its exponentials, and checked generator maps.
 
-Everything is exact: applying a derivation sums each partial derivative
-times its variable's image and reduces to normal form.  The exponential
-of h times the canonical derivation (h in its kernel) is given in closed
-form: z -> z + h*M, and the unit-weight variable u, for which u*M = P,
-goes to u + (P(z + h*M) - P)/M.
-Extra variables beyond the presentation's own (for a formal kernel
-parameter h) are treated as kernel constants.
+The canonical derivation of a unit-weight regime sends z to the kernel
+monomial M and the unit-weight variable u, for which u*M = P, to dP/dz.
+Every map sends u to the one image the relation allows, built by
+unit_variable_image.  Extra variables beyond the presentation's own (for
+a formal kernel parameter h) are treated as kernel constants.
 """
 
 from __future__ import annotations
@@ -31,62 +29,34 @@ from .varieties import (
 )
 
 
-@dataclass
-class Derivation:
-    """A derivation of the quotient ring, by images of the coordinates.
+def canonical_lnd(spec: VarietySpec) -> dict:
+    """The distinguished locally nilpotent derivation of a unit-weight regime,
+    by its two nonzero images.
 
-    Well-definedness (the image of the defining polynomial reduces to zero)
-    is checked eagerly at construction.
-    """
-
-    spec: VarietySpec
-    images: dict
-
-    def __post_init__(self):
-        for name in self.images:
-            if name not in self.spec.vars:
-                raise ValueError(f"image given for unknown generator {name!r}")
-        imgs = {}
-        for name in self.spec.vars:
-            g = self.images.get(name)
-            if g is None:
-                g = MultiPoly.zero(self.spec.vars)
-            imgs[name] = normal_form(g.embed(self.spec.vars), self.spec)
-        self.images = imgs
-        if not apply_derivation(self, self.spec.defining_polynomial()).is_zero():
-            raise ValueError(
-                "derivation does not annihilate the defining relation modulo the ideal"
-            )
-
-
-def apply_derivation(der: Derivation, f: MultiPoly) -> MultiPoly:
-    """Leibniz rule: the sum of df/dv * D(v) over the variables v of f, in normal form.
-
-    Variables outside the presentation map to 0.
-    """
-    ctx = f.vars
-    parts = []
-    for name in ctx:
-        if name not in der.images:
-            continue
-        img = der.images[name].embed(ctx)
-        if not img.is_zero() and f.depends_on(name):
-            parts.append(derivative(f, name) * img)
-    return normal_form(sum(parts, MultiPoly.zero(ctx)), der.spec)
-
-
-def canonical_lnd(spec: VarietySpec) -> Derivation:
-    """The distinguished locally nilpotent derivation of a unit-weight regime.
-
-    Kills every y, sends z to the non-unit part of the weight monomial, and
-    the unit-weight variable to dP/dz.
+    Kills every y, sends z to the non-unit part M of the weight monomial,
+    and the unit-weight variable u to dP/dz.  It is well defined because it
+    kills F = u*M - P; a derivation that does not is an internal fault.
     """
     _require_canonical_regime(spec)
-    der = spec._memo.get("canonical_lnd")
-    if der is None:
-        images = {spec.x_role: derivative(spec.P(), "z"), "z": spec.kernel_monomial()}
-        der = spec._memo["canonical_lnd"] = Derivation(spec, images)
-    return der
+    u, F, M = spec.x_role, spec.defining_polynomial(), spec.kernel_monomial()
+    images = {u: normal_form(derivative(spec.P(), "z"), spec), "z": M}
+    if not normal_form(derivative(F, u) * images[u] + derivative(F, "z") * M, spec).is_zero():
+        raise AssertionError("the canonical derivation does not kill the defining relation")
+    return images
+
+
+def unit_variable_image(spec: VarietySpec, phi_P: MultiPoly, c, mu) -> MultiPoly:
+    """(phi(P) + c*F)/(mu*M): the image of the unit-weight variable u under
+    a map phi with phi(M) = mu*M that is to send F = u*M - P to c*F.
+
+    phi(F) = phi(u)*mu*M - phi(P), so phi(F) = c*F fixes phi(u), given
+    phi(P).  The division by M is exact, or an internal fault.
+    """
+    F, M = spec.defining_polynomial(), spec.kernel_monomial()
+    if phi_P.vars != F.vars:
+        F, M = F.embed(phi_P.vars), M.embed(phi_P.vars)
+    image = divide_by_monomial(phi_P + (F if c == 1 else F * c), M)
+    return image if mu == 1 else image * (1 / mu)
 
 
 def _require_canonical_regime(spec: VarietySpec) -> None:
@@ -169,8 +139,9 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
 
     h may mention the presentation's y variables and any extra formal
     symbols (which are treated as kernel constants); images come with the
-    exp(-h) inverse filled in.  With M the kernel monomial, the relation
-    u*M = P fixes the image of the unit-weight variable u once z -> z + h*M.
+    exp(-h) inverse filled in.  With M the kernel monomial, z -> z + h*M
+    and the unit-weight variable u goes to u + (P(z + h*M) - P)/M, the
+    image that keeps F fixed.
     """
     x_role = spec.x_role
     if x_role is None:
@@ -182,14 +153,12 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
     _require_canonical_regime(spec)
     extra = tuple(n for n in h.vars if n not in spec.vars)
     ctx = spec.vars + extra
-    M = spec.kernel_monomial().embed(ctx)
-    P = spec.P().embed(ctx)
-    hM = h.embed(ctx) * M
+    hM = h.embed(ctx) * spec.kernel_monomial().embed(ctx)
     maps = []
     for shift in (hM, -hM):
         images = {name: MultiPoly.variable(ctx, name) for name in ctx}
         images["z"] = images["z"] + shift
-        images[x_role] = images[x_role] + divide_by_monomial(substitute(P, images) - P, M)
+        images[x_role] = unit_variable_image(spec, substitute(spec.P(), images), 1, 1)
         maps.append(images)
     return GeneratorMap(spec, *maps)
 

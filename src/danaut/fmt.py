@@ -2,7 +2,8 @@
 
 Roots of unity are printed as (order, exponent) pairs meaning zeta_N^a,
 with rational multipliers kept separate; anything else falls back to the
-full coordinate vector.  Permutations are printed in cycle notation.
+full coordinate vector, printed as a signed sum.  Permutations are
+printed in cycle notation.
 """
 
 from __future__ import annotations
@@ -24,17 +25,26 @@ def scalar_str(x) -> str:
     if isinstance(x, CycElem):
         rp = x.as_root_power()
         if rp is not None:
-            r, a = rp
-            root = f"zeta{x.order}" if a == 1 else f"zeta{x.order}^{a}"
-            if r == 1:
-                return root
-            if r == -1:
-                return "-" + root
-            return f"{scalar_str(r)}*{root}"
-        return "(" + " + ".join(
-            f"{scalar_str(c)}*zeta{x.order}^{j}" for j, c in enumerate(x.coords) if c
-        ) + ")"
+            return _root_multiple(*rp, x.order)
+        out = []  # signs and unsigned terms, joined as poly_str joins them
+        for j, c in enumerate(x.coords):
+            if c:
+                text = _root_multiple(c, j, x.order)
+                out += (" - ", text[1:]) if text[0] == "-" else (" + ", text)
+        return "(" + ("-" if out[:1] == [" - "] else "") + "".join(out[1:]) + ")"
     return ratio_str(*x.as_integer_ratio())
+
+
+def _root_multiple(r, a: int, order: int) -> str:
+    """The rational r times zeta_order^a: r, zeta_N, -zeta_N^a or r*zeta_N^a."""
+    if a == 0:
+        return scalar_str(r)
+    root = f"zeta{order}" if a == 1 else f"zeta{order}^{a}"
+    if r == 1:
+        return root
+    if r == -1:
+        return "-" + root
+    return f"{scalar_str(r)}*{root}"
 
 
 def scalar_json(x) -> dict:

@@ -319,7 +319,6 @@ class TorusSolutionSet:
     particular: Optional[tuple]
     coset_note: str
     torsion_generators: tuple
-    torus_directions: tuple
 
     def enumerate_solutions(self) -> list:
         """All solutions as scalar tuples, for a finite set with a particular solution."""
@@ -375,9 +374,6 @@ def solve_torus_system(
             torsion_generators.append(
                 tuple(canonical_scalar(zeta(e, V[j][p] % e)) for j in range(ncols))
             )
-    torus_directions = tuple(
-        tuple(V[j][p] for j in range(ncols)) for p in range(rank, ncols)
-    )
 
     # rows rank.. of U span the left kernel of A: consistent iff lambda^U[p] = 1 there
     mu = [power_product(targets, u) for u in U]
@@ -415,5 +411,4 @@ def solve_torus_system(
         particular=particular,
         coset_note=note,
         torsion_generators=tuple(torsion_generators),
-        torus_directions=torus_directions,
     )

@@ -198,14 +198,11 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
         if aut.special_family:
             generators.append({"kind": "special-family", "relation": "a^2-b^2=1"})
     if aut.regime in (REGIME_ONE_UNIT, REGIME_DANIELEWSKI):
-        der = canonical_lnd(spec)
         exp_h = exp_replica(spec, MultiPoly.variable(spec.vars + ("h",), "h"))
         generators.append(
             {
                 "kind": "exponential-family",
-                "derivation": {
-                    name: poly_str(g) for name, g in der.images.items() if not g.is_zero()
-                },
+                "derivation": {name: poly_str(g) for name, g in canonical_lnd(spec).items()},
                 "images": {name: poly_str(exp_h.images[name]) for name in spec.vars},
             }
         )

@@ -81,9 +81,9 @@ class VarietySpec:
     regime_note: str = ""
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
-    # the coefficients of P in z, vars, the monomials of the relation, the
-    # canonical derivation and the reduction rule of each variable context,
-    # built on first use; kept on the spec so they live exactly as long as it does
+    # the coefficients of P in z, vars, the monomials of the relation and the
+    # reduction rule of each variable context, built on first use; kept on
+    # the spec so they live exactly as long as it does
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -1,6 +1,7 @@
 """Shared fixtures and exact-arithmetic test helpers."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from danaut import (
     CycElem,
     GeneratorMap,
     MultiPoly,
+    VarietySpec,
+    derivative,
     identity_element,
     make_variety,
     normal_form,
@@ -129,6 +132,51 @@ def reconstruct_reducible_product(spec, l: int, Q):
         eps = zeta(l, j)
         result = result * (W - Qv * eps)
     return result
+
+
+@dataclass
+class Derivation:
+    """A derivation of the quotient ring, by images of the coordinates; the
+    generic oracle for the canonical derivation's two images.
+
+    Well-definedness (the image of the defining polynomial reduces to zero)
+    is checked eagerly at construction.
+    """
+
+    spec: VarietySpec
+    images: dict
+
+    def __post_init__(self):
+        for name in self.images:
+            if name not in self.spec.vars:
+                raise ValueError(f"image given for unknown generator {name!r}")
+        imgs = {}
+        for name in self.spec.vars:
+            g = self.images.get(name)
+            if g is None:
+                g = MultiPoly.zero(self.spec.vars)
+            imgs[name] = normal_form(g.embed(self.spec.vars), self.spec)
+        self.images = imgs
+        if not apply_derivation(self, self.spec.defining_polynomial()).is_zero():
+            raise ValueError(
+                "derivation does not annihilate the defining relation modulo the ideal"
+            )
+
+
+def apply_derivation(der: Derivation, f: MultiPoly) -> MultiPoly:
+    """Leibniz rule: the sum of df/dv * D(v) over the variables v of f, in normal form.
+
+    Variables outside the presentation map to 0.
+    """
+    ctx = f.vars
+    parts = []
+    for name in ctx:
+        if name not in der.images:
+            continue
+        img = der.images[name].embed(ctx)
+        if not img.is_zero() and f.depends_on(name):
+            parts.append(derivative(f, name) * img)
+    return normal_form(sum(parts, MultiPoly.zero(ctx)), der.spec)
 
 
 def compose_maps(a: GeneratorMap, b: GeneratorMap) -> GeneratorMap:

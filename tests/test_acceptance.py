@@ -20,7 +20,6 @@ import sympy
 from danaut import (
     DiagGroupType,
     MultiPoly,
-    apply_derivation,
     aut_structure,
     canonical_group,
     canonical_lnd,
@@ -38,6 +37,8 @@ from danaut import (
 from danaut.derivations import automorphism_defect
 from danaut.lattice import mat_mul
 from conftest import (
+    Derivation,
+    apply_derivation,
     brute_force_closure,
     compose_maps,
     fixes_generators,
@@ -205,7 +206,7 @@ def test_criterion_06_exponential_fidelity():
 
 def test_criterion_07_property_suite():
     e4 = load_fixture("s7_e4.json")
-    der = canonical_lnd(e4)
+    der = Derivation(e4, canonical_lnd(e4))
 
     rng = random.Random(240701)
     for _ in range(200):  # Leibniz

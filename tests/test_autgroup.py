@@ -26,6 +26,7 @@ from danaut import (
     monomial_inverse,
     normal_form,
     parse_poly,
+    smith_normal_form,
     solve_torus_system,
     stabilizer_permutations,
     zeta,
@@ -363,9 +364,12 @@ def sample_generator_maps(report) -> list:
     m = spec.m
     ident, unit = tuple(range(m)), (Fraction(1),) * (m + 1)
     if report.regime in ("LineSuspensionAllGe2", "LineSuspensionOneUnit"):
-        H = solve_torus_system(report.groups["H"].characters, [1, 1], ncols=m + 1)
-        scalings = list(H.torsion_generators)
-        scalings += [tuple(Fraction(2) ** w for w in d) for d in H.torus_directions]
+        chars = [list(r) for r in report.groups["H"].characters]
+        scalings = list(solve_torus_system(chars, [1, 1], ncols=m + 1).torsion_generators)
+        # the columns rank.. of V in the Smith form U*A*V = D span the torus directions
+        _, diag, V = smith_normal_form(chars)
+        rank = sum(1 for i in range(min(len(chars), m + 1)) if diag[i][i])
+        scalings += [tuple(Fraction(2) ** V[j][p] for j in range(m + 1)) for p in range(rank, m + 1)]
         # scaling family: the image of a generating parameter value
         D = report.groups["D"]
         if D.type.torus_rank or D.type.invariant_factors:

@@ -654,7 +654,7 @@ def test_tampered_maps_exit_one_without_traceback(monkeypatch, capsys):
     e4 = fixture_path("s7_e4.json")
     for target, attr, fake, argv in (
         (autgroup, "_element_images", wrong_x, ["apply", e4, "z", "--element", "e0"]),
-        # an offset quotient (P(z + h*M) - P)/M gives a wrong x image
+        # an offset quotient (P(z + h*M) + F)/M gives a wrong x image
         (derivations, "divide_by_monomial", lambda f, m: real_divide(f, m) + 1,
          ["exp", e4, "h"]),
     ):
@@ -884,6 +884,34 @@ def test_canonical_elements_that_do_not_close_exit_three(monkeypatch, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("internal check failed: canonical-group elements do not close: "), err
     assert err.count("\n") == 1, err
+
+
+_OFFSET_DERIVATIVE = (
+    "import sys\n"
+    "import danaut.derivations as D\n"
+    "from danaut import cli\n"
+    "real = D.derivative\n"
+    "D.derivative = lambda f, name: real(f, name) + 1\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_corrupt_canonical_derivation_exits_three(monkeypatch, capsys):
+    """A canonical derivation that does not kill the defining relation is an
+    internal fault: analyze exits 3 with one line, also under python -O."""
+    from danaut import derivations
+
+    argv = ["analyze", fixture_path("s7_e4.json")]
+    real = derivations.derivative
+    monkeypatch.setattr(derivations, "derivative", lambda f, name: real(f, name) + 1)
+    code, out, err = _main_in_process(argv, capsys)
+    monkeypatch.undo()
+    proc = subprocess.run([sys.executable, "-O", "-c", _OFFSET_DERIVATIVE, *argv],
+                          capture_output=True, text=True)
+    for code, out, err in ((code, out, err), (proc.returncode, proc.stdout, proc.stderr)):
+        assert (code, out) == (3, "")
+        assert err == ("internal check failed: "
+                       "the canonical derivation does not kill the defining relation\n")
 
 
 def test_source_has_no_assert_statements():

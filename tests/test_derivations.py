@@ -9,12 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from danaut import (
-    Derivation,
     MultiPoly,
     SpecError,
-    apply_derivation,
     canonical_group,
     canonical_lnd,
+    derivative,
     exp_replica,
     group_element_map,
     gr_leading_form,
@@ -25,9 +24,12 @@ from danaut import (
     tilde_degree,
 )
 from danaut.autgroup import _element_images
-from danaut.derivations import automorphism_defect
+from danaut.derivations import automorphism_defect, unit_variable_image
+from danaut.poly import divide_by_monomial
 from danaut.varieties import REGIME_ALL_GE2
 from conftest import (
+    Derivation,
+    apply_derivation,
     compose_maps,
     fixes_generators,
     load_fixture,
@@ -47,32 +49,31 @@ def v(spec, name):
 
 
 def test_canonical_lnd_examples(e4):
-    der = canonical_lnd(e4)
-    assert der.images["z"] == parse_poly("y1^2*y2^2", e4.vars)
-    assert der.images["y1"].is_zero() and der.images["y2"].is_zero()
-    assert der.images["x"] == parse_poly("3z^2+1", e4.vars)
+    assert canonical_lnd(e4) == {
+        "x": parse_poly("3z^2+1", e4.vars), "z": parse_poly("y1^2*y2^2", e4.vars)
+    }
 
     e2 = variety([2], True, "z^3+(y1+1)z+1")
     d2 = canonical_lnd(e2)
-    assert d2.images["z"] == parse_poly("y1^2", e2.vars)
-    assert d2.images["x"] == parse_poly("3z^2+y1+1", e2.vars)
+    assert d2["z"] == parse_poly("y1^2", e2.vars)
+    assert d2["x"] == parse_poly("3z^2+y1+1", e2.vars)
 
     simple = variety([2], True, "z^2")
     ds = canonical_lnd(simple)
-    assert ds.images["z"] == parse_poly("y1^2", simple.vars)
-    assert ds.images["x"] == parse_poly("2z", simple.vars)
+    assert ds["z"] == parse_poly("y1^2", simple.vars)
+    assert ds["x"] == parse_poly("2z", simple.vars)
 
     three = variety([2, 2, 3], True, "z^2 + y1^2*y2^3*y3^4 + y3^3 + 1")
     dt = canonical_lnd(three)
-    assert dt.images["z"] == parse_poly("y1^2*y2^2*y3^3", three.vars)
-    assert dt.images["x"] == parse_poly("2z", three.vars)
+    assert dt["z"] == parse_poly("y1^2*y2^2*y3^3", three.vars)
+    assert dt["x"] == parse_poly("2z", three.vars)
 
     with pytest.raises(SpecError):
         canonical_lnd(variety([2, 3], False, "z^4+z"))
 
 
 def test_apply_examples(e4):
-    der = canonical_lnd(e4)
+    der = Derivation(e4, canonical_lnd(e4))
     assert apply_derivation(der, v(e4, "z")) == parse_poly("y1^2*y2^2", e4.vars)
     assert apply_derivation(der, v(e4, "y1")).is_zero()
     assert apply_derivation(der, v(e4, "x")) == parse_poly("3z^2+1", e4.vars)
@@ -80,7 +81,7 @@ def test_apply_examples(e4):
 
 def test_leibniz_randomized(e4):
     rng = random.Random(20240612)
-    der = canonical_lnd(e4)
+    der = Derivation(e4, canonical_lnd(e4))
     for _ in range(200):
         f = random_quotient_element(rng, e4)
         g = random_quotient_element(rng, e4)
@@ -106,7 +107,7 @@ def nilpotency_index(der: Derivation, f: MultiPoly, bound: int = 64) -> int:
 
 
 def test_nilpotency_examples(e4):
-    der = canonical_lnd(e4)
+    der = Derivation(e4, canonical_lnd(e4))
     assert nilpotency_index(der, v(e4, "y1")) == 1
     assert nilpotency_index(der, v(e4, "z")) == 2
     # d(x)=3z^2+1, d^2(x)=6zM, d^3(x)=6M^2, d^4(x)=0
@@ -178,7 +179,7 @@ def test_tilde_degree(e4):
 
 def test_tilde_degree_matches_iteration(e4):
     rng = random.Random(5)
-    der = canonical_lnd(e4)
+    der = Derivation(e4, canonical_lnd(e4))
     for _ in range(25):
         f = random_quotient_element(rng, e4)
         assert tilde_degree(f, e4) == nilpotency_index(der, f, bound=32) - 1
@@ -381,7 +382,7 @@ def test_exp_inverse_images_are_exp_of_minus_h(case):
 
 def _taylor_exp(spec, h):
     """exp(hD)(v) = sum_k h^k D^k(v) / k! for every variable v of h's context."""
-    der = canonical_lnd(spec)
+    der = Derivation(spec, canonical_lnd(spec))
     images = {}
     for name in h.vars:
         total = term = MultiPoly.variable(h.vars, name)
@@ -441,3 +442,58 @@ def test_closed_forms_match_series_and_coefficient_formulas(case, element):
     for i, si in enumerate(spec.s):
         want = want + (substitute(si, ys) * tau**i - si * tau**d) * v(spec, "z") ** i
     assert _element_images(spec, sigma, t)["x"] * M * mu == want
+
+
+# -- the unit-weight variable's image, solved in one place ----------------------
+
+
+def _jacobian_derivation(spec, f):
+    """D(f) = dF/du * df/dz - dF/dz * df/du, the derivation that kills F by
+    construction (u the unit-weight variable), in normal form."""
+    F, u = spec.defining_polynomial(), spec.x_role
+    return normal_form(
+        derivative(F, u) * derivative(f, "z") - derivative(F, "z") * derivative(f, u), spec
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_spec_and_kernel(), _canonical_element())
+def test_unit_variable_image_matches_the_closed_forms(case, element):
+    """The one helper gives u + (P(z + h*M) - P)/M for exp(hD), h a formal
+    symbol or a drawn kernel element, and (phi(P) + tau^d*(x*M - P))/(mu*M)
+    for every listed canonical-group element phi; canonical_lnd agrees with
+    the generic Derivation oracle and the Jacobian derivation on every variable."""
+    spec, drawn = case
+    u = spec.x_role
+    formal = MultiPoly.variable(spec.vars + ("h",), "h")
+    for h in (formal, drawn, -drawn):
+        ctx = h.vars
+        M, P = spec.kernel_monomial().embed(ctx), spec.P().embed(ctx)
+        images = {name: MultiPoly.variable(ctx, name) for name in ctx}
+        images["z"] = images["z"] + h * M
+        phi_P = substitute(P, images)
+        want = MultiPoly.variable(ctx, u) + divide_by_monomial(phi_P - P, M)
+        assert unit_variable_image(spec, phi_P, 1, 1) == want
+        assert exp_replica(spec, h).images[u] == want
+
+    oracle = Derivation(spec, canonical_lnd(spec))
+    assert list(canonical_lnd(spec)) == [u, "z"]
+    for name in spec.vars:
+        image = canonical_lnd(spec).get(name, MultiPoly.zero(spec.vars))
+        variable = MultiPoly.variable(spec.vars, name)
+        assert apply_derivation(oracle, variable) == image == _jacobian_derivation(spec, variable)
+
+    # the drawn spec's group is often infinite (no list); the fixture-based
+    # spec lists 2 to 4 elements
+    for spec in (spec, element[0]) if spec.x_present else (element[0],):
+        m, M, F = spec.m, spec.kernel_monomial(), spec.defining_polynomial()
+        for sigma, t in canonical_group(spec).elements or ():
+            tau, mu = t[m], Fraction(1)
+            for i, k in enumerate(spec.weights):
+                mu = mu * t[i] ** k
+            images = {f"y{i+1}": v(spec, f"y{sigma[i]+1}") * t[i] for i in range(m)}
+            images["z"] = v(spec, "z") * tau
+            phi_P = substitute(spec.P(), images)
+            want = divide_by_monomial(phi_P + F * tau**spec.d, M) * (1 / mu)
+            assert unit_variable_image(spec, phi_P, tau**spec.d, mu) == want
+            assert _element_images(spec, sigma, t)["x"] == want

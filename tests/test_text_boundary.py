@@ -319,14 +319,20 @@ def test_every_public_function_is_named_in_the_library():
 
 
 def _reference_scalar(x) -> str:
-    """scalar_str as it read through Fraction's own printing."""
+    """scalar_str as it read through Fraction's own printing: r*zeta_N^a
+    without a zeta_N^0 factor, and a coordinate vector as a signed sum."""
     if isinstance(x, CycElem):
-        rp = x.as_root_power()
-        if rp is not None:
-            r, a = rp
+        def times_root(r, a):
+            if a == 0:
+                return str(Fraction(r))
             root = f"zeta{x.order}" if a == 1 else f"zeta{x.order}^{a}"
             return root if r == 1 else "-" + root if r == -1 else f"{r}*{root}"
-        return "(" + " + ".join(f"{c}*zeta{x.order}^{j}" for j, c in enumerate(x.coords) if c) + ")"
+
+        rp = x.as_root_power()
+        if rp is not None:
+            return times_root(*rp)
+        terms = [times_root(c, j) for j, c in enumerate(x.coords) if c]
+        return "(" + " + ".join(terms).replace(" + -", " - ") + ")"
     return str(Fraction(x))
 
 
