@@ -61,9 +61,7 @@ def unit_variable_image(spec: VarietySpec, phi_P: MultiPoly, c, mu) -> MultiPoly
 
 def _require_canonical_regime(spec: VarietySpec) -> None:
     if spec.regime not in (REGIME_DANIELEWSKI, REGIME_ONE_UNIT):
-        raise SpecError(
-            "no canonical derivation: the regime is rigid or outside scope"
-        )
+        raise SpecError("no canonical derivation in this regime")
 
 
 @dataclass
@@ -71,8 +69,11 @@ class GeneratorMap:
     """An algebra automorphism by images of the coordinate generators and
     the images of its inverse.
 
-    Construction checks that the defining polynomial maps into its own
-    ideal and that both compositions fix every generator.
+    Construction is the check (automorphism_defect): both maps send the
+    defining polynomial F into its ideal, and the inverse undoes the map
+    on every variable but the unit-weight one.  That suffices because
+    A = K[vars]/(F) is Noetherian, so a one-sided inverse is two-sided,
+    and F = u*M - P makes A a domain in which u*M = P fixes u.
     """
 
     spec: VarietySpec
@@ -91,26 +92,34 @@ class GeneratorMap:
 def automorphism_defect(
     spec: VarietySpec, images: dict, inverse_images: dict
 ) -> Optional[str]:
-    """Why a generator map is not an automorphism of the quotient, or None.
+    """Why a generator map phi with inverse images psi is not an
+    automorphism of A = K[vars]/(F), or None.
 
-    The map must send the defining polynomial into its ideal, and both
-    compositions with the inverse images must fix every generator modulo
-    the ideal.  Every substitution is reduced to normal form as it is
-    built.  The result is the unique representative of its class (P is
-    monic in z), so it is zero exactly when the fully expanded substitution
-    lies in the ideal, and a composite equals its generator exactly when
-    the two store equal forms.
+    phi(F) and psi(F) must reduce to zero, and psi(phi(v)) to v for every
+    variable v of the images' context but the unit-weight u (extra kernel
+    symbols such as h count).  Both composites then fix every variable:
+    - A is Noetherian, so psi, surjective as psi o phi = id, is injective,
+      and phi o psi = id.
+    - F = u*M - P is linear in u with coprime coefficients, so A is a
+      domain and M != 0 in A; chi = psi o phi keeps (F) and fixes every
+      other variable, so chi(u)*M = P = u*M and chi(u) = u.
+    Normal forms are unique (P is monic in z) and taken as each substitution
+    is built, so the tests are exact.
     """
     def reduce(g: MultiPoly) -> MultiPoly:
         return normal_form(g, spec)
 
-    image = substitute(spec.defining_polynomial(), images, reduce)
+    F = spec.defining_polynomial()
+    image = substitute(F, images, reduce)
     if not image.is_zero():
         return "map does not preserve the defining ideal"
-    for name in spec.vars:
-        v = MultiPoly.variable(image.vars, name)
-        if (substitute(images[name], inverse_images, reduce) != v
-                or substitute(inverse_images[name], images, reduce) != v):
+    if not substitute(F, inverse_images, reduce).is_zero():
+        return "supplied inverse is not a two-sided inverse"
+    for name in image.vars:
+        if name != spec.x_role and (
+            substitute(images[name], inverse_images, reduce)
+            != MultiPoly.variable(image.vars, name)
+        ):
             return "supplied inverse is not a two-sided inverse"
     return None
 
@@ -143,14 +152,11 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
     and the unit-weight variable u goes to u + (P(z + h*M) - P)/M, the
     image that keeps F fixed.
     """
-    x_role = spec.x_role
-    if x_role is None:
-        raise SpecError("no canonical derivation in this regime")
-    banned = {x_role, "z"}
-    for name in h.vars:
-        if h.depends_on(name) and name in banned:
-            raise ValueError(f"h must lie in the kernel; it depends on {name!r}")
     _require_canonical_regime(spec)
+    x_role = spec.x_role
+    for name in h.vars:
+        if h.depends_on(name) and name in (x_role, "z"):
+            raise ValueError(f"h must lie in the kernel; it depends on {name!r}")
     extra = tuple(n for n in h.vars if n not in spec.vars)
     ctx = spec.vars + extra
     hM = h.embed(ctx) * spec.kernel_monomial().embed(ctx)

@@ -24,6 +24,7 @@ builds {exponent tuple: Fraction | CycElem} from either kind on each read.
 from __future__ import annotations
 
 import functools
+import re
 import struct
 from fractions import Fraction
 from math import gcd, lcm
@@ -636,33 +637,23 @@ def perfect_power_root(P: MultiPoly, l: int, name: str = "z") -> Optional[MultiP
 # -- parsing and printing ---------------------------------------------------
 
 
+# a number (Unicode decimal digits, as int reads them), a run of word
+# characters (a name if it starts with a letter or "_"; a numeral such as
+# "²" starts none), or one other non-space character
+_TOKEN = re.compile(r"\d+|\w+|\S")
+
+
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch == "/":
-            tokens.append("/")
-            i += 1
+    for tok in _TOKEN.findall(text):
+        if tok in "+-*^()/":
+            tokens.append(tok)
+        elif tok[0].isdecimal():
+            tokens.append(int(tok))
+        elif tok[0].isalpha() or tok[0] == "_":
+            tokens.append(("name", tok))
         else:
-            raise ValueError(f"unexpected character {ch!r} in polynomial")
+            raise ValueError(f"unexpected character {tok[0]!r} in polynomial")
     return tokens
 
 

@@ -76,7 +76,7 @@ def canonical_dict(G) -> Optional[dict]:
             entry["consistent"] = b.solutions.consistent
             entry["coset_note"] = b.solutions.coset_note
             entry["equations"] = [
-                {"exponents": list(row), "target": str(t)}
+                {"exponents": list(row), "target": scalar_str(t)}
                 for row, t in zip(b.solutions.exponents, b.solutions.targets)
             ]
         branches.append(entry)

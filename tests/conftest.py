@@ -179,6 +179,26 @@ def apply_derivation(der: Derivation, f: MultiPoly) -> MultiPoly:
     return normal_form(sum(parts, MultiPoly.zero(ctx)), der.spec)
 
 
+def two_sided_defect(spec, images: dict, inverse_images: dict):
+    """The map check with both composites on every generator: phi(F) reduces
+    to zero, and psi(phi(v)) and phi(psi(v)) reduce to v for every v of the
+    presentation.  The oracle for derivations.automorphism_defect, which
+    derives the phi(psi(v)) and the unit-weight variable's psi(phi(u))
+    from psi(F) reducing to zero."""
+    def reduce(g):
+        return normal_form(g, spec)
+
+    image = substitute(spec.defining_polynomial(), images, reduce)
+    if not image.is_zero():
+        return "map does not preserve the defining ideal"
+    for name in spec.vars:
+        v = MultiPoly.variable(image.vars, name)
+        if (substitute(images[name], inverse_images, reduce) != v
+                or substitute(inverse_images[name], images, reduce) != v):
+            return "supplied inverse is not a two-sided inverse"
+    return None
+
+
 def compose_maps(a: GeneratorMap, b: GeneratorMap) -> GeneratorMap:
     """a after b (as ring maps: v -> a(b(v)))."""
     imgs = {v: a.apply_to(g) for v, g in b.images.items()}

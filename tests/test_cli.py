@@ -245,6 +245,7 @@ _IDENT = {"x": "x", "y1": "y1", "y2": "y2", "z": "z"}
 _WRITTEN = {
     "curve_sq.json": _presentation([2], [([0], 4, "1"), ([0], 2, "-2"), ([0], 0, "1")]),
     "non_monic.json": _presentation([2, 2], [([0, 0], 2, "2"), ([0, 0], 0, "1")]),
+    "line.json": _presentation([1], [([0], 2, "1"), ([0], 0, "1")]),  # y1 = z^2 + 1
 }
 
 
@@ -254,6 +255,7 @@ _WRITTEN = {
         (["exp", "s7_e2.json", "((y1"], "unexpected end of polynomial expression"),
         (["exp", "s7_e4.json", "h*z"], "h must lie in the kernel; it depends on 'z'"),
         (["exp", "s5_y14y22.json", "y1"], "no canonical derivation in this regime"),
+        (["exp", "line.json", "z"], "no canonical derivation in this regime"),
         (["degree", "s7_e4.json", "0"], "the zero class has no degree (sentinel -infinity)"),
         (["gr", "s7_e4.json", "3*(x*y1^2*y2^2 - z^3 - z - y1 + y2)"],
          "the zero class has no leading form"),
@@ -555,12 +557,17 @@ def test_each_map_verified_exactly_once(monkeypatch, capsys):
 
 
 def test_element_map_counter_pins(monkeypatch, capsys):
-    """apply --element on bf08 checks its map with 1 + 2n substitutions (n = 4
-    generators) and no subtraction, and canonical_group(bf08) builds 66
-    Fractions.  Before composites were compared by != and the torus solver
-    took integer power products, the check subtracted 9 times (8 composites
-    and the first build of the defining polynomial) and canonical_group
-    built 160 Fractions."""
+    """apply --element on bf08 checks its map with 2 + (k - 1) substitutions
+    (k = 4 variables in the images' context) and no subtraction, and exp
+    with a formal symbol t (k = 5) with 6; canonical_group(bf08) builds 66
+    Fractions.  The check used to make 1 + 2n substitutions (n = 4
+    generators): phi(F), then both composites of every generator.  The
+    substitution of F into the inverse images replaces the n composites
+    phi(psi(v)) and the unit-weight variable's psi(phi(u)), which follow
+    from it in a Noetherian domain.  Before composites were compared by !=
+    and the torus solver took integer power products, the check subtracted
+    9 times (8 composites and the first build of the defining polynomial)
+    and canonical_group built 160 Fractions."""
     from danaut import autgroup, cli, derivations
     from danaut.poly import MultiPoly
 
@@ -585,10 +592,14 @@ def test_element_map_counter_pins(monkeypatch, capsys):
     monkeypatch.setattr(derivations, "substitute", counted("substitute", derivations.substitute))
     monkeypatch.setattr(MultiPoly, "__sub__", counted("__sub__", MultiPoly.__sub__))
     bf08 = fixture_path("bf08.json")
-    argv = ["apply", bf08, "x*z + y1^2", "--element", "e1", "--json"]
-    code, out, err = _main_in_process(argv, capsys)
-    assert code == 0, err
-    assert counts == {"substitute": 1 + 2 * 4, "__sub__": 0}
+    for argv, calls in (
+        (["apply", bf08, "x*z + y1^2", "--element", "e1", "--json"], 2 + 3),
+        (["exp", bf08, "t*y1 + 1", "--json"], 2 + 4),
+    ):
+        counts.update(substitute=0, __sub__=0)
+        code, out, err = _main_in_process(argv, capsys)
+        assert code == 0, err
+        assert counts == {"substitute": calls, "__sub__": 0}, argv
 
     spec = cli.prepare(bf08, cli.build_parser().parse_args(["analyze", bf08]))[1]
     built = []

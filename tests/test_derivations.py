@@ -23,7 +23,7 @@ from danaut import (
     substitute,
     tilde_degree,
 )
-from danaut.autgroup import _element_images
+from danaut.autgroup import _element_images, invert_element
 from danaut.derivations import automorphism_defect, unit_variable_image
 from danaut.poly import divide_by_monomial
 from danaut.varieties import REGIME_ALL_GE2
@@ -35,6 +35,7 @@ from conftest import (
     load_fixture,
     random_kernel_poly,
     random_quotient_element,
+    two_sided_defect,
     variety,
 )
 
@@ -497,3 +498,122 @@ def test_unit_variable_image_matches_the_closed_forms(case, element):
             want = divide_by_monomial(phi_P + F * tau**spec.d, M) * (1 / mu)
             assert unit_variable_image(spec, phi_P, tau**spec.d, mu) == want
             assert _element_images(spec, sigma, t)["x"] == want
+
+
+# -- the one-way map check -----------------------------------------------------
+
+_NOT_IDEAL = "map does not preserve the defining ideal"
+_NOT_INVERSE = "supplied inverse is not a two-sided inverse"
+
+
+def test_one_way_check_refuses_maps_tampered_in_the_unit_variable():
+    """bf08's element e1 and exp(hD), h formal: an inverse off in x by a
+    non-multiple of F fails psi(F), a map off in x fails phi(F), and an
+    inverse off in x by a multiple of F is the same map of the quotient."""
+    spec = load_fixture("bf08.json")
+    sigma, t = canonical_group(spec).elements[1]
+    exp_h = exp_replica(spec, MultiPoly.variable(spec.vars + ("h",), "h"))
+    for gm in (group_element_map(spec, sigma, t), exp_h):
+        images, inverse = gm.images, gm.inverse_images
+        ctx = images["x"].vars
+        F, y1 = spec.defining_polynomial(), MultiPoly.variable(ctx, "y1")
+
+        def nf(f):
+            return normal_form(f, spec)
+
+        off = {**inverse, "x": inverse["x"] + MultiPoly.const(ctx, 1)}
+        assert not substitute(F, off, nf).is_zero()
+        assert automorphism_defect(spec, images, off) == _NOT_INVERSE
+        assert automorphism_defect(spec, {**images, "x": images["x"] + y1}, inverse) == _NOT_IDEAL
+        same = {**inverse, "x": inverse["x"] + F.embed(ctx) * y1}
+        assert automorphism_defect(spec, images, same) is None
+        assert two_sided_defect(spec, images, same) is None
+
+
+def test_one_way_check_covers_the_extra_symbols():
+    """exp(hD) on bf08 with h -> 2h: phi(F), psi(F) and psi(phi(v)) for every
+    variable of the presentation hold, so only the composite of h refuses
+    the map (the two-sided check refuses it by phi(psi(z)) = z - h*M)."""
+    spec = load_fixture("bf08.json")
+    gm = exp_replica(spec, MultiPoly.variable(spec.vars + ("h",), "h"))
+    ctx = gm.images["x"].vars
+    doubled = {**gm.images, "h": MultiPoly.variable(ctx, "h") * 2}
+
+    def nf(f):
+        return normal_form(f, spec)
+
+    F = spec.defining_polynomial()
+    assert substitute(F, doubled, nf).is_zero() and substitute(F, gm.inverse_images, nf).is_zero()
+    for name in spec.vars:
+        assert substitute(doubled[name], gm.inverse_images, nf) == MultiPoly.variable(ctx, name)
+    assert automorphism_defect(spec, doubled, gm.inverse_images) == _NOT_INVERSE
+    assert two_sided_defect(spec, doubled, gm.inverse_images) == _NOT_INVERSE
+
+
+_element_scalars = st.sampled_from([Fraction(1), Fraction(1), Fraction(-1), Fraction(2)])
+
+
+@st.composite
+def _map_and_tamper(draw):
+    """A random Danielewski, one-unit or all-weights >= 2 presentation, a
+    candidate map with inverse images (exp(hD), perhaps in a formal symbol
+    t, or a permutation-and-scaling element), and a random tamper: none,
+    the map as its own inverse, or one image of the map or of its inverse
+    scaled and shifted, the shift perhaps a multiple of F."""
+    kind = draw(st.sampled_from(["danielewski", "one-unit", "all-ge2"]))
+    d = draw(st.integers(2, 4))
+    if kind == "one-unit":
+        weights = draw(st.permutations([1, draw(st.integers(2, 3))]))
+    else:
+        weights = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    ys = [f"y{i+1}" for i in range(len(weights))] if kind == "danielewski" else []
+    lower = [
+        f"({draw(_coeffs)})*{draw(st.sampled_from(ys + ['1']))}*z^{i}" for i in range(d - 1)
+    ]
+    spec = variety(weights, kind == "danielewski", " + ".join([f"z^{d}"] + lower))
+    ctx, m = spec.vars, spec.m
+    if spec.x_role is not None and draw(st.booleans()):
+        ctx = ctx + (("t",) if draw(st.booleans()) else ())
+        h = MultiPoly(
+            ctx,
+            {
+                tuple(0 if n in (spec.x_role, "z") else draw(st.integers(0, 1)) for n in ctx): c
+                for c in draw(st.lists(_coeffs, max_size=2))
+            },
+        )
+        gm = exp_replica(spec, h)
+        images, inverse = gm.images, gm.inverse_images
+    else:
+        if spec.x_present:  # a drawn group is often infinite; the fixtures list theirs
+            spec, sigma, t = draw(_canonical_element())
+            ctx, m = spec.vars, spec.m
+        else:
+            sigma = tuple(draw(st.permutations(range(m))))
+            t = tuple(draw(_element_scalars) for _ in range(m + 1))
+        images = _element_images(spec, sigma, t)
+        inverse = _element_images(spec, *invert_element((sigma, t), m))
+    tamper = draw(st.sampled_from(["none", "swap", "map", "inverse"]))
+    if tamper == "swap":
+        inverse = images
+    elif tamper != "none":
+        # u, the variable the check leaves out, as often as all others together
+        u = spec.x_role
+        name = u if u is not None and draw(st.booleans()) else draw(st.sampled_from(spec.vars))
+        shift = MultiPoly(
+            ctx, draw(st.dictionaries(st.tuples(*(st.integers(0, 1) for _ in ctx)), _coeffs, max_size=2))
+        )
+        if draw(st.booleans()):
+            shift = shift * spec.defining_polynomial().embed(ctx)
+        side = images if tamper == "map" else inverse
+        side = {**side, name: side[name] * draw(_element_scalars) + shift}
+        images, inverse = (side, inverse) if tamper == "map" else (images, side)
+    return spec, images, inverse
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_map_and_tamper())
+def test_one_way_check_matches_the_two_sided_check(case):
+    """phi(F), psi(F) and psi(phi(v)) for v other than u give the verdict and
+    message of phi(F) with both composites on every generator."""
+    spec, images, inverse = case
+    assert automorphism_defect(spec, images, inverse) == two_sided_defect(spec, images, inverse)

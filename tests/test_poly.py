@@ -25,7 +25,7 @@ from danaut import (
     univar_gcd,
     zeta,
 )
-from danaut.poly import divide_by_monomial, weighted_parts
+from danaut.poly import _tokenize, divide_by_monomial, free_symbols, weighted_parts
 from conftest import random_poly, variety
 
 V2 = ("y1", "y2")
@@ -658,9 +658,61 @@ def test_parse_poly_error_messages():
         ("y1^-2", "negative exponents are not supported"),
         ("y1^y2", "exponent must be an integer literal"),
         ("w + 1", "unknown variable 'w'"),
+        ("y1^\u00b2", "unexpected character '\u00b2' in polynomial"),  # superscript two
     ):
         with pytest.raises(ValueError, match=message.replace("(", r"\(")):
             parse_poly(text, _POLY_VARS)
+    # a Unicode decimal digit (here an Arabic-Indic three) reads as a number, as int reads it
+    assert parse_poly("y1^\u0663", _POLY_VARS) == parse_poly("y1^3", _POLY_VARS)
+
+
+def _loop_tokenize(text):
+    """The character loop the compiled token pattern replaced: the oracle."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*^()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(int(text[i:j]))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        elif ch == "/":
+            tokens.append("/")
+            i += 1
+        else:
+            raise ValueError(f"unexpected character {ch!r} in polynomial")
+    return tokens
+
+
+def _tokens_or_message(tokenize, text):
+    try:
+        return tokenize(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="xyzXh_0129+-*^()/ \t].,$", max_size=16))
+def test_tokenizer_matches_the_character_loop(text):
+    """On ASCII text the pattern reads the loop's tokens, or fails with its
+    message, and free_symbols reads the names among those tokens."""
+    tokens = _tokens_or_message(_loop_tokenize, text)
+    assert _tokens_or_message(_tokenize, text) == tokens
+    if isinstance(tokens, list):
+        assert free_symbols(text) == {t[1] for t in tokens if isinstance(t, tuple)}
 
 
 # -- grouped substitution ------------------------------------------------------
