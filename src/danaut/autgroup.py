@@ -95,7 +95,7 @@ def _element_images(spec: VarietySpec, sigma, scalars) -> dict:
     if not spec.x_present:
         return images
     c, mu = scalars[m] ** spec.d, power_product(scalars, spec.weights)
-    images["x"] = unit_variable_image(spec, substitute(spec.P(), images), c, mu)
+    images["x"] = unit_variable_image(spec, substitute(spec.P, images), c, mu)
     return images
 
 

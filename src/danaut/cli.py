@@ -387,7 +387,7 @@ def cmd_genus(args) -> int:
     raw, spec = prepare(args.spec, args)
     if spec.m != 1 or spec.x_present:
         raise CliError("genus needs a curve presentation y1^k = P(z)")
-    g = genus(spec.weights[0], spec.P().embed(("z",)))
+    g = genus(spec.weights[0], spec.P)
     return _emit(args, {"genus": g}, g)
 
 

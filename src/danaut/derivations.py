@@ -38,8 +38,8 @@ def canonical_lnd(spec: VarietySpec) -> dict:
     kills F = u*M - P; a derivation that does not is an internal fault.
     """
     _require_canonical_regime(spec)
-    u, F, M = spec.x_role, spec.defining_polynomial(), spec.kernel_monomial()
-    images = {u: normal_form(derivative(spec.P(), "z"), spec), "z": M}
+    u, F, M = spec.x_role, spec.defining_polynomial, spec.kernel_monomial
+    images = {u: normal_form(derivative(spec.P, "z"), spec), "z": M}
     if not normal_form(derivative(F, u) * images[u] + derivative(F, "z") * M, spec).is_zero():
         raise AssertionError("the canonical derivation does not kill the defining relation")
     return images
@@ -52,10 +52,9 @@ def unit_variable_image(spec: VarietySpec, phi_P: MultiPoly, c, mu) -> MultiPoly
     phi(F) = phi(u)*mu*M - phi(P), so phi(F) = c*F fixes phi(u), given
     phi(P).  The division by M is exact, or an internal fault.
     """
-    F, M = spec.defining_polynomial(), spec.kernel_monomial()
-    if phi_P.vars != F.vars:
-        F, M = F.embed(phi_P.vars), M.embed(phi_P.vars)
-    image = divide_by_monomial(phi_P + (F if c == 1 else F * c), M)
+    relation = spec.relation(phi_P.vars)
+    F = relation.F
+    image = divide_by_monomial(phi_P + (F if c == 1 else F * c), relation.M)
     return image if mu == 1 else image * (1 / mu)
 
 
@@ -109,7 +108,7 @@ def automorphism_defect(
     def reduce(g: MultiPoly) -> MultiPoly:
         return normal_form(g, spec)
 
-    F = spec.defining_polynomial()
+    F = spec.defining_polynomial
     image = substitute(F, images, reduce)
     if not image.is_zero():
         return "map does not preserve the defining ideal"
@@ -159,12 +158,12 @@ def exp_replica(spec: VarietySpec, h: MultiPoly) -> GeneratorMap:
             raise ValueError(f"h must lie in the kernel; it depends on {name!r}")
     extra = tuple(n for n in h.vars if n not in spec.vars)
     ctx = spec.vars + extra
-    hM = h.embed(ctx) * spec.kernel_monomial().embed(ctx)
+    hM = h.embed(ctx) * spec.relation(ctx).M
     maps = []
     for shift in (hM, -hM):
         images = {name: MultiPoly.variable(ctx, name) for name in ctx}
         images["z"] = images["z"] + shift
-        images[x_role] = unit_variable_image(spec, substitute(spec.P(), images), 1, 1)
+        images[x_role] = unit_variable_image(spec, substitute(spec.P, images), 1, 1)
         maps.append(images)
     return GeneratorMap(spec, *maps)
 

@@ -543,20 +543,21 @@ def reduce_by_rule(f: MultiPoly, lead: MultiPoly, replacement: MultiPoly) -> Mul
 # -- univariate helpers ----------------------------------------------------
 
 
-def as_univar(f: MultiPoly, name: str) -> list:
-    """Dense coefficient list (low to high) of a polynomial univariate in name."""
-    s = _shift(len(f.vars), f.vars.index(name))
+def as_univar(f: MultiPoly) -> list:
+    """Dense coefficient list (low to high) of a polynomial univariate in z."""
+    s = _shift(len(f.vars), f.vars.index("z"))
     if _support(f._num) & ~(_FIELD << s):
-        raise ValueError(f"polynomial is not univariate in {name!r}")
-    coeffs = [Fraction(0)] * (f.degree_in(name) + 1)
+        raise ValueError("polynomial is not univariate in 'z'")
+    coeffs = [Fraction(0)] * (f.degree_in("z") + 1)
     for e, c in f._num.items():
         coeffs[e >> s] = Fraction(c, f._den) if type(c) is int else c
     return coeffs
 
 
-def from_univar(vars: tuple, name: str, coeffs: Iterable) -> MultiPoly:
+def from_univar(vars: tuple, coeffs: Iterable) -> MultiPoly:
+    """The polynomial in z with the coefficients coeffs (low to high), in the context vars."""
     vars = tuple(vars)
-    i = vars.index(name)
+    i = vars.index("z")
     terms = {}
     for e, c in enumerate(coeffs):
         exps = [0] * len(vars)
@@ -587,27 +588,27 @@ def divide_by_monomial(f: MultiPoly, m: MultiPoly) -> MultiPoly:
     return MultiPoly._wrap(f.vars, out, f._den)
 
 
-def univar_gcd(f: MultiPoly, g: MultiPoly, name: str = "z") -> MultiPoly:
-    """Monic gcd of two univariate rational polynomials (Euclid)."""
+def univar_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Monic gcd of two rational polynomials in z (Euclid)."""
     f._check_ctx(g)
-    a, b = as_univar(f, name), as_univar(g, name)
+    a, b = as_univar(f), as_univar(g)
     if any(isinstance(c, CycElem) for c in a + b):
         raise ValueError("univariate gcd requires rational coefficients")
     r, _ = ext_gcd(a, b)
     if not r:
         return MultiPoly.zero(f.vars)
-    return from_univar(f.vars, name, [c / r[-1] for c in r])
+    return from_univar(f.vars, [c / r[-1] for c in r])
 
 
-def perfect_power_root(P: MultiPoly, l: int, name: str = "z") -> Optional[MultiPoly]:
-    """Monic Q with Q^l = P over Q, or None.
+def perfect_power_root(P: MultiPoly, l: int) -> Optional[MultiPoly]:
+    """Monic Q in z with Q^l = P over Q, or None.
 
     Q is determined coefficient by coefficient from the top of P, then the
     candidate is verified exactly; P must be monic with l dividing deg P.
     """
     if l < 1:
         raise ValueError("power index must be positive")
-    coeffs = as_univar(P, name)
+    coeffs = as_univar(P)
     d = len(coeffs) - 1
     if d < 0 or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
@@ -631,7 +632,7 @@ def perfect_power_root(P: MultiPoly, l: int, name: str = "z") -> Optional[MultiP
         power = mul(power, q)
     if power != coeffs:
         return None
-    return from_univar(P.vars, name, q)
+    return from_univar(P.vars, q)
 
 
 # -- parsing and printing ---------------------------------------------------

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property
 from math import gcd
 from typing import Optional
+from weakref import ref
 
 from .lattice import DiagGroupType, group_type_from_vanishing_lattice, image_characters
 from .poly import (
@@ -46,28 +47,16 @@ def presentation_vars(m: int, x_present: bool) -> tuple:
     return (("x",) if x_present else ()) + tuple(f"y{i+1}" for i in range(m)) + ("z",)
 
 
-def _memoized(method):
-    """A method without arguments whose value is built once and kept in the spec's _memo."""
-    name = method.__name__
-
-    @wraps(method)
-    def read(self):
-        try:
-            return self._memo[name]
-        except KeyError:
-            value = self._memo[name] = method(self)
-            return value
-
-    return read
-
-
 @dataclass(frozen=True)
 class VarietySpec:
     """A classified presentation.
 
-    weights are the y-exponents k_1..k_m and _P, the polynomial P in the
+    weights are the y-exponents k_1..k_m and P, the polynomial P in the
     presentation's variables, is the only stored copy of the right-hand
-    side: P(), s and is_normalized read it.  shift records the substitution
+    side; z_coefficients is P split by powers of z, as the classification
+    read it.  The rest is derived on first read and kept on the spec out of
+    == and repr: cached attributes, and the relation in each variable
+    context (relation).  shift records the substitution
     z -> z - shift applied by normalize, so automorphisms can be pulled
     back to the original coordinates.
     """
@@ -76,18 +65,15 @@ class VarietySpec:
     weights: tuple
     d: int
     x_present: bool
-    _P: MultiPoly
+    P: MultiPoly
+    z_coefficients: dict = field(compare=False, repr=False)  # {i: coefficient of z^i in P}
     regime: str
     regime_note: str = ""
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
-    # the coefficients of P in z, vars, the monomials of the relation and the
-    # reduction rule of each variable context, built on first use; kept on
-    # the spec so they live exactly as long as it does
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _relations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    @_memoized
+    @cached_property
     def vars(self) -> tuple:
         return presentation_vars(self.m, self.x_present)
 
@@ -95,18 +81,12 @@ class VarietySpec:
     def yvars(self) -> tuple:
         return self.vars[int(self.x_present):-1]
 
-    @_memoized
-    def z_coefficients(self) -> dict:
-        """{i: coefficient of z^i in P}, polynomials in the y variables."""
-        return last_variable_coefficients(self._P)
-
-    @property
-    @_memoized
+    @cached_property
     def s(self) -> tuple:
         """s[i] is the coefficient of z^i in P (i < d), a polynomial in the y
-        variables (constant in suspension regimes); built on first read."""
-        coeffs, zero = self.z_coefficients(), MultiPoly.zero(self.vars)
-        return tuple(coeffs.get(i, zero) for i in range(self.d))
+        variables (constant in suspension regimes)."""
+        zero = MultiPoly.zero(self.vars)
+        return tuple(self.z_coefficients.get(i, zero) for i in range(self.d))
 
     @property
     def x_role(self) -> Optional[str]:
@@ -117,12 +97,12 @@ class VarietySpec:
             return f"y{self.unit_index+1}"
         return None
 
-    @_memoized
+    @cached_property
     def weight_monomial(self) -> MultiPoly:
         powers = {f"y{i+1}": k for i, k in enumerate(self.weights)}
         return MultiPoly.monomial(self.vars, powers, 1)
 
-    @_memoized
+    @cached_property
     def kernel_monomial(self) -> MultiPoly:
         """The image of z under the canonical derivation: the y-part of the lead monomial."""
         powers = {f"y{i+1}": k for i, k in enumerate(self.weights)}
@@ -130,25 +110,57 @@ class VarietySpec:
             powers.pop(f"y{self.unit_index+1}")
         return MultiPoly.monomial(self.vars, powers, 1)
 
-    def P(self) -> MultiPoly:
-        return self._P
-
-    @_memoized
+    @cached_property
     def lead_monomial(self) -> MultiPoly:
-        lead = self.weight_monomial()
+        lead = self.weight_monomial
         if self.x_present:
             lead = lead * MultiPoly.variable(self.vars, "x")
         return lead
 
-    @_memoized
+    @cached_property
     def defining_polynomial(self) -> MultiPoly:
-        return self.lead_monomial() - self.P()
+        return self.lead_monomial - self.P
+
+    def relation(self, ctx: tuple) -> "_Relation":
+        """The defining relation in the variable context ctx, built once per context."""
+        relation = self._relations.get(ctx)
+        if relation is None:
+            relation = self._relations[ctx] = _Relation(self, ctx)
+        return relation
 
     def is_normalized(self) -> bool:
-        return self.d - 1 not in self.z_coefficients()
+        return self.d - 1 not in self.z_coefficients
 
     def equation_str(self) -> str:
-        return f"{poly_str(self.lead_monomial())} = {poly_str(self.P())}"
+        return f"{poly_str(self.lead_monomial)} = {poly_str(self.P)}"
+
+
+class _Relation:
+    """A spec's relation in a context ctx of its variables and maybe extra
+    kernel symbols.  rule, (monic lead monomial, replacement), rewrites the
+    relation's lead: with a unit-weight variable the lead is that variable
+    times the weight monomial and the replacement is P; otherwise the lead
+    is z^d.  F and the kernel monomial M are put into ctx on first read."""
+
+    def __init__(self, spec: VarietySpec, ctx: tuple):
+        for name in spec.vars:
+            if name not in ctx:
+                raise ValueError(f"polynomial context is missing variable {name!r}")
+        self.spec, self.ctx = ref(spec), ctx  # the spec holds its relations: no cycle back
+        P = spec.P.embed(ctx)
+        if spec.x_role is not None:
+            self.rule = spec.lead_monomial.embed(ctx), P
+        else:
+            lead = MultiPoly.variable(ctx, "z") ** spec.d
+            self.rule = lead, spec.weight_monomial.embed(ctx) - (P - lead)
+
+    @cached_property
+    def F(self) -> MultiPoly:
+        return self.spec().defining_polynomial.embed(self.ctx)
+
+    @cached_property
+    def M(self) -> MultiPoly:
+        return self.spec().kernel_monomial.embed(self.ctx)
 
 
 def make_variety(weights, x_present: bool, P: MultiPoly) -> VarietySpec:
@@ -178,19 +190,18 @@ def _classified(weights: tuple, x_present: bool, P: MultiPoly, shift=None) -> Va
     m = len(weights)
     constant = all(c.is_constant() for c in coeffs.values())  # P is free of x
     regime, note, unit_index = _classify(weights, x_present, d, constant, m)
-    spec = VarietySpec(
+    return VarietySpec(
         m=m,
         weights=weights,
         d=d,
         x_present=x_present,
-        _P=P,
+        P=P,
+        z_coefficients=coeffs,
         regime=regime,
         regime_note=note,
         unit_index=unit_index,
         shift=shift,
     )
-    spec._memo["z_coefficients"] = coeffs  # split once: what z_coefficients() would build
-    return spec
 
 
 def _classify(weights, x_present, d, constant_s, m):
@@ -230,45 +241,21 @@ def normalize(spec: VarietySpec) -> VarietySpec:
     """Shift z by s_{d-1}/d so the z^(d-1) coefficient vanishes (idempotent)."""
     if spec.is_normalized():
         return spec
-    b = spec.z_coefficients()[spec.d - 1] * Fraction(1, spec.d)
+    b = spec.z_coefficients[spec.d - 1] * Fraction(1, spec.d)
     images = {name: MultiPoly.variable(spec.vars, name) for name in spec.vars}
     images["z"] = MultiPoly.variable(spec.vars, "z") - b
-    newP = substitute(spec.P(), images)
+    newP = substitute(spec.P, images)
     return _classified(spec.weights, spec.x_present, newP, shift=b)
-
-
-def _reduction_rule(spec: VarietySpec, ctx: tuple) -> tuple:
-    """(monic lead monomial, replacement) rewriting the relation's lead in ctx.
-
-    With a unit-weight variable the lead is that variable times the weight
-    monomial and the replacement is P; otherwise the lead is z^d.
-    """
-    rule = spec._memo.get(ctx)
-    if rule is not None:
-        return rule
-    for name in spec.vars:
-        if name not in ctx:
-            raise ValueError(f"polynomial context is missing variable {name!r}")
-    P = spec.P().embed(ctx)
-    M = spec.weight_monomial().embed(ctx)
-    if spec.x_role is not None:
-        lead = M * MultiPoly.variable(ctx, "x") if spec.x_present else M
-        replacement = P
-    else:
-        lead = MultiPoly.variable(ctx, "z") ** spec.d
-        replacement = M - (P - lead)
-    rule = spec._memo[ctx] = (lead, replacement)
-    return rule
 
 
 def normal_form(f: MultiPoly, spec: VarietySpec) -> MultiPoly:
     """Unique representative modulo the defining relation.
 
-    Rewrites every monomial divisible by the lead monomial of
-    ``_reduction_rule`` by the corresponding multiple of its replacement.
+    Rewrites every monomial divisible by the lead monomial of the
+    relation's rule by the corresponding multiple of its replacement.
     P is monic in z, so the representative is unique in every regime.
     """
-    return reduce_by_rule(f, *_reduction_rule(spec, f.vars))
+    return reduce_by_rule(f, *spec.relation(f.vars).rule)
 
 
 # -- irreducibility -----------------------------------------------------------
@@ -291,7 +278,7 @@ def irreducibility(spec: VarietySpec) -> Irreducibility:
     g = gcd(*spec.weights)
     if g <= 1:
         return Irreducibility(False, note="weight gcd is 1")
-    P = spec.P().embed(("z",))
+    P = spec.P.embed(("z",))
     for l in sorted((l for l in range(2, g + 1) if g % l == 0), reverse=True):
         if spec.d % l != 0:
             continue
@@ -323,7 +310,7 @@ def rigidity(spec: VarietySpec) -> Rigidity:
     irr = irreducibility(spec)
     if irr.reducible:
         return Rigidity(True, "reducible curve")
-    if not _is_squarefree(spec.P().embed(("z",))):
+    if not _is_squarefree(spec.P):
         return Rigidity(True, "singular curve: P has a multiple root")
     k = spec.weights[0]
     g = genus_formula(k, spec.d)
@@ -333,7 +320,7 @@ def rigidity(spec: VarietySpec) -> Rigidity:
 
 
 def _is_squarefree(P: MultiPoly) -> bool:
-    g = univar_gcd(P, derivative(P, "z"), "z")
+    g = univar_gcd(P, derivative(P, "z"))
     return g.total_degree() == 0
 
 
@@ -349,7 +336,7 @@ def genus(k: int, P: MultiPoly) -> int:
     """Exact genus of V(y^k - P(z)); P must be squarefree and the pair irreducible."""
     if k < 2:
         raise ValueError("need k >= 2")
-    coeffs = as_univar(P, "z")
+    coeffs = as_univar(P)
     d = len(coeffs) - 1
     if d < 2:
         raise ValueError("need deg P >= 2")
@@ -431,7 +418,7 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
         raise SpecError("normalize the presentation first")
     ref = spec.unit_index if spec.regime == REGIME_ONE_UNIT else 0
     k_ref = spec.weights[ref]
-    support = sorted(spec.z_coefficients())  # P is free of y here
+    support = sorted(spec.z_coefficients)  # P is free of y here
     u = min(support)
     n = spec.m + 1
     weight_vec = [0] * n

@@ -99,7 +99,7 @@ def random_kernel_poly(rng: random.Random, spec, max_deg=2, nterms=2):
 def spec_to_dict(spec) -> dict:
     """Presentation-file form of a spec (round-trips through the parser)."""
     terms = []
-    for exps, c in spec.P().printed_terms():
+    for exps, c in spec.P.printed_terms():
         ye = [0] * spec.m
         for i in range(spec.m):
             ye[i] = exps[spec.vars.index(f"y{i+1}")]
@@ -157,7 +157,7 @@ class Derivation:
                 g = MultiPoly.zero(self.spec.vars)
             imgs[name] = normal_form(g.embed(self.spec.vars), self.spec)
         self.images = imgs
-        if not apply_derivation(self, self.spec.defining_polynomial()).is_zero():
+        if not apply_derivation(self, self.spec.defining_polynomial).is_zero():
             raise ValueError(
                 "derivation does not annihilate the defining relation modulo the ideal"
             )
@@ -188,7 +188,7 @@ def two_sided_defect(spec, images: dict, inverse_images: dict):
     def reduce(g):
         return normal_form(g, spec)
 
-    image = substitute(spec.defining_polynomial(), images, reduce)
+    image = substitute(spec.defining_polynomial, images, reduce)
     if not image.is_zero():
         return "map does not preserve the defining ideal"
     for name in spec.vars:

@@ -222,7 +222,7 @@ def test_criterion_07_property_suite():
         assert fixes_generators(compose_maps(exp_replica(e4, h), exp_replica(e4, -h)))
 
     rng = random.Random(240703)
-    defining = e4.defining_polynomial()
+    defining = e4.defining_polynomial
     for _ in range(100):  # ideal preservation
         h = random_kernel_poly(rng, e4)
         gm = exp_replica(e4, h)
@@ -420,7 +420,7 @@ def test_criterion_10_irreducibility():
         assert verdict.l == expected_l, (weights, P, verdict.l, expected_l)
         # exact component-product reconstruction over Q(zeta_l)
         assert reconstruct_reducible_product(spec, verdict.l, verdict.Q) == (
-            spec.defining_polynomial()
+            spec.defining_polynomial
         )
         reducible_checked += 1
 

@@ -291,7 +291,7 @@ def test_m1_identity_branch_closed_form(n, case):
     d, lower = case
     P = " + ".join([f"z^{d}"] + [f"{c}*z^{e}" for e, c in lower.items()])
     spec = variety([n], True, P)
-    assert spec.P() == parse_poly(P, spec.vars)  # already normalized
+    assert spec.P == parse_poly(P, spec.vars)  # already normalized
     g = gcd(*(d - e for e in lower))
     (branch,) = canonical_group(spec).branches
     assert branch.sigma == (0,) and branch.feasible
@@ -467,7 +467,7 @@ def _reference_verdicts(spec, rep) -> tuple:
     # v = 1 and gcd(weights) = 1
     special = spec.weights == (2,) and spec.d == 2
     commutative = len(counts) == spec.m and not special
-    zexps = sorted(e[-1] for e in spec.P().terms)
+    zexps = sorted(e[-1] for e in spec.P.terms)
     g = gcd(*spec.weights)
     if zexps == [spec.d]:
         torus = gcd(g, spec.d) == 1
@@ -557,7 +557,7 @@ def test_conjugation_stability(e4):
 
 def test_ideal_preservation_of_exponentials(e4):
     rng = random.Random(4)
-    defining = e4.defining_polynomial()
+    defining = e4.defining_polynomial
     for _ in range(20):
         h = random_kernel_poly(rng, e4)
         gm = exp_replica(e4, h)

@@ -490,11 +490,26 @@ def test_degenerate_reported_not_rejected(tmp_path):
 
 
 def test_specfile_roundtrip():
+    """A reloaded spec equals the one it was written from, also after every
+    derived attribute of the original has been read: those stay out of ==
+    and repr, and a different P still tells two specs apart.  A spec is
+    freed as soon as it is dropped."""
+    import weakref
+
+    from danaut import MultiPoly, make_variety
     from danaut.cli import load_spec_file
     from conftest import spec_to_dict
 
     for name in ("s7_e4.json", "s5_y14y22.json", "s7_threevar.json"):
         raw = load_spec_file(fixture_path(name))
+        text = repr(raw)
+        relation = raw.relation(raw.vars + ("h",))
+        assert None not in (raw.s, raw.weight_monomial, raw.kernel_monomial, raw.lead_monomial,
+                            raw.defining_polynomial, relation.rule, relation.F, relation.M)
+        assert repr(raw) == text and "z_coefficients" not in text
+        other = make_variety(raw.weights, raw.x_present, raw.P + MultiPoly.const(raw.vars, 1))
+        assert (other.weights, other.x_present, other.d) == (raw.weights, raw.x_present, raw.d)
+        assert other != raw
         data = spec_to_dict(raw)
         import tempfile, os
 
@@ -509,8 +524,12 @@ def test_specfile_roundtrip():
             os.unlink(path)
         assert again.weights == raw.weights
         assert again.x_present == raw.x_present
-        assert again.P() == raw.P()
+        assert again.P == raw.P
+        assert again == raw and repr(again) == repr(raw)
         assert spec_to_dict(again) == data
+        freed = weakref.ref(raw)
+        del raw, relation
+        assert freed() is None  # a spec's relations hold no reference cycle back to it
 
 
 def test_genus_subcommand(tmp_path):
@@ -567,9 +586,11 @@ def test_element_map_counter_pins(monkeypatch, capsys):
     from it in a Noetherian domain.  Before composites were compared by !=
     and the torus solver took integer power products, the check subtracted
     9 times (8 composites and the first build of the defining polynomial)
-    and canonical_group built 160 Fractions."""
+    and canonical_group built 160 Fractions.  exp_replica(s7_e4, h) with a
+    formal h embeds 5 polynomials into the wider context on a fresh spec
+    and 1 on a second call (8 and 6 when F and M were embedded per call)."""
     from danaut import autgroup, cli, derivations
-    from danaut.poly import MultiPoly
+    from danaut.poly import MultiPoly, parse_poly
 
     counts = {"substitute": 0, "__sub__": 0}
     checking = []
@@ -614,6 +635,20 @@ def test_element_map_counter_pins(monkeypatch, capsys):
     monkeypatch.undo()
     assert len(group.elements) == 4
     assert len(built) == 66
+
+    # exp with a formal symbol puts h, and the rule, F and M of the relation
+    # once each into the wider context; again on the same spec, h alone.
+    # Embedding F and M on each direction took 8, then 6.
+    e4_path = fixture_path("s7_e4.json")
+    e4 = cli.prepare(e4_path, cli.build_parser().parse_args(["analyze", e4_path]))[1]
+    h = parse_poly("h*y1 + 1", e4.vars + ("h",))
+    embeds = []
+    real_embed = MultiPoly.embed
+    monkeypatch.setattr(MultiPoly, "embed", lambda f, ctx: embeds.append(ctx) or real_embed(f, ctx))
+    for expected in (5, 1):
+        embeds.clear()
+        derivations.exp_replica(e4, h)
+        assert len(embeds) == expected
 
 
 def test_one_smith_form_per_branch(monkeypatch, capsys):

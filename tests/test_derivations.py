@@ -268,7 +268,7 @@ def test_reduced_substitution_matches_full_expansion(case):
     def nf(f):
         return normal_form(f, spec)
 
-    defining = spec.defining_polynomial().embed(g.vars)
+    defining = spec.defining_polynomial.embed(g.vars)
     for f in (g, defining):
         assert substitute(f, images, nf) == nf(substitute(f, images))
 
@@ -318,7 +318,7 @@ def ideal_member(f: MultiPoly, spec) -> bool:
 
 def _defect_by_full_expansion(spec, images, inverse):
     """automorphism_defect's answer from unreduced substitutions and ideal_member."""
-    if not ideal_member(substitute(spec.defining_polynomial(), images), spec):
+    if not ideal_member(substitute(spec.defining_polynomial, images), spec):
         return "map does not preserve the defining ideal"
     for name in spec.vars:
         v = MultiPoly.variable(spec.vars, name)
@@ -416,7 +416,7 @@ def _canonical_element(draw):
         ): c
         for c in draw(st.lists(_coeffs, max_size=2))
     }
-    P = spec.P() + MultiPoly(spec.vars, terms) * spec.kernel_monomial()
+    P = spec.P + MultiPoly(spec.vars, terms) * spec.kernel_monomial
     spec = make_variety(spec.weights, True, P)
     sigma, t = draw(st.sampled_from(canonical_group(spec).elements))
     return spec, sigma, t
@@ -434,7 +434,7 @@ def test_closed_forms_match_series_and_coefficient_formulas(case, element):
     # mu*M*phi(x) = tau^d*M*x + sum_i (phi(s_i)*tau^i - tau^d*s_i)*z^i
     spec, sigma, t = element
     m, d = spec.m, spec.d
-    tau, M = t[m], spec.kernel_monomial()
+    tau, M = t[m], spec.kernel_monomial
     mu = Fraction(1)
     for i, k in enumerate(spec.weights):
         mu = mu * t[i] ** k
@@ -451,7 +451,7 @@ def test_closed_forms_match_series_and_coefficient_formulas(case, element):
 def _jacobian_derivation(spec, f):
     """D(f) = dF/du * df/dz - dF/dz * df/du, the derivation that kills F by
     construction (u the unit-weight variable), in normal form."""
-    F, u = spec.defining_polynomial(), spec.x_role
+    F, u = spec.defining_polynomial, spec.x_role
     return normal_form(
         derivative(F, u) * derivative(f, "z") - derivative(F, "z") * derivative(f, u), spec
     )
@@ -469,7 +469,7 @@ def test_unit_variable_image_matches_the_closed_forms(case, element):
     formal = MultiPoly.variable(spec.vars + ("h",), "h")
     for h in (formal, drawn, -drawn):
         ctx = h.vars
-        M, P = spec.kernel_monomial().embed(ctx), spec.P().embed(ctx)
+        M, P = spec.kernel_monomial.embed(ctx), spec.P.embed(ctx)
         images = {name: MultiPoly.variable(ctx, name) for name in ctx}
         images["z"] = images["z"] + h * M
         phi_P = substitute(P, images)
@@ -487,14 +487,14 @@ def test_unit_variable_image_matches_the_closed_forms(case, element):
     # the drawn spec's group is often infinite (no list); the fixture-based
     # spec lists 2 to 4 elements
     for spec in (spec, element[0]) if spec.x_present else (element[0],):
-        m, M, F = spec.m, spec.kernel_monomial(), spec.defining_polynomial()
+        m, M, F = spec.m, spec.kernel_monomial, spec.defining_polynomial
         for sigma, t in canonical_group(spec).elements or ():
             tau, mu = t[m], Fraction(1)
             for i, k in enumerate(spec.weights):
                 mu = mu * t[i] ** k
             images = {f"y{i+1}": v(spec, f"y{sigma[i]+1}") * t[i] for i in range(m)}
             images["z"] = v(spec, "z") * tau
-            phi_P = substitute(spec.P(), images)
+            phi_P = substitute(spec.P, images)
             want = divide_by_monomial(phi_P + F * tau**spec.d, M) * (1 / mu)
             assert unit_variable_image(spec, phi_P, tau**spec.d, mu) == want
             assert _element_images(spec, sigma, t)["x"] == want
@@ -516,7 +516,7 @@ def test_one_way_check_refuses_maps_tampered_in_the_unit_variable():
     for gm in (group_element_map(spec, sigma, t), exp_h):
         images, inverse = gm.images, gm.inverse_images
         ctx = images["x"].vars
-        F, y1 = spec.defining_polynomial(), MultiPoly.variable(ctx, "y1")
+        F, y1 = spec.defining_polynomial, MultiPoly.variable(ctx, "y1")
 
         def nf(f):
             return normal_form(f, spec)
@@ -542,7 +542,7 @@ def test_one_way_check_covers_the_extra_symbols():
     def nf(f):
         return normal_form(f, spec)
 
-    F = spec.defining_polynomial()
+    F = spec.defining_polynomial
     assert substitute(F, doubled, nf).is_zero() and substitute(F, gm.inverse_images, nf).is_zero()
     for name in spec.vars:
         assert substitute(doubled[name], gm.inverse_images, nf) == MultiPoly.variable(ctx, name)
@@ -603,7 +603,7 @@ def _map_and_tamper(draw):
             ctx, draw(st.dictionaries(st.tuples(*(st.integers(0, 1) for _ in ctx)), _coeffs, max_size=2))
         )
         if draw(st.booleans()):
-            shift = shift * spec.defining_polynomial().embed(ctx)
+            shift = shift * spec.defining_polynomial.embed(ctx)
         side = images if tamper == "map" else inverse
         side = {**side, name: side[name] * draw(_element_scalars) + shift}
         images, inverse = (side, inverse) if tamper == "map" else (images, side)

@@ -58,7 +58,7 @@ def transformed(raw, perm, a=None, c=Fraction(1)):
     weights = [0] * m
     for i, k in enumerate(raw.weights):
         weights[perm[i]] = k
-    P = substitute(raw.P(), images) * (1 / c**raw.d)
+    P = substitute(raw.P, images) * (1 / c**raw.d)
     return make_variety(weights, raw.x_present, P)
 
 
@@ -144,7 +144,7 @@ def test_random_answers_survive_relabelling_and_scaling(case):
 
 def plus_kernel_multiple(raw, g):
     """x*M = P + M*g: the isomorphism x -> x - g takes it back to x*M = P."""
-    return make_variety(raw.weights, True, raw.P() + raw.weight_monomial() * g)
+    return make_variety(raw.weights, True, raw.P + raw.weight_monomial * g)
 
 
 def z_shifted(raw, c, h):
@@ -155,7 +155,7 @@ def z_shifted(raw, c, h):
     ctx = raw.vars
     images = {name: MultiPoly.variable(ctx, name) for name in ctx}
     images["z"] = MultiPoly.variable(ctx, "z") + c + h
-    return make_variety(raw.weights, raw.x_present, substitute(raw.P(), images))
+    return make_variety(raw.weights, raw.x_present, substitute(raw.P, images))
 
 
 _coeffs = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 3)] + [Fraction(1, 2)])

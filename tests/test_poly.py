@@ -124,15 +124,15 @@ def test_univar_gcd_divides_both():
     rng = random.Random(3)
     z = MultiPoly.variable(VZ, "z")
     for _ in range(25):
-        a = from_univar(VZ, "z", [Fraction(rng.randint(-3, 3)) for _ in range(4)] + [1])
-        b = from_univar(VZ, "z", [Fraction(rng.randint(-3, 3)) for _ in range(3)] + [1])
+        a = from_univar(VZ, [Fraction(rng.randint(-3, 3)) for _ in range(4)] + [1])
+        b = from_univar(VZ, [Fraction(rng.randint(-3, 3)) for _ in range(3)] + [1])
         g = univar_gcd(a, b)
         for p in (a, b):
             # exact division: remainder of p by g is zero
             rem = p
-            gc = as_univar(g, "z")
+            gc = as_univar(g)
             while not rem.is_zero() and rem.degree_in("z") >= len(gc) - 1:
-                lead = as_univar(rem, "z")
+                lead = as_univar(rem)
                 q = lead[-1] / gc[-1]
                 shift = len(lead) - len(gc)
                 rem = rem - g * q * z**shift
@@ -141,7 +141,7 @@ def test_univar_gcd_divides_both():
 
 def test_univar_gcd_rejects_multivariate():
     with pytest.raises(ValueError):
-        univar_gcd(P("y1*z"), P("z"), "z")
+        univar_gcd(P("y1*z"), P("z"))
 
 
 def test_perfect_power_root_examples():
@@ -161,7 +161,7 @@ def test_perfect_power_root_roundtrip():
         deg = rng.randint(1, 4)
         l = rng.randint(1, 3)
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(deg)] + [Fraction(1)]
-        Q = from_univar(VZ, "z", coeffs)
+        Q = from_univar(VZ, coeffs)
         Pp = Q**l
         root = perfect_power_root(Pp, l)
         assert root is not None
@@ -197,30 +197,30 @@ def test_dense_kernel_routines_match_sympy(data):
         return coeffs + [Fraction(1)] if monic else coeffs
 
     # gcd of two polynomials sharing a drawn monic factor
-    common = from_univar(VZ, "z", draw_poly(2, monic=True))
-    f = from_univar(VZ, "z", draw_poly(3)) * common
-    g = from_univar(VZ, "z", draw_poly(3)) * common
-    a, b = as_univar(f, "z"), as_univar(g, "z")
+    common = from_univar(VZ, draw_poly(2, monic=True))
+    f = from_univar(VZ, draw_poly(3)) * common
+    g = from_univar(VZ, draw_poly(3)) * common
+    a, b = as_univar(f), as_univar(g)
     r, s = ext_gcd(a, b)
     _exact(r), _exact(s)
     quot, rem = div_mod(a, b) if b else ([], [])
     _exact(quot), _exact(rem), _exact(mul(a, b), kinds=(Fraction,))
     expected = sympy.gcd(_sympy_univar(a), _sympy_univar(b))
-    got = _sympy_univar(as_univar(univar_gcd(f, g), "z"))
+    got = _sympy_univar(as_univar(univar_gcd(f, g)))
     assert got == (expected.monic() if not expected.is_zero else expected)
 
     # l-th roots: of an exact power, and of a perturbed one
     l = data.draw(st.integers(1, 3))
-    Q = from_univar(VZ, "z", draw_poly(3, monic=True))
+    Q = from_univar(VZ, draw_poly(3, monic=True))
     Pp = Q**l
     if data.draw(st.booleans()):
         Pp = Pp + data.draw(_kernel_coeffs)
     root = perfect_power_root(Pp, l)
-    _, factors = sympy.factor_list(_sympy_univar(as_univar(Pp, "z")))
+    _, factors = sympy.factor_list(_sympy_univar(as_univar(Pp)))
     assert (root is not None) == all(e % l == 0 for _, e in factors)
     if root is not None:
-        coeffs = _exact(as_univar(root, "z"))
-        assert _sympy_univar(coeffs) ** l == _sympy_univar(as_univar(Pp, "z"))
+        coeffs = _exact(as_univar(root))
+        assert _sympy_univar(coeffs) ** l == _sympy_univar(as_univar(Pp))
 
     # products and inverses of coordinate-form cyclotomic elements modulo Phi_n
     n = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15]))
@@ -267,7 +267,7 @@ def test_normal_form_examples():
 def test_normal_form_properties():
     rng = random.Random(42)
     e4 = variety([2, 2], True, "z^3+z+y1-y2")
-    defining = e4.defining_polynomial()
+    defining = e4.defining_polynomial
     assert normal_form(defining, e4).is_zero()
     for _ in range(40):
         f = random_poly(rng, e4.vars, max_deg=3, nterms=3)

@@ -230,7 +230,7 @@ def test_loaded_spec_matches_the_fraction_reading(tmp_path, data):
     path.write_text(json.dumps(data))
     try:
         spec = load_spec_file(str(path))
-        loaded = spec.P(), spec.d, spec.regime, spec.is_normalized()
+        loaded = spec.P, spec.d, spec.regime, spec.is_normalized()
     except (CliError, ValueError) as exc:
         loaded = type(exc).__name__, str(exc)
     assert loaded == _reference_outcome(data), data
@@ -265,17 +265,44 @@ def test_source_has_no_floating_point():
     assert found == []
 
 
-def test_stored_form_is_read_only_in_poly():
-    """No module but poly touches a polynomial's ._num or ._den, so the
-    packed keys and the stored numerators never leave it."""
-    found = []
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_attributes_are_read_only_where_they_are_set():
+    """A single-underscore attribute is read only in a module that defines it
+    in a class body (a method, a field or a __slots__ entry) or assigns it.
+    So a polynomial's packed keys and numerators (._num, ._den) never leave
+    poly, a cyclotomic element's stored forms (._rp, ._coords) never leave
+    cyclotomic, and a spec's relations by context never leave varieties."""
+    owners, reads = {}, []
     for path in sorted(Path(danaut.__file__).parent.glob("*.py")):
-        if path.name == "poly.py":
-            continue
         for n in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(n, ast.Attribute) and n.attr in ("_num", "_den"):
-                found.append(f"{path.name}:{n.lineno}")
-    assert found == []
+            if isinstance(n, ast.ClassDef):
+                for item in n.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = [item.name]
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        names = [item.target.id]
+                    elif isinstance(item, ast.Assign):
+                        names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                        if names == ["__slots__"]:
+                            names = [e.value for e in item.value.elts]
+                    else:
+                        names = []
+                    for name in filter(_private, names):
+                        owners.setdefault(name, set()).add(path.stem)
+            elif isinstance(n, ast.Attribute) and _private(n.attr):
+                if isinstance(n.ctx, ast.Store):
+                    owners.setdefault(n.attr, set()).add(path.stem)
+                else:
+                    reads.append((path.stem, n.lineno, n.attr))
+    assert [f"{module}.py:{line} .{name}" for module, line, name in reads
+            if module not in owners.get(name, ())] == []
+    assert {name: owners[name] for name in ("_num", "_den", "_rp", "_coords", "_relations")} == {
+        "_num": {"poly"}, "_den": {"poly"}, "_rp": {"cyclotomic"}, "_coords": {"cyclotomic"},
+        "_relations": {"varieties"},
+    }
 
 
 def test_no_module_imports_a_private_name():
@@ -389,15 +416,26 @@ def test_prepare_reads_no_terms_view(monkeypatch):
     args = argparse.Namespace(no_normalize=False)
     specs = [cli.prepare(str(fx), args) for fx in fixtures]
     assert reads == []
-    assert specs[0][1].P().terms and len(reads) == 1  # the count is live
+    assert specs[0][1].P.terms and len(reads) == 1  # the count is live
 
 
 def test_degree_and_gr_read_no_terms_view(monkeypatch, capsys):
     """degree and gr split the normal form by weight straight from the
-    packed keys; walking the terms view, they read it once and twice."""
+    packed keys; walking the terms view, they read it once and twice.
+    They build the normal-form rule only: F and the kernel monomial M are
+    built in no context."""
     reads = []
     terms = MultiPoly.terms
     monkeypatch.setattr(MultiPoly, "terms", property(lambda f: reads.append(f) or terms.fget(f)))
+    specs = []
+    prepare = cli.prepare
+
+    def recording(path, args):
+        raw, spec = prepare(path, args)
+        specs.append(spec)
+        return raw, spec
+
+    monkeypatch.setattr(cli, "prepare", recording)
     bf08 = str(FIXTURES / "bf08.json")
     f = "3*x*y1^2*y2^2*z - 1/2*x*z^2 + 2/3*y2*z^3 + y1"
     counts = {}
@@ -407,6 +445,10 @@ def test_degree_and_gr_read_no_terms_view(monkeypatch, capsys):
         counts[command] = len(reads)
     assert capsys.readouterr().out == "5\n-1/2*x*z^2\n"
     assert counts == {"degree": 0, "gr": 0}
+    for spec in specs:
+        assert not {"defining_polynomial", "kernel_monomial"} & vars(spec).keys()
+        built = [sorted(vars(r).keys() & {"rule", "F", "M"}) for r in spec._relations.values()]
+        assert built == [["rule"]]
     assert MultiPoly.zero(("z",)).terms == {} and len(reads) == 1  # the count is live
 
 

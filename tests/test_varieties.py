@@ -76,7 +76,7 @@ def test_normalize_shift_reproduces():
     assert spec.is_normalized()
     images = {name: MultiPoly.variable(raw.vars, name) for name in raw.vars}
     images["z"] = MultiPoly.variable(raw.vars, "z") - spec.shift
-    assert substitute(raw.P(), images) == spec.P()
+    assert substitute(raw.P, images) == spec.P
 
 
 def test_irreducibility_examples():
@@ -85,7 +85,7 @@ def test_irreducibility_examples():
     assert r.reducible and r.l == 2
     assert r.Q == parse_poly("z^2+1", ("z",))
     # exact component-product reconstruction over Q(zeta_l)
-    assert reconstruct_reducible_product(red, r.l, r.Q) == red.defining_polynomial()
+    assert reconstruct_reducible_product(red, r.l, r.Q) == red.defining_polynomial
 
     assert not irreducibility(variety([2, 3], False, "z^4 + z")).reducible
     one_unit = make_variety([1, 2], False, parse_poly("z^2+1", ("y1", "y2", "z")))
@@ -121,19 +121,19 @@ def test_genus_formula_values():
 
 
 def test_genus_checks():
-    P = from_univar(("z",), "z", [Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
+    P = from_univar(("z",), [Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
     assert genus(2, P) == 1  # z^3 + z + 1 squarefree
-    bad = from_univar(("z",), "z", [Fraction(1), Fraction(2), Fraction(1)])
+    bad = from_univar(("z",), [Fraction(1), Fraction(2), Fraction(1)])
     with pytest.raises(ValueError):
         genus(2, bad)  # (z+1)^2 has a multiple root
-    sq = from_univar(("z",), "z", [Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)])
+    sq = from_univar(("z",), [Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)])
     with pytest.raises(ValueError, match="multiple root"):
         genus(2, sq)  # (z^2+1)^2: a power Q^l, l >= 2, is never squarefree
-    Q = from_univar(("z",), "z", [Fraction(1), Fraction(1), Fraction(1)])
+    Q = from_univar(("z",), [Fraction(1), Fraction(1), Fraction(1)])
     with pytest.raises(ValueError, match="multiple root"):
         genus(3, Q * Q * Q)  # (z^2+z+1)^3 with l = k = 3
     # (z^2+1)*(z^2+2) is squarefree, not a power: fine for k=2
-    P2 = from_univar(("z",), "z", [Fraction(2), Fraction(0), Fraction(3), Fraction(0), Fraction(1)])
+    P2 = from_univar(("z",), [Fraction(2), Fraction(0), Fraction(3), Fraction(0), Fraction(1)])
     assert genus(2, P2) == 1
 
 
@@ -183,7 +183,7 @@ def test_additional_quasitorus_membership_probe():
     k1, d = spec.weights[0], spec.d
     order = aq.v * k1
     zv = ("z",)
-    P = from_univar(zv, "z", as_univar(spec.P().embed(("z",)), "z"))
+    P = from_univar(zv, as_univar(spec.P.embed(("z",))))
     z = MultiPoly.variable(zv, "z")
 
     def stabilizes(eps):
