@@ -11,12 +11,12 @@ Every error exits with one line on stderr, never a traceback.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 
 from .autgroup import aut_structure, canonical_group, group_element_map
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, monomial_inverse, tilde_degree
@@ -217,54 +217,35 @@ def _json_chunks(x, newline: str, out: list) -> None:
 
 def cmd_analyze(args) -> int:
     raw, spec = prepare(args.spec, args)
-    if spec.regime == REGIME_DEGENERATE:
-        report = degenerate_report(raw, spec)
-    else:
-        aut = aut_structure(spec)
-        report = build_report(raw, spec, aut)
+    full = spec.regime != REGIME_DEGENERATE
+    report = build_report(raw, spec, aut_structure(spec)) if full else degenerate_report(raw, spec)
     if args.json:
-        emit_json(report)
-        return 0
-    if spec.regime == REGIME_DEGENERATE:
-        print(f"regime: {report['regime']}")
-        print(f"equation: {report['normalized_equation']}")
-        print(f"Aut structure: {report['structure_pretty']}")
-        for w in report["warnings"]:
-            print(f"warning: {w}")
-        return 0
-    print(f"regime: {report['regime']}")
-    print(f"equation: {report['normalized_equation']}")
-    if report["normalization_shift"]:
-        print(f"normalized via z -> z - ({report['normalization_shift']})")
-    inv = report["invariants"]
-    print(f"irreducible: {inv['irreducible']}   rigid: {inv['rigid']}")
-    if inv["genus"] is not None:
-        print(f"genus: {inv['genus']}")
-    print(f"ML generators: {', '.join(inv['ml_generators']) or '(all of the ring)'}")
-    for key in ("H", "D", "Dbar", "Dhat"):
-        g = report["groups"].get(key)
-        if g:
-            print(f"{key}: {g['type']['pretty']}")
-    if report["groups"]["S"]:
-        print(f"S: {report['groups']['S']['pretty']}")
-    G = report["groups"]["G"]
-    if G:
-        print(f"canonical group: {G['summary']}")
-        if G["elements"] is not None:
-            for e in G["elements"]:
-                print(f"  {e['id']}: {e['signature']}")
-        if G["splits_note"]:
-            print(f"  {G['splits_note']}")
-    print(f"Aut structure: {report['structure_pretty']}")
-    v = report["verdicts"]
-    print(
-        f"verdicts: commutative={v['commutative']} torus={v['torus']} "
-        f"solvable={v['solvable']}"
-    )
-    print(f"citations: {', '.join(report['citations'])}")
-    for w in report["warnings"]:
-        print(f"warning: {w}")
-    return 0
+        return _emit(args, report, None)  # builds no text lines
+    lines = [f"regime: {report['regime']}", f"equation: {report['normalized_equation']}"]
+    if full:
+        if report["normalization_shift"]:
+            lines.append(f"normalized via z -> z - ({report['normalization_shift']})")
+        inv, groups = report["invariants"], report["groups"]
+        lines.append(f"irreducible: {inv['irreducible']}   rigid: {inv['rigid']}")
+        if inv["genus"] is not None:
+            lines.append(f"genus: {inv['genus']}")
+        lines.append(f"ML generators: {', '.join(inv['ml_generators']) or '(all of the ring)'}")
+        lines += [f"{key}: {groups[key]['type']['pretty']}"
+                  for key in ("H", "D", "Dbar", "Dhat") if groups.get(key)]
+        if groups["S"]:
+            lines.append(f"S: {groups['S']['pretty']}")
+        G = groups["G"]
+        if G:
+            lines.append(f"canonical group: {G['summary']}")
+            lines += [f"  {e['id']}: {e['signature']}" for e in G["elements"] or ()]
+            if G["splits_note"]:
+                lines.append(f"  {G['splits_note']}")
+    lines.append(f"Aut structure: {report['structure_pretty']}")
+    if full:
+        verdicts = "verdicts: commutative={commutative} torus={torus} solvable={solvable}"
+        lines += [verdicts.format(**report["verdicts"]), f"citations: {', '.join(report['citations'])}"]
+    lines += [f"warning: {w}" for w in report["warnings"]]
+    return _emit(args, report, lines)
 
 
 def cmd_exp(args) -> int:
@@ -391,71 +372,123 @@ def cmd_genus(args) -> int:
     return _emit(args, {"genus": g}, g)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """A malformed command line exits 2 with one line, like every other error."""
-        self.exit(2, f"error: {message}\n")
+_COMMANDS = {  # command: (positional arguments, options that take a value, what it does)
+    "analyze": (("spec",), (), "full invariant and structure report"),
+    "exp": (("spec", "h"), (), "exponential automorphism of a kernel element H"),
+    "apply": (("spec", "poly"), ("--element", "--map"), "apply a group element or a JSON map to POLY"),
+    "degree": (("spec", "poly"), (), "filtration degree of POLY"),
+    "gr": (("spec", "poly"), (), "leading form of POLY in the associated graded ring"),
+    "irreducible": (("spec",), (), "irreducibility of the presentation"),
+    "genus": (("spec",), (), "genus of a curve presentation y1^k = P(z)"),
+}
+_HELP, _FLAGS = ("-h", "--help"), ("--json", "--no-normalize")  # every command takes these
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="danaut",
-        description="Exact invariants and automorphism groups of "
-        "unit-weight/suspension variety presentations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("spec", help="presentation JSON file")
-        p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument(
-            "--no-normalize",
-            action="store_true",
-            help="reject non-normalized input instead of shifting z",
-        )
-
-    p = sub.add_parser("analyze", help="full invariant and structure report")
-    common(p)
-
-    p = sub.add_parser("exp", help="exponential automorphism of a kernel element")
-    common(p)
-    p.add_argument("h", help="kernel polynomial (y variables and free symbols)")
-
-    p = sub.add_parser("apply", help="apply an automorphism to a polynomial")
-    common(p)
-    p.add_argument("poly", help="polynomial in the presentation variables")
-    p.add_argument("--element", help="element id or signature from a report")
-    p.add_argument("--map", help="inline JSON map of generator images")
-
-    p = sub.add_parser("degree", help="filtration degree of a polynomial")
-    common(p)
-    p.add_argument("poly")
-
-    p = sub.add_parser("gr", help="leading form in the associated graded ring")
-    common(p)
-    p.add_argument("poly")
-
-    p = sub.add_parser("irreducible", help="irreducibility of the presentation")
-    common(p)
-
-    p = sub.add_parser("genus", help="genus of a curve presentation")
-    common(p)
-
-    return parser
+def _help_text() -> str:
+    lines = ["usage:"]
+    for command, (positionals, takes_value, what) in _COMMANDS.items():
+        words = [p.upper() for p in positionals] + [f"[{o} {o[2:].upper()}]" for o in takes_value]
+        lines += [f"  danaut {command} {' '.join(words)} [--json] [--no-normalize]", f"      {what}"]
+    lines.append("SPEC is a presentation JSON file; a polynomial that starts with - goes after --.")
+    return "\n".join(lines)
 
 
-_parser = None  # built on the first main() call
+def _option(token: str, names: tuple):
+    """None for a positional token, else (the option of names it gives or None,
+    its attached value or None).  A long option may be cut to a unique prefix;
+    a token that starts with - is a positional if it is -, a negative number
+    or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token in names or (eq and name in names):
+        return (token, None) if token in names else (name, value)
+    if token[1] != "-" and token[:2] in names:  # a short option with its value attached
+        return token[:2], token[2:]
+    matches = [n for n in names if token[1] == "-" and n.startswith(name)]
+    if len(matches) > 1:
+        raise CliError(f"ambiguous option: {token} could match {', '.join(matches)}", 2)
+    if matches:
+        return matches[0], value if eq else None
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _read_argv(argv: list):
+    """The command and its arguments, read in one pass over argv as argparse
+    reads them; None after printing help.  A malformed line raises CliError
+    with exit code 2: the first error met, else a missing or unused argument."""
+    args, command, names = SimpleNamespace(json=False, no_normalize=False), None, _HELP
+    todo, unused = ["command"], []
+    stop = None  # True for help, or the first error; later tokens are only classified
+    last = None  # after a positional token: "taken" if a positional took it, else "left"
+    dashes = None  # after --: whether a positional took the --
+    tokens = iter(enumerate(argv))
+    for j, token in tokens:
+        if dashes is None and token == "--" and (command or j + 1 == len(argv)):
+            # -- goes with the positional just before it, or else with the next one
+            dashes = last == "taken" or (last is None and bool(todo) and j + 1 < len(argv))
+            if not dashes:
+                unused.append(token)
+            continue
+        option = None if dashes is not None or token == "--" else _option(token, names)
+        if stop is not None:
+            continue
+        if option is None and command is None:  # before the command, -- is its name
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise CliError(f"argument command: invalid choice: {token!r} "
+                               f"(choose from {choices})", 2)
+            command = args.command = token
+            todo, takes_value = list(_COMMANDS[token][0]), _COMMANDS[token][1]
+            names = _HELP + _FLAGS + takes_value
+            vars(args).update(dict.fromkeys((o[2:] for o in takes_value), None))
+        elif option is None:
+            last = "taken" if todo else "left"
+            if todo:
+                setattr(args, todo.pop(0), token)
+            else:
+                unused.append(token)
+        else:
+            (name, value), last = option, None
+            if name == "-h" and value:
+                value = value.lstrip("h") or None  # -hh is -h -h
+            if name is None:
+                unused.append(token)
+            elif name not in _HELP + _FLAGS:  # an option that takes a value
+                if value is None:  # then the next token is its value, if it is a positional
+                    ahead = argv[j + 1] if j + 1 < len(argv) else "--"
+                    if ahead == "--" or _option(ahead, names) is not None:
+                        stop = CliError(f"argument {name}: expected one argument", 2)
+                        continue
+                    value = next(tokens)[1]
+                setattr(args, name[2:], value)
+            elif value is not None:
+                label = "-h/--help" if name in _HELP else name
+                stop = CliError(f"argument {label}: ignored explicit argument {value!r}", 2)
+            elif name in _HELP:
+                stop = True
+            else:
+                setattr(args, name[2:].replace("-", "_"), True)
+    if isinstance(stop, CliError):
+        raise stop
+    if stop:
+        print(_help_text())
+        return None
+    if todo:
+        raise CliError(f"the following arguments are required: {', '.join(todo)}", 2)
+    if unused:
+        raise CliError(f"unrecognized arguments: {' '.join(unused)}", 2)
+    return args
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
-    # looked up per call, so rebinding a cmd_* global takes effect
-    command = globals()["cmd_" + args.command]
     try:
-        return command(args)
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        if args is None:  # help was printed
+            return 0
+        # looked up per call, so rebinding a cmd_* global takes effect
+        return globals()["cmd_" + args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

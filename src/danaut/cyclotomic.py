@@ -371,18 +371,20 @@ def rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
 
 
 def cyc_root_of_unity(c, n: int):
-    """A w with w^n = c, for c in {1, -1} or c an exact rational n-th power.
+    """A w = r*zeta with w^n = c: zeta_n for c = 1, zeta_2n times the rational
+    n-th root of -c for c = -1 or c < 0 and n even, else the rational root.
 
-    Returns a Fraction or CycElem, or None when the restricted repertoire
-    (roots of +-1 and rational radicals) does not contain a root.
+    Returns a Fraction or CycElem, or None when |c| is not a rational n-th
+    power: the restricted repertoire holds no irrational radical.
     """
     if n < 1:
         raise ValueError("root index must be positive")
     c = Fraction(c)
     if c == 1:
         return canonical_scalar(zeta(n))
-    if c == -1:
-        return canonical_scalar(zeta(2 * n, 1))
+    if c < 0 and (c == -1 or n % 2 == 0):  # (r*zeta_2n)^n = -r^n
+        r = rational_nth_root(-c, n)
+        return None if r is None else canonical_scalar(CycElem._root(2 * n, r, 1))
     return rational_nth_root(c, n)
 
 

@@ -80,18 +80,11 @@ def canonical_dict(G) -> Optional[dict]:
                 for row, t in zip(b.solutions.exponents, b.solutions.targets)
             ]
         branches.append(entry)
-    elements = None
-    if G.elements is not None:
-        elements = []
-        for i, (sigma, t) in enumerate(G.elements):
-            elements.append(
-                {
-                    "id": f"e{i}",
-                    "sigma": sigma_str(sigma),
-                    "scalars": [scalar_json(x) for x in t],
-                    "signature": element_signature(sigma, t),
-                }
-            )
+    elements = None if G.elements is None else [
+        {"id": f"e{i}", "sigma": sigma_str(sigma), "scalars": [scalar_json(x) for x in t],
+         "signature": element_signature(sigma, t)}
+        for i, (sigma, t) in enumerate(G.elements)
+    ]
     return {
         "summary": G.summary,
         "order": G.order,

@@ -72,6 +72,7 @@ class VarietySpec:
     unit_index: Optional[int] = None
     shift: Optional[MultiPoly] = None
     _relations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __hash__ = None  # as P's: == compares P, and MultiPoly has no hash
 
     @cached_property
     def vars(self) -> tuple:

@@ -1,5 +1,6 @@
 """Shared fixtures and exact-arithmetic test helpers."""
 
+import argparse
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,3 +268,58 @@ def brute_force_closure(gens, m, bound):
                     elems.append(c)
                 table[(i, j)] = k
     return elems, table
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line exits 2 with one line, like every other error."""
+        self.exit(2, f"error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its one-pass reader: the
+    oracle for which command lines the reader accepts and how it reads them."""
+    parser = _Parser(
+        prog="danaut",
+        description="Exact invariants and automorphism groups of "
+        "unit-weight/suspension variety presentations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("spec", help="presentation JSON file")
+        p.add_argument("--json", action="store_true", help="machine output")
+        p.add_argument(
+            "--no-normalize",
+            action="store_true",
+            help="reject non-normalized input instead of shifting z",
+        )
+
+    p = sub.add_parser("analyze", help="full invariant and structure report")
+    common(p)
+
+    p = sub.add_parser("exp", help="exponential automorphism of a kernel element")
+    common(p)
+    p.add_argument("h", help="kernel polynomial (y variables and free symbols)")
+
+    p = sub.add_parser("apply", help="apply an automorphism to a polynomial")
+    common(p)
+    p.add_argument("poly", help="polynomial in the presentation variables")
+    p.add_argument("--element", help="element id or signature from a report")
+    p.add_argument("--map", help="inline JSON map of generator images")
+
+    p = sub.add_parser("degree", help="filtration degree of a polynomial")
+    common(p)
+    p.add_argument("poly")
+
+    p = sub.add_parser("gr", help="leading form in the associated graded ring")
+    common(p)
+    p.add_argument("poly")
+
+    p = sub.add_parser("irreducible", help="irreducibility of the presentation")
+    common(p)
+
+    p = sub.add_parser("genus", help="genus of a curve presentation")
+    common(p)
+
+    return parser

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, GOLDEN, fixture_path
+from conftest import FIXTURES, GOLDEN, build_parser, fixture_path
 
 
 def run_cli(*args):
@@ -622,7 +622,7 @@ def test_element_map_counter_pins(monkeypatch, capsys):
         assert code == 0, err
         assert counts == {"substitute": calls, "__sub__": 0}, argv
 
-    spec = cli.prepare(bf08, cli.build_parser().parse_args(["analyze", bf08]))[1]
+    spec = cli.prepare(bf08, cli._read_argv(["analyze", bf08]))[1]
     built = []
     real_new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
@@ -640,7 +640,7 @@ def test_element_map_counter_pins(monkeypatch, capsys):
     # once each into the wider context; again on the same spec, h alone.
     # Embedding F and M on each direction took 8, then 6.
     e4_path = fixture_path("s7_e4.json")
-    e4 = cli.prepare(e4_path, cli.build_parser().parse_args(["analyze", e4_path]))[1]
+    e4 = cli.prepare(e4_path, cli._read_argv(["analyze", e4_path]))[1]
     h = parse_poly("h*y1 + 1", e4.vars + ("h",))
     embeds = []
     real_embed = MultiPoly.embed
@@ -763,21 +763,12 @@ def test_huge_coefficient_has_no_float_overflow(tmp_path):
     assert "regime: Danielewski" in out
 
 
-def test_in_process_calls_share_one_parser(monkeypatch, capsys):
-    from danaut import cli
-
-    real = cli.build_parser
-    builds = []
-
-    def counting():
-        builds.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting)
+def test_in_process_calls_do_not_share_options(capsys):
+    """Each in-process call reads its own argv: --json and --element of
+    earlier calls do not leak into later ones, and every call prints what a
+    fresh process prints."""
     e4 = fixture_path("s7_e4.json")
     codes = []
-    # --json and --element of earlier calls must not leak into later ones
     for argv in (
         ["analyze", e4, "--json"],
         ["analyze", "--no-such-option", e4],
@@ -785,28 +776,126 @@ def test_in_process_calls_share_one_parser(monkeypatch, capsys):
         ["apply", e4, "y1-y2", "--element", "e0", "--json"],
         ["analyze", e4],
     ):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr().out
+        code, out, _ = _main_in_process(argv, capsys)
         fresh_code, fresh_out, _ = run_cli(*argv)
         assert (code, out) == (fresh_code, fresh_out), argv
         codes.append(code)
     assert codes == [0, 2, 0, 0, 0]
-    assert len(builds) == 1
 
 
 def _main_in_process(argv, capsys):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
+    """(exit code, stdout, stderr) of one in-process CLI call; main returns
+    its exit code, and raises no SystemExit, for every command line."""
+    from danaut import cli
+
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_COMMAND_NAMES = ["analyze", "exp", "apply", "degree", "gr", "irreducible", "genus"]
+_argv_tokens = st.sampled_from(_COMMAND_NAMES + [
+    "bogus", "--json", "--js", "--j", "--no-normalize", "--no", "--element", "--el", "--map",
+    "--ma", "--help", "--he", "-h", "--", "--json=", "--json=1", "--no=x", "--help=x",
+    "--element=e1", "--el=e1", "--el=", "--map={}", "--ma=-2", "--=x", "-2", "-2*y1",
+    "-2*y1 + 1", "-x", "--x", "e1", "x*z + 1", "", "spec.json", fixture_path("s7_e4.json"),
+])
+_argv_lines = st.one_of(
+    st.lists(_argv_tokens, max_size=6),
+    st.builds(lambda c, rest: [c, *rest], st.sampled_from(_COMMAND_NAMES),
+              st.lists(_argv_tokens, max_size=6)),
+)
+_ORACLE = build_parser()
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv_lines)
+@example(argv=["exp", "spec.json", "--", "--"])
+@example(argv=["degree", "spec.json", "--json", "--", "--"])
+@example(argv=["analyze", "spec.json", "--json", "--"])
+@example(argv=["exp", "--", "spec.json", "-2*y1"])
+@example(argv=["apply", "spec.json", "--el", "-2", "-2*y1 + 1", "--ma=-2"])
+def test_reader_reads_argv_as_argparse(argv, capsys):
+    """The one-pass reader against the argparse parser it replaced: the same
+    lines accepted, the same arguments read from them, help (exit 0) on the
+    same lines, and exit 2 with one stderr line on the rest.  One reading
+    differs on purpose: argparse turns a positional that is a second -- into
+    an empty list, which no command can use; the reader keeps it "--".
+    Budget: 2000 derandomized examples, about 3 s on a 2-vCPU host."""
     from danaut import cli
 
     try:
-        code = cli.main(argv)
+        expected = vars(_ORACLE.parse_args(argv))
     except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
+        expected = exc.code
+    capsys.readouterr()
+    if isinstance(expected, dict):
+        expected = {k: "--" if v == [] else v for k, v in expected.items()}
+        assert vars(cli._read_argv(argv)) == expected, argv
+        return
+    code, out, err = _main_in_process(argv, capsys)
+    assert code == expected, (argv, out, err)
+    if code == 0:
+        assert out.startswith("usage:") and err == "", argv
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+_CHOICES = "(choose from 'analyze', 'exp', 'apply', 'degree', 'gr', 'irreducible', 'genus')"
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "the following arguments are required: command"),
+    (["--json", "--"], "the following arguments are required: command"),
+    (["exp", "spec.json", "-2*y1"], "the following arguments are required: h"),
+    (["apply"], "the following arguments are required: spec, poly"),
+    (["analyze", "spec.json", "--max-enum-order", "4"], "unrecognized arguments: --max-enum-order 4"),
+    (["--json", "analyze", "spec.json", "x"], "unrecognized arguments: --json x"),
+    (["analyze", "spec.json", "--json", "--"], "unrecognized arguments: --"),
+    (["bogus", "spec.json"], f"argument command: invalid choice: 'bogus' {_CHOICES}"),
+    (["--", "analyze", "spec.json"], f"argument command: invalid choice: '--' {_CHOICES}"),
+    (["-2", "analyze"], f"argument command: invalid choice: '-2' {_CHOICES}"),
+    (["apply", "spec.json", "z", "--element"], "argument --element: expected one argument"),
+    (["apply", "spec.json", "z", "--map", "--json"], "argument --map: expected one argument"),
+    (["apply", "spec.json", "--el", "--", "z"], "argument --element: expected one argument"),
+    (["analyze", "spec.json", "--js=1"], "argument --json: ignored explicit argument '1'"),
+    (["analyze", "spec.json", "--=x"],
+     "ambiguous option: --=x could match --help, --json, --no-normalize"),
+    (["analyze", "-h", "--=x"], "ambiguous option: --=x could match --help, --json, --no-normalize"),
+    (["analyze", "-hhx", "spec.json"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["-h=", "analyze"], "argument -h/--help: ignored explicit argument ''"),
+])
+def test_malformed_command_lines_keep_the_argparse_wording(argv, line, capsys):
+    """Exit 2 and one line, worded as argparse worded it; -h with letters
+    attached reads as Python 3.10-3.12 read it."""
+    assert _main_in_process(argv, capsys) == (2, "", f"error: {line}\n")
+
+
+def test_help_lists_every_command_and_exits_zero(capsys):
+    for argv in (["-h"], ["--help"], ["--he", "bogus"], ["--json", "-h"], ["apply", "--he"],
+                 ["exp", "spec.json", "-hh", "--bogus"], ["-h=hh"]):
+        code, out, err = _main_in_process(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage:\n") and out.count("\n  danaut ") == 7, out
+        assert all(f"  danaut {c} SPEC" in out for c in _COMMAND_NAMES)
+    assert "  danaut apply SPEC POLY [--element ELEMENT] [--map MAP] [--json] [--no-normalize]\n" in out
+
+
+def test_second_double_dash_is_a_polynomial_argument(capsys):
+    """argparse read a second -- after the first as an empty list, and exp
+    and degree stopped with "unexpected error" (exit 4); it is the text --."""
+    e4 = fixture_path("s7_e4.json")
+    for argv in (["exp", e4, "--", "--"], ["degree", e4, "--", "--"]):
+        code, out, err = _main_in_process(argv, capsys)
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    proc = subprocess.run([sys.executable, "-c", "import sys, danaut.cli; print(sorted("
+                           "m for m in sys.modules if m.partition('.')[0] == 'argparse'))"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_malformed_cli_input_exits_one_with_one_line(capsys):
@@ -990,7 +1079,7 @@ def test_map_goldens_stable(capsys):
     """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 31
+    assert len(calls) == 33
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)

@@ -118,9 +118,27 @@ def test_rational_roots_of_plus_minus_one_are_fractions():
 
 
 def test_root_of_unity_refusals():
+    """A root r*zeta exists exactly when |c| is a rational n-th power: -4
+    has the square root 2*zeta4, and -2 has none in the repertoire."""
     assert cyc_root_of_unity(Fraction(2), 2) is None
-    assert cyc_root_of_unity(Fraction(-4), 2) is None
+    assert cyc_root_of_unity(Fraction(-4), 2) == 2 * zeta(4)
+    assert cyc_root_of_unity(Fraction(-2), 2) is None
     assert rational_nth_root(Fraction(5), 2) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fractions(max_denominator=50).filter(lambda q: q != 0), st.integers(1, 12),
+       st.sampled_from([1, 1, 2, 3, 6]), st.booleans())
+def test_root_of_unity_against_sympy(q, n, cofactor, negate):
+    """c = +-cofactor * q^n: cyc_root_of_unity returns None exactly when |c|
+    is not a rational n-th power (sympy's integer_nthroot on numerator and
+    denominator), and otherwise a w with w^n = c."""
+    c = (-1 if negate else 1) * cofactor * q**n
+    power = all(sympy.integer_nthroot(abs(k), n)[1] for k in (c.numerator, c.denominator))
+    w = cyc_root_of_unity(c, n)
+    assert (w is not None) == power, (c, n)
+    if w is not None:
+        assert w**n == c, (c, n, w)
 
 
 def test_all_roots_verify():

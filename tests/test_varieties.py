@@ -245,3 +245,18 @@ def test_ml_invariant():
     one_unit = make_variety([1, 2, 2], False, parse_poly("z^3+1", ("y1", "y2", "y3", "z")))
     assert ml_invariant(one_unit) == ("y2", "y3")
     assert ml_invariant(variety([2, 3], False, "z^4+z")) == ("y1", "y2", "z")
+
+
+def test_spec_is_unhashable_by_contract():
+    """Specs compare by value, P included, and MultiPoly has no hash, so a
+    spec declares none instead of advertising a generated one that raises
+    on use: equal specs are equal, and neither can key a dict."""
+    from danaut import VarietySpec
+    from conftest import load_fixture
+
+    spec, again = load_fixture("s7_e4.json"), load_fixture("s7_e4.json")
+    assert spec == again and spec is not again
+    assert VarietySpec.__hash__ is None and MultiPoly.__hash__ is None
+    for value in (spec, again):
+        with pytest.raises(TypeError, match="unhashable type: 'VarietySpec'"):
+            hash(value)
