@@ -403,6 +403,8 @@ def pretty_structure(expr: dict) -> str:
             if expr["order"] is not None:
                 return f"G[{expr['order']}]"
             return "G"
+        if kind == "affine-line-group":
+            return "K^x |x K (the affine group of the line)"
         raise ValueError(f"unknown leaf {kind}")
     ops = {"semidirect": " |x ", "direct": " x ", "quotient": " / "}
     sep = ops[expr["op"]]
@@ -420,12 +422,8 @@ def aut_structure(spec: VarietySpec) -> AutReport:
     """Assemble generators, structure, and verdicts for a normalized spec."""
     if not spec.is_normalized():
         raise SpecError("normalize the presentation first")
-    if spec.regime in (REGIME_DEGENERATE,):
-        raise SpecError(
-            "degenerate presentation: the variety is an affine line; its "
-            "automorphisms form the affine group of the line (outside the "
-            "structure theorems)"
-        )
+    if spec.regime == REGIME_DEGENERATE:
+        return _aut_degenerate(spec)
     if spec.regime == REGIME_ALL_GE2:
         return _aut_all_ge2(spec)
     if spec.regime == REGIME_ONE_UNIT:
@@ -433,6 +431,22 @@ def aut_structure(spec: VarietySpec) -> AutReport:
     if spec.regime == REGIME_DANIELEWSKI:
         return _aut_danielewski(spec)
     raise SpecError(f"unsupported regime: {spec.regime_note}")
+
+
+def _aut_degenerate(spec: VarietySpec) -> AutReport:
+    """The affine line lies outside the structure theorems: flagged, no groups."""
+    return AutReport(
+        spec=spec,
+        structure={"leaf": "affine-line-group"},
+        verdicts=Verdicts(False, False, "yes"),
+        groups={},
+        warnings=[
+            "degenerate presentation: the variety is an affine line; the "
+            "structure theorems do not apply and the automorphism group is "
+            "the affine group of the line"
+        ],
+        citations=[],
+    )
 
 
 def _aut_all_ge2(spec: VarietySpec) -> AutReport:

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 from .autgroup import aut_structure, canonical_group, group_element_map
 from .derivations import GeneratorMap, exp_replica, gr_leading_form, monomial_inverse, tilde_degree
 from .poly import MultiPoly, free_symbols, parse_poly, poly_str
-from .report import build_report, degenerate_report, element_signature
+from .report import build_report, element_signature
 from .varieties import (
     REGIME_DANIELEWSKI,
     REGIME_DEGENERATE,
@@ -217,8 +217,8 @@ def _json_chunks(x, newline: str, out: list) -> None:
 
 def cmd_analyze(args) -> int:
     raw, spec = prepare(args.spec, args)
-    full = spec.regime != REGIME_DEGENERATE
-    report = build_report(raw, spec, aut_structure(spec)) if full else degenerate_report(raw, spec)
+    report = build_report(raw, spec, aut_structure(spec))
+    full = spec.regime != REGIME_DEGENERATE  # the line prints no invariant lines
     if args.json:
         return _emit(args, report, None)  # builds no text lines
     lines = [f"regime: {report['regime']}", f"equation: {report['normalized_equation']}"]
@@ -293,10 +293,7 @@ def cmd_apply(args) -> int:
     raw, spec = prepare(args.spec, args)
     f = parse_poly(args.poly, spec.vars)
     if args.element:
-        if spec.regime == REGIME_DANIELEWSKI:
-            G = canonical_group(spec)
-        else:
-            G = aut_structure(spec).canonical
+        G = canonical_group(spec) if spec.regime == REGIME_DANIELEWSKI else None
         if G is None or G.elements is None:
             raise CliError("no enumerated elements available for this presentation")
         element = _find_element(G.elements, args.element)

@@ -379,7 +379,12 @@ def solve_torus_system(
     mu = [power_product(targets, u) for u in U]
     bad = next((p for p in range(rank, len(rows)) if mu[p] != 1), None)
     consistent = bad is None
-    note = "" if consistent else f"kernel relation {tuple(U[bad])} forces {mu[bad]} = 1"
+    note = ""
+    if not consistent:  # printed with its first nonzero entry positive, whatever U is
+        relation, forced = tuple(U[bad]), mu[bad]
+        if next(c for c in relation if c) < 0:
+            relation, forced = tuple(-c for c in relation), 1 / forced
+        note = f"kernel relation {relation} forces {forced} = 1"
 
     particular = None
     if consistent:

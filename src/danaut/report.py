@@ -16,6 +16,7 @@ from .poly import MultiPoly, poly_str
 from .varieties import (
     REGIME_ALL_GE2,
     REGIME_DANIELEWSKI,
+    REGIME_DEGENERATE,
     REGIME_ONE_UNIT,
     VarietySpec,
     irreducibility,
@@ -95,71 +96,20 @@ def canonical_dict(G) -> Optional[dict]:
     }
 
 
-def _equations(raw: VarietySpec, spec: VarietySpec) -> dict:
-    """The report's equation entries; normalize returns a normalized spec itself."""
-    equation = raw.equation_str()
-    return {
-        "equation": equation,
-        "normalized_equation": equation if spec is raw else spec.equation_str(),
-        "normalization_shift": poly_str(spec.shift) if spec.shift is not None else None,
-    }
-
-
-def degenerate_report(raw: VarietySpec, spec: VarietySpec) -> dict:
-    """Report for presentations isomorphic to an affine line.
-
-    These sit outside the structure theorems; the automorphism group is the
-    full affine group of the line and is reported as such, flagged.
-    """
-    return {
-        "schema": "danaut-report-v1",
-        "regime": spec.regime,
-        "regime_note": spec.regime_note,
-        **_equations(raw, spec),
-        "invariants": {
-            "irreducible": True,
-            "reducibility_witness": None,
-            "rigid": False,
-            "rigidity_reason": "the variety is an affine line",
-            "genus": 0 if spec.m <= 1 else None,
-            "ml_generators": [],
-        },
-        "groups": {k: None for k in (
-            "H", "T", "D", "Dbar", "Dhat", "S", "G", "H_cap_Dbar",
-            "structure_lattice_exact")},
-        "structure": {"leaf": "affine-line-group"},
-        "structure_pretty": "K^x |x K (the affine group of the line)",
-        "verdicts": {"commutative": False, "torus": False, "solvable": "yes"},
-        "generators": [
-            {"kind": "affine-line", "images": "z -> a*z + b, a nonzero"}
-        ],
-        "citations": [],
-        "warnings": [
-            "degenerate presentation: the variety is an affine line; the "
-            "structure theorems do not apply and the automorphism group is "
-            "the affine group of the line"
-        ],
-    }
-
-
 def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
-    """Full analysis report for a classified, normalized presentation."""
-    warnings = list(aut.warnings)
+    """Full analysis report for a classified, normalized presentation
+    (normalize returns a normalized spec itself)."""
+    equation = raw.equation_str()
     inv: dict = {"ml_generators": list(ml_invariant(spec))}
     irr = irreducibility(spec)
     inv["irreducible"] = not irr.reducible
     inv["reducibility_witness"] = (
         {"l": irr.l, "Q": poly_str(irr.Q)} if irr.reducible else None
     )
-    if spec.regime == REGIME_ALL_GE2:
-        rig = rigidity(spec)
-        inv["rigid"] = rig.rigid
-        inv["rigidity_reason"] = rig.reason
-        inv["genus"] = rig.genus
-    else:
-        inv["rigid"] = False
-        inv["rigidity_reason"] = "the canonical derivation is a nonzero locally nilpotent derivation"
-        inv["genus"] = None
+    rig = rigidity(spec)
+    inv["rigid"] = rig.rigid
+    inv["rigidity_reason"] = rig.reason
+    inv["genus"] = rig.genus
 
     groups: dict = {}
     for key in ("H", "T", "D", "Dbar", "Dhat"):
@@ -199,6 +149,8 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
                 "images": {name: poly_str(exp_h.images[name]) for name in spec.vars},
             }
         )
+    if aut.regime == REGIME_DEGENERATE:
+        generators.append({"kind": "affine-line", "images": "z -> a*z + b, a nonzero"})
     G = groups["G"]
     if G is not None and G["elements"] is not None:  # reuse the rendered scalars
         generators += [
@@ -211,7 +163,9 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
         "schema": "danaut-report-v1",
         "regime": spec.regime,
         "regime_note": spec.regime_note,
-        **_equations(raw, spec),
+        "equation": equation,
+        "normalized_equation": equation if spec is raw else spec.equation_str(),
+        "normalization_shift": poly_str(spec.shift) if spec.shift is not None else None,
         "invariants": inv,
         "groups": groups,
         "structure": aut.structure,
@@ -223,5 +177,5 @@ def build_report(raw: VarietySpec, spec: VarietySpec, aut: AutReport) -> dict:
         },
         "generators": generators,
         "citations": aut.citations,
-        "warnings": warnings,
+        "warnings": list(aut.warnings),
     }

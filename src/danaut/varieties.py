@@ -268,6 +268,7 @@ class Irreducibility:
     l: Optional[int] = None
     Q: Optional[MultiPoly] = None
     note: str = ""
+    __hash__ = None  # as Q's: MultiPoly has no hash
 
 
 def irreducibility(spec: VarietySpec) -> Irreducibility:
@@ -300,12 +301,13 @@ class Rigidity:
 
 
 def rigidity(spec: VarietySpec) -> Rigidity:
-    """Rigidity verdict for suspensions with all weights >= 2."""
+    """Rigidity verdict; an unsupported presentation raises SpecError."""
+    if spec.regime == REGIME_DEGENERATE:
+        return Rigidity(False, "the variety is an affine line", 0)
+    if spec.regime in (REGIME_DANIELEWSKI, REGIME_ONE_UNIT):
+        return Rigidity(False, "the canonical derivation is a nonzero locally nilpotent derivation")
     if spec.regime != REGIME_ALL_GE2:
-        raise SpecError(
-            "rigidity applies to suspensions with all weights >= 2; "
-            "a unit-weight presentation carries the canonical derivation"
-        )
+        raise SpecError(f"unsupported regime: {spec.regime_note}")
     if spec.m >= 2:
         return Rigidity(True, "all weights are at least 2")
     irr = irreducibility(spec)
@@ -334,14 +336,15 @@ def genus_formula(k: int, d: int) -> int:
 
 
 def genus(k: int, P: MultiPoly) -> int:
-    """Exact genus of V(y^k - P(z)); P must be squarefree and the pair irreducible."""
-    if k < 2:
-        raise ValueError("need k >= 2")
+    """Exact genus of V(y^k - P(z)); for k >= 2 P must be squarefree and the
+    pair irreducible, while for k = 1 the curve is the graph of P (genus 0)."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     coeffs = as_univar(P)
     d = len(coeffs) - 1
     if d < 2:
         raise ValueError("need deg P >= 2")
-    if not _is_squarefree(P):
+    if k > 1 and not _is_squarefree(P):
         raise ValueError("P has a multiple root")
     return genus_formula(k, d)
 

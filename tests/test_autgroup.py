@@ -310,9 +310,18 @@ def test_aut_structure_one_unit():
 
 
 def test_aut_structure_degenerate_rejected():
+    """The affine line is outside the structure theorems: aut_structure
+    answers it with the flagged affine group and no groups, not an error."""
     D = make_variety([1], False, parse_poly("z^2+1", ("y1", "z")))
-    with pytest.raises(SpecError):
-        aut_structure(D)
+    rep = aut_structure(D)
+    assert rep.structure == {"leaf": "affine-line-group"}
+    assert rep.structure_pretty == "K^x |x K (the affine group of the line)"
+    assert (rep.verdicts.commutative, rep.verdicts.torus, rep.verdicts.solvable) == (False, False, "yes")
+    assert rep.warnings == [
+        "degenerate presentation: the variety is an affine line; the structure "
+        "theorems do not apply and the automorphism group is the affine group of the line"
+    ]
+    assert rep.groups == {} and rep.citations == [] and rep.canonical is None
 
 
 def test_verdict_examples():

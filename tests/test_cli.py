@@ -1079,7 +1079,7 @@ def test_map_goldens_stable(capsys):
     """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 33
+    assert len(calls) == 36
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)
@@ -1253,7 +1253,23 @@ def test_apply_element_by_id_or_signature(tmp_path, capsys):
         )
     )
     code, _, err = _main_in_process(["apply", str(degenerate), "z", "--element", "e0"], capsys)
-    assert code == 1 and err.startswith("error: degenerate presentation: the variety is an affine line")
+    assert (code, err) == (1, "error: no enumerated elements available for this presentation\n")
+
+
+def test_apply_element_outside_danielewski_builds_no_analysis(monkeypatch, capsys):
+    """Only Danielewski presentations enumerate elements; every other regime
+    is refused before any automorphism-group analysis is built."""
+    from danaut import cli
+
+    def refuse(spec):
+        raise AssertionError("apply --element built an analysis")
+
+    monkeypatch.setattr(cli, "aut_structure", refuse)
+    for name in ("unit_y1.json", "line.json"):
+        code, out, err = _main_in_process(
+            ["apply", fixture_path("maps/" + name), "z", "--element", "e0"], capsys
+        )
+        assert (code, out, err) == (1, "", "error: no enumerated elements available for this presentation\n")
 
 
 _fuzz_coeffs = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-2/3"])

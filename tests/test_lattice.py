@@ -1,8 +1,10 @@
 """Smith normal form, kernels, torus systems, diagonalizable-group quotients."""
 
+import ast
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -224,6 +226,13 @@ def test_particular_verified_by_substitution():
                 assert acc == lam
 
 
+def _relation_note(rel, forced):
+    """How a failed kernel relation is printed: first nonzero entry positive."""
+    if next(c for c in rel if c) < 0:
+        rel, forced = [-c for c in rel], 1 / forced
+    return f"kernel relation {tuple(rel)} forces {forced} = 1"
+
+
 def _kernel_consistency(rows, targets):
     """Reference: the left-kernel relations from a separate Smith form."""
     for rel in left_kernel_basis(rows):
@@ -231,7 +240,7 @@ def _kernel_consistency(rows, targets):
         for c, lam in zip(rel, targets):
             prod *= lam**c
         if prod != 1:
-            return False, f"kernel relation {tuple(rel)} forces {prod} = 1"
+            return False, _relation_note(rel, prod)
     return True, ""
 
 
@@ -264,6 +273,11 @@ def test_solve_consistency_matches_left_kernel_check(nrows, ncols, data):
         assert kind != "from a point" or s.particular is not None
     else:
         assert s.coset_note == note and s.particular is None
+        found = re.fullmatch(r"kernel relation (\(.*\)) forces (\S+) = 1", s.coset_note)
+        relation, forced = ast.literal_eval(found[1]), Fraction(found[2])
+        assert next(c for c in relation if c) > 0
+        assert all(sum(c * row[j] for c, row in zip(relation, rows)) == 0 for j in range(ncols))
+        assert _reference_power_product(targets, relation) == forced != 1
 
 
 def test_structure_against_bruteforce_small():
@@ -411,7 +425,7 @@ def _reference_solve(rows, targets, ncols):
     mu = [_reference_power_product(targets, u) for u in U]
     bad = next((p for p in range(rank, len(rows)) if mu[p] != 1), None)
     if bad is not None:
-        return False, f"kernel relation {tuple(U[bad])} forces {mu[bad]} = 1", None
+        return False, _relation_note(U[bad], mu[bad]), None
     roots = [cyc_root_of_unity(mu[p], diag[p]) for p in range(rank)]
     if any(w is None or isinstance(w, CycElem) and w.order > ENUM_ORDER_BOUND for w in roots):
         return True, None, None

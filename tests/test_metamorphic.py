@@ -22,8 +22,7 @@ from danaut import (
     MultiPoly, aut_structure, build_report, make_variety, normalize, parse_poly, substitute,
 )
 from danaut.cli import load_spec_file
-from danaut.report import degenerate_report
-from danaut.varieties import REGIME_DEGENERATE, presentation_vars
+from danaut.varieties import presentation_vars
 from conftest import FIXTURES
 
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
@@ -32,10 +31,7 @@ FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 def answers(raw) -> tuple:
     """What an isomorphism must preserve, read from the analyze report."""
     spec = normalize(raw)
-    if spec.regime == REGIME_DEGENERATE:
-        report = degenerate_report(raw, spec)
-    else:
-        report = build_report(raw, spec, aut_structure(spec))
+    report = build_report(raw, spec, aut_structure(spec))
     inv = report["invariants"]
     G = report["groups"]["G"]
     branches = sorted(b["structure"]["pretty"] for b in G["branches"] if b["feasible"]) if G else []

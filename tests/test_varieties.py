@@ -9,6 +9,7 @@ import pytest
 from danaut import (
     DiagGroupType,
     MultiPoly,
+    Rigidity,
     SpecError,
     additional_quasitorus,
     genus,
@@ -110,8 +111,15 @@ def test_rigidity_paths():
     assert sing.rigid
     pos = rigidity(variety([2], False, "z^3+z"))
     assert pos.rigid and "genus" in pos.reason
+    lnd = "the canonical derivation is a nonzero locally nilpotent derivation"
+    for unit in (variety([2, 2], True, "z^2+y1"), variety([1, 2], False, "z^3+1")):
+        assert rigidity(unit) == Rigidity(False, lnd)
+    line = make_variety([1], False, parse_poly("z^2+1", ("y1", "z")))
+    assert rigidity(line) == Rigidity(False, "the variety is an affine line", 0)
+    two_units = make_variety([1, 1], False, parse_poly("z^2+1", ("y1", "y2", "z")))
+    assert two_units.regime == "Unsupported"
     with pytest.raises(SpecError):
-        rigidity(variety([2, 2], True, "z^2+y1"))
+        rigidity(two_units)
 
 
 def test_genus_formula_values():
@@ -250,8 +258,9 @@ def test_ml_invariant():
 def test_spec_is_unhashable_by_contract():
     """Specs compare by value, P included, and MultiPoly has no hash, so a
     spec declares none instead of advertising a generated one that raises
-    on use: equal specs are equal, and neither can key a dict."""
-    from danaut import VarietySpec
+    on use: equal specs are equal, and neither can key a dict.  The same
+    holds for an irreducibility result, whose witness Q is a MultiPoly."""
+    from danaut import Irreducibility, VarietySpec
     from conftest import load_fixture
 
     spec, again = load_fixture("s7_e4.json"), load_fixture("s7_e4.json")
@@ -259,4 +268,11 @@ def test_spec_is_unhashable_by_contract():
     assert VarietySpec.__hash__ is None and MultiPoly.__hash__ is None
     for value in (spec, again):
         with pytest.raises(TypeError, match="unhashable type: 'VarietySpec'"):
+            hash(value)
+    reducible = irreducibility(variety([2, 2], False, "z^4+2z^2+1"))
+    irreducible = irreducibility(spec)
+    assert reducible.reducible and reducible.Q is not None and not irreducible.reducible
+    assert Irreducibility.__hash__ is None
+    for value in (reducible, irreducible):
+        with pytest.raises(TypeError, match="unhashable type: 'Irreducibility'"):
             hash(value)
