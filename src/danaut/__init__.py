@@ -38,7 +38,6 @@ from .varieties import (
     SymGroupData,
     VarietySpec,
     additional_quasitorus,
-    genus,
     genus_formula,
     irreducibility,
     make_variety,

@@ -130,7 +130,6 @@ class CanonicalGroup:
     finite: bool
     order: Optional[int]
     elements: Optional[list]  # (sigma, scalars) pairs when finite and small
-    is_trivial: bool
     splits_note: str
     summary: str
 
@@ -219,7 +218,6 @@ def canonical_group(spec: VarietySpec) -> CanonicalGroup:
         finite=finite,
         order=order,
         elements=elements,
-        is_trivial=order == 1,
         splits_note=splits_note,
         summary=summary,
     )
@@ -356,7 +354,6 @@ class AutReport:
     warnings: list
     citations: list
     canonical: Optional[CanonicalGroup] = None
-    finite_part: Optional[FinitePart] = None
     special_family: bool = False
     structure_group: Optional[DiagGroupType] = None  # all weights >= 2: the listed group
 
@@ -527,7 +524,6 @@ def _aut_one_unit(spec: VarietySpec) -> AutReport:
 
 def _aut_danielewski(spec: VarietySpec) -> AutReport:
     G = canonical_group(spec)
-    finite_part = None
     if G.elements is not None:
         try:
             finite_part = finite_part_from_elements(G.elements, spec.m, bound=G.order + 1)
@@ -545,10 +541,9 @@ def _aut_danielewski(spec: VarietySpec) -> AutReport:
     return AutReport(
         spec=spec,
         structure=tree,
-        verdicts=Verdicts(G.is_trivial, False, _solvable(spec, "unknown")),
+        verdicts=Verdicts(G.order == 1, False, _solvable(spec, "unknown")),
         groups={"S": symmetric_group(spec)},
         canonical=G,
-        finite_part=finite_part,
         warnings=["the canonical group meets the exponential family only in the identity"],
         citations=[
             "danielewski-structure-theorem",

@@ -28,10 +28,10 @@ from .varieties import (
     REGIME_UNSUPPORTED,
     VarietySpec,
     irreducibility,
-    genus,
     make_variety,
     normalize,
     presentation_vars,
+    rigidity,
 )
 
 
@@ -363,10 +363,11 @@ def cmd_irreducible(args) -> int:
 
 def cmd_genus(args) -> int:
     raw, spec = prepare(args.spec, args)
-    if spec.m != 1 or spec.x_present:
-        raise CliError("genus needs a curve presentation y1^k = P(z)")
-    g = genus(spec.weights[0], spec.P)
-    return _emit(args, {"genus": g}, g)
+    rig = rigidity(spec)  # the genus analyze reports
+    if rig.genus is None:
+        raise CliError("genus needs a smooth irreducible curve y1^k = P(z) or a line "
+                       f"({rig.reason})")
+    return _emit(args, {"genus": rig.genus}, rig.genus)
 
 
 _COMMANDS = {  # command: (positional arguments, options that take a value, what it does)
@@ -376,7 +377,7 @@ _COMMANDS = {  # command: (positional arguments, options that take a value, what
     "degree": (("spec", "poly"), (), "filtration degree of POLY"),
     "gr": (("spec", "poly"), (), "leading form of POLY in the associated graded ring"),
     "irreducible": (("spec",), (), "irreducibility of the presentation"),
-    "genus": (("spec",), (), "genus of a curve presentation y1^k = P(z)"),
+    "genus": (("spec",), (), "genus of a smooth curve y1^k = P(z) or a line"),
 }
 _HELP, _FLAGS = ("-h", "--help"), ("--json", "--no-normalize")  # every command takes these
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")

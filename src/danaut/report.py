@@ -89,7 +89,7 @@ def canonical_dict(G) -> Optional[dict]:
     return {
         "summary": G.summary,
         "order": G.order,
-        "is_trivial": G.is_trivial,
+        "is_trivial": G.order == 1,
         "splits_note": G.splits_note,
         "branches": branches,
         "elements": elements,

@@ -21,7 +21,6 @@ from weakref import ref
 from .lattice import DiagGroupType, group_type_from_vanishing_lattice, image_characters
 from .poly import (
     MultiPoly,
-    as_univar,
     derivative,
     last_variable_coefficients,
     perfect_power_root,
@@ -57,8 +56,8 @@ class VarietySpec:
     read it.  The rest is derived on first read and kept on the spec out of
     == and repr: cached attributes, and the relation in each variable
     context (relation).  shift records the substitution
-    z -> z - shift applied by normalize, so automorphisms can be pulled
-    back to the original coordinates.
+    z -> z - shift applied by normalize; polynomial arguments are read in
+    the shifted coordinates.
     """
 
     m: int
@@ -216,6 +215,9 @@ def _classify(weights, x_present, d, constant_s, m):
             None,
         )
     if m == 0:
+        if not x_present:
+            note = "no x and no y variables: 1 = P(z) is a finite set of points"
+            return REGIME_UNSUPPORTED, note, None
         return REGIME_DEGENERATE, "no y variables: the variety is an affine line", None
     if x_present:
         return REGIME_DANIELEWSKI, "", None
@@ -276,6 +278,8 @@ def irreducibility(spec: VarietySpec) -> Irreducibility:
     if spec.regime == REGIME_DANIELEWSKI:
         return Irreducibility(False, note="unit-weight presentations are irreducible")
     if spec.m == 0:
+        if not spec.x_present:
+            raise SpecError(f"unsupported regime: {spec.regime_note}")
         return Irreducibility(False, note="no y variables: the variety is an affine line")
     g = gcd(*spec.weights)
     if g <= 1:
@@ -297,7 +301,7 @@ def irreducibility(spec: VarietySpec) -> Irreducibility:
 class Rigidity:
     rigid: bool
     reason: str
-    genus: Optional[int] = None  # of a smooth irreducible curve y1^k = P(z)
+    genus: Optional[int] = None  # of a smooth irreducible curve y1^k = P(z) or a line
 
 
 def rigidity(spec: VarietySpec) -> Rigidity:
@@ -333,20 +337,6 @@ def genus_formula(k: int, d: int) -> int:
     if num % 2 != 0:
         raise AssertionError("genus formula produced a non-integer")
     return num // 2
-
-
-def genus(k: int, P: MultiPoly) -> int:
-    """Exact genus of V(y^k - P(z)); for k >= 2 P must be squarefree and the
-    pair irreducible, while for k = 1 the curve is the graph of P (genus 0)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    coeffs = as_univar(P)
-    d = len(coeffs) - 1
-    if d < 2:
-        raise ValueError("need deg P >= 2")
-    if k > 1 and not _is_squarefree(P):
-        raise ValueError("P has a multiple root")
-    return genus_formula(k, d)
 
 
 # -- quasitori and permutation symmetries -------------------------------------

@@ -92,7 +92,6 @@ def test_criterion_02_s5_y14y22():
 def test_criterion_03_e2():
     spec = load_fixture("s7_e2.json")
     rep = aut_structure(spec)
-    assert rep.canonical.is_trivial
     assert rep.canonical.order == 1
     # Aut = U(d~): the structure is the unipotent family alone (trivial G)
     assert rep.structure["args"][0]["order"] == 1
@@ -144,7 +143,7 @@ def test_criterion_04_e4():
         ((1, 0), (Fraction(1), Fraction(1), Fraction(-1))),
     }
     assert {(s, tuple(t)) for s, t in G.elements} == expected
-    assert rep.finite_part.order == 4
+    assert rep.canonical.order == 4
     # abelian with invariants (2,2), from the brute-force Cayley table
     elems, table = brute_force_closure(G.elements, spec.m, G.order)
     n = len(elems)

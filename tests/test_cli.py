@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -243,7 +245,7 @@ def test_largest_exponent_still_parses(capsys):
 
 _IDENT = {"x": "x", "y1": "y1", "y2": "y2", "z": "z"}
 _WRITTEN = {
-    "curve_sq.json": _presentation([2], [([0], 4, "1"), ([0], 2, "-2"), ([0], 0, "1")]),
+    "zero.json": _presentation([2], [([0], 2, "0"), ([0], 0, "0")]),
     "non_monic.json": _presentation([2, 2], [([0, 0], 2, "2"), ([0, 0], 0, "1")]),
     "line.json": _presentation([1], [([0], 2, "1"), ([0], 0, "1")]),  # y1 = z^2 + 1
 }
@@ -260,7 +262,7 @@ _WRITTEN = {
          "the zero class has no leading form"),
         (["degree", "s5_y14y22.json", "y1"],
          "filtration degree needs the canonical derivation"),
-        (["genus", "curve_sq.json"], "P has a multiple root"),
+        (["analyze", "zero.json"], "P must be nonzero"),
         (["apply", "s7_e4.json", "y1*z", "--map", json.dumps({**_IDENT, "x": "((z"})],
          "unexpected end of polynomial expression"),
         (["analyze", "non_monic.json"],
@@ -467,18 +469,8 @@ def test_degenerate_reported_not_rejected(tmp_path):
     assert payload["regime"] == "Degenerate"
     assert "affine group of the line" in payload["structure_pretty"]
     assert payload["warnings"]
-    # no y variables at all: irreducible agrees with analyze
-    f.write_text(
-        json.dumps(
-            {
-                "weights": [],
-                "P": [
-                    {"y_exponents": [], "z_exponent": 2, "coeff": "1"},
-                    {"y_exponents": [], "z_exponent": 0, "coeff": "1"},
-                ],
-            }
-        )
-    )
+    # x = P(z) is a line too: irreducible agrees with analyze
+    f.write_text(json.dumps(_presentation([], [([], 2, "1"), ([], 0, "1")], x_present=True)))
     code, out, err = run_cli("analyze", str(f), "--json")
     assert code == 0, err
     assert json.loads(out)["invariants"]["irreducible"] is True
@@ -487,6 +479,13 @@ def test_degenerate_reported_not_rejected(tmp_path):
     payload = json.loads(out)
     assert payload["irreducible"] is True
     assert "affine line" in payload["note"]
+    # without x the relation is 1 = P(z), a finite set of points: unsupported
+    f.write_text(json.dumps(_presentation([], [([], 2, "1"), ([], 0, "-4")])))
+    for command in ("analyze", "irreducible", "genus"):
+        code, out, err = run_cli(command, str(f), "--json")
+        assert (code, out) == (2, ""), command
+        assert err == ("error: unsupported presentation: no x and no y variables: "
+                       "1 = P(z) is a finite set of points\n")
 
 
 def test_specfile_roundtrip():
@@ -548,6 +547,65 @@ def test_genus_subcommand(tmp_path):
     )
     code, out, _ = run_cli("genus", str(f))
     assert code == 0 and out.strip() == "1"
+
+
+def test_genus_refusal_gives_the_rigidity_reason(tmp_path, capsys):
+    """genus has no genus for what rigidity gives none: one line naming its reason."""
+    f = tmp_path / "curve_sq.json"
+    f.write_text(json.dumps(_presentation([2], [([0], 4, "1"), ([0], 2, "-2"), ([0], 0, "1")])))
+    line = "error: genus needs a smooth irreducible curve y1^k = P(z) or a line (reducible curve)\n"
+    for extra in ([], ["--json"]):
+        assert _main_in_process(["genus", str(f), *extra], capsys) == (1, "", line)
+    f.write_text(json.dumps(_presentation([2], [([0], 3, "1"), ([0], 2, "1")])))  # z^2 (z + 1)
+    code, out, err = _main_in_process(["genus", str(f)], capsys)
+    assert (code, out) == (1, "") and err.endswith("(singular curve: P has a multiple root)\n")
+
+
+def _genus_cases():
+    """(name, presentation, genus from the formula or None) of the genus/analyze
+    differential test: the fixtures, both lines, and derandomized curves y1^k = P(z)
+    with P monic of distinct rational roots (smooth) or with one repeated root."""
+    cases = [(fx.name, json.loads(fx.read_text()), None)
+             for fx in sorted(FIXTURES.glob("*.json")) + sorted((FIXTURES / "maps").glob("*.json"))]
+    cases += [
+        ("x = z^2 + 1", _presentation([], [([], 2, "1"), ([], 0, "1")], x_present=True), 0),
+        ("y1 = z^3 - z", _presentation([1], [([0], 3, "1"), ([0], 1, "-1")]), 0),
+    ]
+    rationals = sorted({Fraction(n, q) for n in range(-6, 7) for q in (1, 2, 3)})
+    rng = random.Random(33)
+    for i in range(40):
+        k, d = rng.randint(1, 6), rng.randint(2, 6)
+        roots = rng.sample(rationals, d)
+        smooth = i % 2 == 0
+        if not smooth:
+            roots[1] = roots[0]
+        coeffs = [Fraction(1)]  # low to high
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]  # times (z - r)
+        terms = [([0], e, str(c)) for e, c in enumerate(coeffs) if c]
+        expected = ((d - 1) * (k - 1) + 1 - gcd(k, d)) // 2 if smooth else None
+        name = f"y1^{k} = P(z), roots {', '.join(map(str, roots))}"
+        cases.append((name, _presentation([k], terms), expected))
+    return cases
+
+
+def test_genus_agrees_with_analyze(tmp_path, capsys):
+    """genus prints the genus analyze reports, and refuses in one line where
+    analyze reports none; a smooth curve's genus is the Riemann-Hurwitz count."""
+    path = tmp_path / "presentation.json"
+    for name, data, expected in _genus_cases():
+        path.write_text(json.dumps(data))
+        code, out, err = _main_in_process(["analyze", str(path), "--json"], capsys)
+        assert code == 0, (name, err)
+        reported = json.loads(out)["invariants"]["genus"]
+        code, out, err = _main_in_process(["genus", str(path), "--json"], capsys)
+        if reported is None:
+            assert (code, out, err.count("\n")) == (1, "", 1), (name, out, err)
+        else:
+            assert (code, err) == (0, ""), (name, err)
+            assert json.loads(out) == {"genus": reported}, name
+        if expected is not None:
+            assert reported == expected, name
 
 
 def test_each_map_verified_exactly_once(monkeypatch, capsys):
@@ -1079,7 +1137,7 @@ def test_map_goldens_stable(capsys):
     """Subcommand outputs, --json and text, byte for byte (see golden/maps/calls.json)."""
     root = GOLDEN.parent.parent
     calls = json.loads((GOLDEN / "maps" / "calls.json").read_text())
-    assert len(calls) == 36
+    assert len(calls) == 38
     for name, argv in calls.items():
         argv = [str(root / a) if a.startswith("tests/") else a for a in argv]
         code, out, err = _main_in_process(argv, capsys)

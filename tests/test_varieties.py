@@ -12,7 +12,6 @@ from danaut import (
     Rigidity,
     SpecError,
     additional_quasitorus,
-    genus,
     genus_formula,
     irreducibility,
     make_variety,
@@ -41,6 +40,11 @@ def test_classify_examples():
     assert O.regime == "LineSuspensionOneUnit" and O.unit_index == 0
     D = make_variety([1], False, parse_poly("z^2+1", ("y1", "z")))
     assert D.regime == "Degenerate"
+    assert make_variety([], True, parse_poly("z^2+1", ("x", "z"))).regime == "Degenerate"
+    points = make_variety([], False, parse_poly("z^2-4", ("z",)))  # 1 = z^2 - 4: two points
+    assert points.regime == "Unsupported" and "finite set of points" in points.regime_note
+    with pytest.raises(SpecError, match="finite set of points"):
+        irreducibility(points)
     low = make_variety([2, 2], False, parse_poly("z+1", ("y1", "y2", "z")))
     assert low.regime == "Unsupported"
 
@@ -129,20 +133,25 @@ def test_genus_formula_values():
 
 
 def test_genus_checks():
-    P = from_univar(("z",), [Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
-    assert genus(2, P) == 1  # z^3 + z + 1 squarefree
-    bad = from_univar(("z",), [Fraction(1), Fraction(2), Fraction(1)])
-    with pytest.raises(ValueError):
-        genus(2, bad)  # (z+1)^2 has a multiple root
-    sq = from_univar(("z",), [Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)])
-    with pytest.raises(ValueError, match="multiple root"):
-        genus(2, sq)  # (z^2+1)^2: a power Q^l, l >= 2, is never squarefree
+    """rigidity is the one genus rule: a genus for a smooth irreducible curve
+    y1^k = P(z), None with the reason otherwise."""
+
+    def curve(k, coeffs):
+        return normalize(make_variety([k], False, from_univar(("y1", "z"), coeffs)))
+
+    P = [Fraction(1), Fraction(1), Fraction(0), Fraction(1)]
+    assert rigidity(curve(2, P)).genus == 1  # z^3 + z + 1 squarefree
+    bad = [Fraction(1), Fraction(2), Fraction(1)]
+    assert rigidity(curve(2, bad)) == Rigidity(True, "reducible curve")  # (z+1)^2
+    sq = [Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)]
+    assert rigidity(curve(2, sq)) == Rigidity(True, "reducible curve")  # (z^2+1)^2 = Q^2
     Q = from_univar(("z",), [Fraction(1), Fraction(1), Fraction(1)])
-    with pytest.raises(ValueError, match="multiple root"):
-        genus(3, Q * Q * Q)  # (z^2+z+1)^3 with l = k = 3
+    cube = as_univar(Q * Q * Q)  # (z^2+z+1)^3 with l = k = 3
+    assert rigidity(curve(3, cube)) == Rigidity(True, "reducible curve")
+    assert rigidity(curve(2, cube)) == Rigidity(True, "singular curve: P has a multiple root")
     # (z^2+1)*(z^2+2) is squarefree, not a power: fine for k=2
-    P2 = from_univar(("z",), [Fraction(2), Fraction(0), Fraction(3), Fraction(0), Fraction(1)])
-    assert genus(2, P2) == 1
+    P2 = [Fraction(2), Fraction(0), Fraction(3), Fraction(0), Fraction(1)]
+    assert rigidity(curve(2, P2)).genus == 1
 
 
 def test_genus_table_parity_and_positivity():
