@@ -135,10 +135,10 @@ class CanonicalGroup:
 
 
 def _y_supports(spec: VarietySpec) -> list:
-    """{y exponents: coefficient} of each s_i."""
-    supports, yvars = [], spec.yvars
+    """{y exponents: coefficient} of each s_i, whose terms are free of x and z."""
+    supports, first = [], int(spec.x_present)
     for si in spec.s:
-        supp = si.embed(yvars).terms
+        supp = {e[first:-1]: c for e, c in si.terms.items()}
         if not all(isinstance(c, Fraction) for c in supp.values()):
             raise SpecError("constraint extraction needs rational coefficients")
         supports.append(supp)

@@ -157,6 +157,8 @@ def _snf_postconditions(A, U, D, V) -> bool:
         return False
     if abs(det_int(U)) != 1 or abs(det_int(V)) != 1:
         return False
+    if any(v and i != j for i, row in enumerate(D) for j, v in enumerate(row)):
+        return False
     diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0:
@@ -168,17 +170,20 @@ def _snf_postconditions(A, U, D, V) -> bool:
     return True
 
 
+def _smith(rows: IntMat, ncols: int) -> tuple:
+    """(U, diagonal of D, rank, V) of the Smith form U*A*V = D of the r x ncols
+    rows A; no rows give U = [], no diagonal and V the identity."""
+    if not rows:
+        return [], [], 0, identity_matrix(ncols)
+    U, D, V = smith_normal_form(rows)
+    diag = [D[i][i] for i in range(min(len(rows), ncols))]
+    return U, diag, sum(1 for d in diag if d != 0), V
+
+
 def left_kernel_basis(A: IntMat) -> IntMat:
     """Rows forming a Z-basis of {c : c*A = 0}."""
-    r = len(A)
-    if r == 0:
-        return []
-    c = len(A[0]) if A else 0
-    if c == 0:
-        return identity_matrix(r)
-    U, D, _ = smith_normal_form(A)
-    rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
-    return [list(U[i]) for i in range(rank, r)]
+    U, _, rank, _ = _smith(A, len(A[0]) if A else 0)
+    return U[rank:]
 
 
 def lattice_intersect(L1: IntMat, L2: IntMat, ncols: int) -> IntMat:
@@ -240,14 +245,8 @@ def group_type_from_vanishing_lattice(rows: IntMat, ncols: int) -> DiagGroupType
     """Type of the subgroup of (K^x)^ncols on which the character rows vanish."""
     if any(len(r) != ncols for r in rows):
         raise ValueError(f"a character row does not have {ncols} entries")
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return DiagGroupType(ncols, ())
-    _, D, _ = smith_normal_form(rows)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    rank = sum(1 for d in diag if d != 0)
-    factors = tuple(d for d in diag if d > 1)
-    return DiagGroupType(ncols - rank, factors)
+    _, diag, rank, _ = _smith([r for r in rows if any(r)], ncols)
+    return DiagGroupType(ncols - rank, tuple(d for d in diag if d > 1))
 
 
 def image_characters(weights, modulus: int) -> tuple:
@@ -359,13 +358,8 @@ def solve_torus_system(
     elif ncols is None:
         raise ValueError("ncols required for an empty system")
 
-    U, D, V = smith_normal_form(rows) if rows else ([], [], identity_matrix(ncols))
-    ndiag = min(len(rows), ncols)
-    diag = [D[i][i] for i in range(ndiag)] if rows else []
-    rank = sum(1 for d in diag if d != 0)
-    structure = DiagGroupType(
-        ncols - rank, tuple(d for d in diag if d > 1)
-    )
+    U, diag, rank, V = _smith(rows, ncols)
+    structure = DiagGroupType(ncols - rank, tuple(d for d in diag if d > 1))
 
     torsion_generators = []
     for p in range(rank):

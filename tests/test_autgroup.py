@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -500,6 +501,105 @@ def test_random_presentations_sound_maps_and_verdicts(spec):
         assert defect is None, (spec.equation_str(), gm.images)
     v = rep.verdicts
     assert (v.commutative, v.torus, v.solvable) == _reference_verdicts(spec, rep)
+
+
+def _nontrivial_canonical_elements(rep) -> list:
+    """Up to four nontrivial canonical elements: listed ones, or else the
+    identity branch's torsion generators and torus directions t = 2^lam (lam
+    in the right kernel of its exponent rows, by sympy) and the particular
+    element of every other feasible branch."""
+    m, G = rep.spec.m, rep.canonical
+    one = element_value(identity_element(m))
+    if G.elements is not None:
+        found = G.elements
+    else:
+        ident, *others = [b for b in G.branches if b.feasible]
+        sol = ident.solutions
+        rows = sympy.Matrix(len(sol.exponents), m + 1, [e for row in sol.exponents for e in row])
+        lams = [v * sympy.ilcm(1, *(c.q for c in v)) for v in rows.nullspace()]
+        found = [(ident.sigma, t) for t in sol.torsion_generators]
+        found += [(ident.sigma, tuple(Fraction(2) ** int(c) for c in lam)) for lam in lams]
+        found += [(b.sigma, b.solutions.particular) for b in others
+                  if b.solutions.particular is not None]
+    return [g for g in found if element_value(g) != one][:4]
+
+
+def _verdict_maps(rep) -> list:
+    """Maps whose composites test the commutativity verdict.  In a Danielewski
+    regime these are nontrivial canonical elements and exp(h*D) for h = 1 and
+    each y: g and exp(h*D) commute for every such h only when g is trivial,
+    since g exp(h*D) g^-1 = exp(c*g(h)*D) with c = mu/tau."""
+    spec = rep.spec
+    if rep.regime != "Danielewski":
+        return sample_generator_maps(rep)
+    ctx = spec.vars
+    maps = [group_element_map(spec, *g) for g in _nontrivial_canonical_elements(rep)]
+    kernel = [MultiPoly.const(ctx, 1)] + [MultiPoly.variable(ctx, y) for y in spec.yvars]
+    return maps + [exp_replica(spec, h) for h in kernel]
+
+
+def _commute(a, b) -> bool:
+    return compose_maps(a, b).images == compose_maps(b, a).images
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_presentations())
+@example(variety([2, 2], True, "z^4"))  # an infinite canonical group
+@example(variety([2], False, "z^2+1"))  # the special family
+def test_commutativity_verdict_by_composing_maps(spec):
+    """A "commutative" verdict holds for every sampled pair of automorphisms,
+    composed both ways; any other verdict has a non-commuting pair."""
+    if spec.regime not in _REGIMES:
+        return
+    rep = aut_structure(spec)
+    maps = _verdict_maps(rep)
+    pairs = itertools.combinations(maps, 2)
+    if rep.verdicts.commutative:
+        assert all(_commute(a, b) for a, b in pairs), spec.equation_str()
+    else:
+        assert not all(_commute(a, b) for a, b in pairs), spec.equation_str()
+
+
+def _derived_series(table, n) -> list:
+    """Orders of G, G', G'', ... until the series stops, from a Cayley table on 0..n-1."""
+    inverse = {i: next(j for j in range(n) if table[(i, j)] == 0) for i in range(n)}
+    group, orders = set(range(n)), [n]
+    while True:
+        gens = {table[(table[(a, b)], table[(inverse[a], inverse[b])])]
+                for a in group for b in group}
+        derived = {0}
+        while True:
+            grown = derived | {table[(a, g)] for a in derived for g in gens}
+            if grown == derived:
+                break
+            derived = grown
+        if len(derived) == len(group):
+            return orders
+        group = derived
+        orders.append(len(group))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_presentations().filter(lambda spec: spec.regime == "Danielewski"))
+def test_solvability_verdict_by_derived_series(spec):
+    """Aut = G |x U with U abelian, so where the canonical group G is listed a
+    "yes" means G's derived series, from its Cayley table, reaches 1."""
+    rep = aut_structure(spec)
+    G = rep.canonical
+    if G.elements is None or rep.verdicts.solvable != "yes":
+        return
+    elements, table = brute_force_closure(G.elements, spec.m, len(G.elements) + 1)
+    assert len(elements) == G.order
+    assert _derived_series(table, G.order)[-1] == 1, spec.equation_str()
+
+
+def test_derived_series_of_the_m4_ladder_group():
+    """The order-48 group of the m=4 ladder rung, S4 x Z2, has derived series
+    48, 12 (A4), 4 (V4), 1."""
+    spec = variety([2, 2, 2, 2], True, "z^3 - 2/3*z + 5/2*(y1 + y2 + y3 + y4)")
+    G = aut_structure(spec).canonical
+    _, table = brute_force_closure(G.elements, spec.m, G.order + 1)
+    assert _derived_series(table, G.order) == [48, 12, 4, 1]
 
 
 _SUSPENSIONS = ("LineSuspensionOneUnit", "LineSuspensionAllGe2")

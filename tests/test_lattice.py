@@ -13,6 +13,8 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 import danaut
 from danaut import (
@@ -27,6 +29,7 @@ from danaut import (
 from danaut.cyclotomic import CycElem, cyc_root_of_unity
 from danaut.lattice import (
     ENUM_ORDER_BOUND,
+    _snf_postconditions,
     group_type_from_vanishing_lattice,
     image_characters,
     lattice_intersect,
@@ -69,6 +72,68 @@ def test_snf_randomized_postconditions():
         c = rng.randint(1, 6)
         A = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         check_snf(A)
+
+
+def test_snf_postconditions_require_a_diagonal_D():
+    """U*A*V = D with unimodular U, V and a divisibility chain 2 | 6 on the
+    diagonal is not a Smith form while D has an entry off the diagonal:
+    every reader would read [[2, 3], [0, 6]] as Z2 x Z6, where the type is Z12."""
+    I = [[1, 0], [0, 1]]
+    A = [[2, 3], [0, 6]]
+    assert not _snf_postconditions(A, I, A, I)
+    assert not _snf_postconditions([[2, 0], [3, 6]], I, [[2, 0], [3, 6]], I)
+    assert _snf_postconditions([[2, 0], [0, 6]], I, [[2, 0], [0, 6]], I)
+    assert group_type_from_vanishing_lattice(A, 2) == DiagGroupType(0, (12,))
+
+
+@st.composite
+def _integer_matrices(draw):
+    """r x c integer matrices, 0 <= r, c <= 4, entries in -6..6, some rows and
+    some columns zero."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [[draw(st.integers(-6, 6)) for _ in range(c)] for _ in range(r)]
+    zero_rows = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    zero_cols = draw(st.lists(st.booleans(), min_size=c, max_size=c))
+    return [[0 if zero_rows[i] or zero_cols[j] else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)], c
+
+
+def _sympy_invariants(rows, ncols) -> tuple:
+    """(rank, invariant factors) of the matrix, by sympy."""
+    M = Matrix(len(rows), ncols, [v for row in rows for v in row])
+    rank, factors = M.rank(), tuple(int(d) for d in invariant_factors(M, domain=ZZ))
+    assert sum(1 for d in factors if d) == rank
+    return rank, factors
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_integer_matrices())
+def test_smith_form_readers_match_sympy(case):
+    """Group types, left kernels and torus solutions read off one Smith form
+    agree with sympy's invariant factors and rank, empty and zero rows and
+    columns included."""
+    rows, ncols = case
+    rank, factors = _sympy_invariants(rows, ncols)
+    gtype = DiagGroupType(ncols - rank, tuple(d for d in factors if d > 1))
+    assert group_type_from_vanishing_lattice(rows, ncols) == gtype
+
+    basis = left_kernel_basis(rows)
+    assert len(basis) == len(rows) - rank
+    for vec in basis:
+        assert all(sum(c * row[j] for c, row in zip(vec, rows)) == 0 for j in range(ncols))
+    # a Z-basis of the kernel, not a sublattice of finite index: every invariant factor is 1
+    assert set(_sympy_invariants(basis, len(rows))[1]) <= {1}
+
+    # t^A = 1 is consistent; its particular solution is built from primitive
+    # d-th roots of unity, so it is all ones exactly when there is no torsion
+    s = solve_torus_system(rows, [Fraction(1)] * len(rows), ncols=ncols)
+    assert s.consistent and s.structure == gtype
+    if not gtype.invariant_factors:
+        assert s.particular == (Fraction(1),) * ncols
+    if s.particular is None:
+        assert max(factors) > ENUM_ORDER_BOUND
+    else:
+        assert all(_reference_power_product(s.particular, row) == 1 for row in rows)
 
 
 def test_left_kernel_examples():
@@ -502,6 +567,10 @@ def test_quotient_is_the_join_of_finite_subgroups(case):
         "real = L.mat_mul\n"
         "L.mat_mul = lambda A, B: [row[:-1] + [0] for row in real(A, B)]\n"
         "L.solve_torus_system([[2, 1], [0, 3]], [4, 9])\n",
+        # no reduction step runs, so D = A keeps its entry off the diagonal
+        "import danaut.lattice as L\n"
+        "L.min = lambda *a: 0\n"
+        "L.smith_normal_form([[2, 3], [0, 6]])\n",
     ],
 )
 def test_internal_checks_survive_optimize_flag(script):
@@ -511,7 +580,10 @@ def test_internal_checks_survive_optimize_flag(script):
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode != 0
-    assert "AssertionError" in proc.stderr
-    if "solve_torus_system" in script:
-        failed = "Smith normal form failed" if "mat_mul" in script else "particular solution failed"
-        assert f"AssertionError: {failed}" in proc.stderr
+    if "cyc_root_of_unity" in script:
+        failed = "particular solution failed verification"
+    elif "group_type_from_vanishing_lattice" in script:
+        failed = "weight-monomial stabilizer has type"
+    else:
+        failed = "Smith normal form failed its postconditions"
+    assert f"AssertionError: {failed}" in proc.stderr

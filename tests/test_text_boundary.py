@@ -315,6 +315,29 @@ def test_no_module_imports_a_private_name():
     assert found == []
 
 
+def _names_by_function(node, scope, found):
+    """(enclosing function, name) of every name and attribute under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            found.append((scope, child.id))
+        elif isinstance(child, ast.Attribute):
+            found.append((scope, child.attr))
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        _names_by_function(child, inner, found)
+    return found
+
+
+def test_one_smith_form_reader():
+    """Only lattice._smith names smith_normal_form: kernels, group types and
+    torus solutions read their diagonal, rank and transforms from it."""
+    readers = []
+    for path in sorted(Path(danaut.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        readers += [f"{path.stem}.{scope}" for scope, name in _names_by_function(tree, "", [])
+                    if name == "smith_normal_form"]
+    assert readers == ["lattice._smith"]
+
+
 def test_every_public_function_is_named_in_the_library():
     """Each public top-level function, and each public method of a public
     class, is named in the library outside its own definition.  The match is
