@@ -61,6 +61,8 @@ def smith_normal_form(A: IntMat) -> tuple:
     """(U, D, V) with U*A*V = D, U and V unimodular, D diagonal, d1 | d2 | ...."""
     r = len(A)
     c = len(A[0]) if r else 0
+    if any(len(row) != c for row in A):
+        raise ValueError(f"a row does not have {c} entries")
     M = [list(map(int, row)) for row in A]
     U = identity_matrix(r)
     V = identity_matrix(c)
@@ -173,6 +175,8 @@ def _snf_postconditions(A, U, D, V) -> bool:
 def _smith(rows: IntMat, ncols: int) -> tuple:
     """(U, diagonal of D, rank, V) of the Smith form U*A*V = D of the r x ncols
     rows A; no rows give U = [], no diagonal and V the identity."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"a row does not have {ncols} entries")
     if not rows:
         return [], [], 0, identity_matrix(ncols)
     U, D, V = smith_normal_form(rows)
@@ -216,9 +220,6 @@ class DiagGroupType:
                 raise ValueError("invariant factors must form a divisibility chain")
         if any(d < 2 for d in self.invariant_factors):
             raise ValueError("invariant factors must be >= 2")
-
-    def is_trivial(self) -> bool:
-        return self.torus_rank == 0 and not self.invariant_factors
 
     def is_finite(self) -> bool:
         return self.torus_rank == 0
@@ -343,7 +344,8 @@ def solve_torus_system(
     One Smith form U*A*V = D: consistency is decided purely over Q through
     the left-kernel relations U[rank:] of A; a particular solution is
     assembled from restricted exact root extractions and verified by
-    substitution before being returned.
+    substitution before being returned.  Every row has ncols entries, the
+    first row's count when ncols is not given.
     """
     rows = [list(map(int, r)) for r in A]
     targets = [t if type(t) is Fraction else Fraction(t) for t in targets]
@@ -351,12 +353,10 @@ def solve_torus_system(
         raise ValueError("row count does not match number of targets")
     if any(t == 0 for t in targets):
         raise ValueError("targets must be nonzero")
-    if rows:
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged exponent matrix")
-    elif ncols is None:
-        raise ValueError("ncols required for an empty system")
 
     U, diag, rank, V = _smith(rows, ncols)
     structure = DiagGroupType(ncols - rank, tuple(d for d in diag if d > 1))

@@ -398,8 +398,9 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
     """Scaling symmetries of P under z -> t^k1 z, y_ref -> t^d y_ref.
 
     u is the multiplicity of the zero root and v the maximal integer with
-    P = z^u Q(z^v); reports the tabulated types (Z_{v k1}, Z_{lcm(k1,v)},
-    Z_v, or three copies of K^x for P = z^d) alongside the effective image.
+    P = z^u Q(z^v); reports the tabulated types Z_{v k1}, Z_{lcm(k1,v)} and
+    Z_v alongside the effective image.  P = z^d has v = 0, and Z_0 reads K^x,
+    as in image_characters.
     """
     if spec.regime == REGIME_DANIELEWSKI:
         raise SpecError(
@@ -412,69 +413,36 @@ def additional_quasitorus(spec: VarietySpec) -> AdditionalQuasitorus:
         raise SpecError("normalize the presentation first")
     ref = spec.unit_index if spec.regime == REGIME_ONE_UNIT else 0
     k_ref = spec.weights[ref]
-    support = sorted(spec.z_coefficients)  # P is free of y here
+    support = spec.z_coefficients  # the exponents of z in P, which is free of y here
     u = min(support)
+    v = gcd(*(e - u for e in support))  # 0 when P = z^d
     n = spec.m + 1
-    weight_vec = [0] * n
-    weight_vec[ref] = spec.d
-    weight_vec[spec.m] = k_ref
+    weight_vec = [spec.d if i == ref else 0 for i in range(spec.m)] + [k_ref]
     action = ((f"y{ref+1}", spec.d), ("z", k_ref))
+    chars = image_characters(weight_vec, v * k_ref)
+    eff = group_type_from_vanishing_lattice(chars, n)
 
-    if support == [spec.d]:
-        torus = DiagGroupType(1)
-        chars = image_characters(weight_vec, 0)
-        eff = group_type_from_vanishing_lattice(chars, n)
-
-        def data(which):
-            return QuasitorusData(
-                which=which,
-                type=torus,
-                action=action,
-                reference_index=ref,
-                characters=chars,
-                effective_type=eff,
-            )
-
-        return AdditionalQuasitorus(
-            u=spec.d, v=None, pure_power=True,
-            D=data("D"), Dbar=data("Dbar"), Dhat=data("Dhat"),
+    def data(which, order):
+        typ = DiagGroupType(int(order == 0), (order,) if order > 1 else ())
+        known = which == "Dbar" or v == 0
+        return QuasitorusData(
+            which=which,
+            type=typ,
+            action=action,
+            reference_index=ref,
+            characters=chars if known else None,
+            effective_type=eff if known else None,
+            note=(
+                "tabulated type differs from the effective image; structure uses the image"
+                if known and eff != typ
+                else ""
+            ),
         )
 
-    v = 0
-    for e in support:
-        v = gcd(v, e - u)
-    order_D = v * k_ref
-    chars = image_characters(weight_vec, order_D)
-    eff = group_type_from_vanishing_lattice(chars, n)
-    lcm_kv = k_ref * v // gcd(k_ref, v)
-    D = QuasitorusData(
-        which="D",
-        type=DiagGroupType(0, (order_D,) if order_D > 1 else ()),
-        action=action,
-        reference_index=ref,
-        effective_type=None,
+    return AdditionalQuasitorus(
+        u=u, v=v or None, pure_power=v == 0,
+        D=data("D", v * k_ref), Dbar=data("Dbar", k_ref * v // gcd(k_ref, v)), Dhat=data("Dhat", v),
     )
-    mismatch = eff != DiagGroupType(0, (lcm_kv,) if lcm_kv > 1 else ())
-    Dbar = QuasitorusData(
-        which="Dbar",
-        type=DiagGroupType(0, (lcm_kv,) if lcm_kv > 1 else ()),
-        action=action,
-        reference_index=ref,
-        characters=chars,
-        effective_type=eff,
-        note=(
-            "tabulated type differs from the effective image; structure uses the image"
-            if mismatch
-            else ""
-        ),
-    )
-    Dhat = QuasitorusData(
-        which="Dhat",
-        type=DiagGroupType(0, (v,) if v > 1 else ()),
-        action=action,
-        reference_index=ref,
-    )
-    return AdditionalQuasitorus(u=u, v=v, pure_power=False, D=D, Dbar=Dbar, Dhat=Dhat)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def test_invariant_factors_match_primary_decomposition(factors):
 
 def test_solve_examples():
     s = solve_torus_system([[1]], [Fraction(1)])
-    assert s.consistent and s.structure.is_trivial()
+    assert s.consistent and s.structure == DiagGroupType(0)
     assert s.particular == (Fraction(1),)
 
     # three variables, targets all 1: solutions {(1,1,1), (-1,-1,-1)}
@@ -380,7 +380,7 @@ def test_quotient_trivial_cases():
     K = [[1]]  # the trivial subgroup
     q = diag_group_quotient(H, K, 1)
     assert q.reported == DiagGroupType(1, ())
-    assert q.intersection.is_trivial()
+    assert q.intersection == DiagGroupType(0)
 
 
 def test_quotient_y14y22_data():
@@ -440,6 +440,28 @@ def test_ragged_rows_are_rejected_before_any_smith_form(monkeypatch):
     for H, K in (([[4, 2]], [[0, 0, 1]]), ([[4, 2, 0]], [[0, 1]])):
         with pytest.raises(ValueError, match="3 entries"):
             diag_group_quotient(H, K, 3)
+
+
+@pytest.mark.parametrize(
+    "name, args, width",
+    [
+        ("smith_normal_form", ([[1, 2], [3]],), 2),
+        ("smith_normal_form", ([[], [1]],), 0),
+        ("smith_normal_form", ([[1], [2, 3]],), 1),
+        ("left_kernel_basis", ([[1], [2, 3]],), 1),
+        ("left_kernel_basis", ([[], [1]],), 0),
+        ("solve_torus_system", ([[1, 2]], [1], 3), 3),
+        ("solve_torus_system", ([[1], [2, 3]], [1, 1]), 1),
+    ],
+)
+def test_rows_of_the_wrong_length_are_refused(name, args, width):
+    """A ragged matrix, or rows that do not have the given ncols entries, is
+    refused with one ValueError line: no IndexError, no failed postcondition,
+    and no entry silently dropped."""
+    import danaut.lattice as L
+
+    with pytest.raises(ValueError, match=f"^a row does not have {width} entries$"):
+        getattr(L, name)(*args)
 
 
 # -- power products and the torus solver against a Fraction/math.prod reference --

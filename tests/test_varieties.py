@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danaut import (
     DiagGroupType,
@@ -24,6 +26,7 @@ from danaut import (
     symmetric_group,
     zeta,
 )
+from danaut.lattice import group_type_from_vanishing_lattice
 from danaut.poly import as_univar, from_univar
 from conftest import reconstruct_reducible_product, variety
 
@@ -246,6 +249,74 @@ def test_additional_quasitorus_randomized_table():
         assert aq.Dbar.type == DiagGroupType(0, (lcm_kv,) if lcm_kv > 1 else ())
         assert aq.Dhat.type == DiagGroupType(0, (v,) if v > 1 else ())
         done += 1
+
+
+@st.composite
+def _normalized_suspensions(draw):
+    """Both suspension regimes, m = 1..3, weights 2..5 (at most one set to 1),
+    and P = z^d or z^u * Q(z^v) with Q(0) != 0, normalized."""
+    m = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(2, 5), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, m - 1))] = 1
+    if draw(st.booleans()):
+        text = f"z^{draw(st.integers(2, 12))}"
+    else:
+        u, v, top = draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        inner = draw(st.sets(st.integers(1, top - 1), max_size=2)) if top > 1 else set()
+        coeffs = [1] + [draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for _ in range(len(inner) + 1)]
+        exps = [top] + sorted(inner, reverse=True) + [0]
+        text = " + ".join(f"{c}*z^{u + v * j}" for c, j in zip(coeffs, exps))
+        if u + v * top < 2:
+            text = f"z^2 + {text}"
+    return variety(weights, False, text)
+
+
+def _cyclic_or_torus(order):
+    """The tabulated Z_order, with Z_0 read as K^x."""
+    return DiagGroupType(1) if order == 0 else DiagGroupType(0, (order,) if order > 1 else ())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_normalized_suspensions())
+def test_scaling_family_closed_form(spec):
+    """D, Dbar and Dhat against the closed forms of the scaling family.
+
+    u is the least exponent of P and v the largest w with every exponent
+    = u mod w (0 for P = z^d).  The types are Z_{v k}, Z_{lcm(k, v)} and Z_v
+    with Z_0 = K^x; the effective image of mu_{v k} under t -> (t^d, t^k) has
+    order v k / gcd(k, d), and is K^x when v = 0.  For v > 0, Dbar carries the
+    note iff gcd(k, d) != gcd(k, v).  Characters and the effective type are on Dbar,
+    and on D and Dhat only for a pure power.
+    """
+    ref = spec.unit_index if spec.regime == "LineSuspensionOneUnit" else 0
+    k, d = spec.weights[ref], spec.d
+    exps = sorted(spec.z_coefficients)
+    u = exps[0]
+    v = 0 if exps == [d] else max(
+        w for w in range(1, d + 1) if all((e - u) % w == 0 for e in exps))
+    aq = additional_quasitorus(spec)
+    assert (aq.u, aq.v, aq.pure_power) == (u, v or None, v == 0)
+    image = _cyclic_or_torus(0 if v == 0 else v * k // gcd(k, d))
+    weight_vec = [d if i == ref else 0 for i in range(spec.m)] + [k]
+    for q, which, order in ((aq.D, "D", v * k), (aq.Dbar, "Dbar", v * k // gcd(k, v)),
+                            (aq.Dhat, "Dhat", v)):
+        assert (q.which, q.type) == (which, _cyclic_or_torus(order))
+        assert q.action == ((f"y{ref + 1}", d), ("z", k)) and q.reference_index == ref
+        if which == "Dbar" or v == 0:
+            assert q.effective_type == image
+            assert group_type_from_vanishing_lattice(q.characters, spec.m + 1) == image
+            for row in q.characters:
+                pairing = sum(a * b for a, b in zip(row, weight_vec))
+                assert (pairing % (v * k) if v else pairing) == 0
+        else:
+            assert q.effective_type is None and q.characters is None
+        mismatch = which == "Dbar" and v > 0 and gcd(k, d) != gcd(k, v)
+        assert bool(q.note) == mismatch
+        if mismatch:
+            assert q.note == (
+                "tabulated type differs from the effective image; structure uses the image"
+            )
 
 
 def test_symmetric_group():
